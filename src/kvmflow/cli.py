@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse/validation error (message on stderr),
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     EquilibriumInput,
     KvmflowError,
     PairingViolation,
+    ValidationError,
     ZeroEntry,
 )
 from .flow import IntegratorConfig, integrate, integrate_dense
@@ -150,7 +152,14 @@ def main(argv=None) -> int:
 
 def _load_document(args) -> MatrixInputDocument:
     if getattr(args, "offdiag", None) is not None:
-        entries = [float(tok) for tok in args.offdiag.split(",") if tok.strip()]
+        entries = []
+        for tok in args.offdiag.split(","):
+            if not tok.strip():
+                continue
+            try:
+                entries.append(float(tok))
+            except ValueError:
+                raise ValidationError(f"--offdiag entry {tok.strip()!r} is not a number") from None
         return MatrixInputDocument(n=len(entries) + 1,
                                    offdiag=np.array(entries, dtype=np.float64))
     return parse_input(Path(args.input).read_bytes())
@@ -182,20 +191,6 @@ def _emit_summary(summary: dict, args) -> None:
         write_summary(summary, sys.stdout)
 
 
-def _config_field(cfg: IntegratorConfig) -> dict:
-    return {
-        "method": cfg.method,
-        "dt": cfg.dt,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "t_max": cfg.t_max,
-        "eq_eps": cfg.eq_eps,
-        "record_stride": cfg.record_stride,
-        "max_rows": cfg.max_rows,
-        "dt_min": cfg.dt_min,
-    }
-
-
 def _try_prediction(a: np.ndarray, spec):
     try:
         return predict_limit(a, spec), None
@@ -225,7 +220,7 @@ def _cmd_evolve(args) -> int:
         final_offdiag=traj.final_state,
         spectrum=spec.values,
         predicted_limit=predicted,
-        config=_config_field(traj.config),
+        config=asdict(traj.config),
         seed=args.seed,
     )
     _emit_summary(summary, args)
@@ -330,7 +325,7 @@ def _cmd_evolve_sym(args) -> int:
         notes=_EXPERIMENTAL_NOTE,
         input=document_to_dict(doc),
         status=traj.status,
-        config=_config_field(traj.config),
+        config=asdict(traj.config),
         seed=args.seed,
         extras={
             "final_matrix": [[float(x) for x in row] for row in traj.final_state],

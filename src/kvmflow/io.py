@@ -6,7 +6,7 @@ byte-identical files.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +255,7 @@ def write_summary(obj, sink) -> None:
                    "offdiag": [float(x) for x in obj.states[0]]},
             status=obj.status,
             final_offdiag=obj.final_state,
-            config=_cfg_dict(obj.config),
+            config=asdict(obj.config),
         )
     else:
         raise TypeError(f"cannot summarize object of type {type(obj).__name__}")
@@ -267,17 +267,3 @@ def write_summary(obj, sink) -> None:
     finally:
         if owned:
             fh.close()
-
-
-def _cfg_dict(cfg) -> dict:
-    return {
-        "method": cfg.method,
-        "dt": cfg.dt,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "t_max": cfg.t_max,
-        "eq_eps": cfg.eq_eps,
-        "record_stride": cfg.record_stride,
-        "max_rows": cfg.max_rows,
-        "dt_min": cfg.dt_min,
-    }

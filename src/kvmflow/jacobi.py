@@ -75,11 +75,20 @@ def map_N(A) -> np.ndarray:
     The result is symmetric tridiagonal with zero diagonal regardless of A.
     """
     A = np.asarray(A, dtype=np.float64)
+    as_offdiag(np.diagonal(A, 1))  # the entries N reads must be finite
+    return _map_N(A)
+
+
+def _map_N(A: np.ndarray) -> np.ndarray:
+    """Unchecked map_N for a float64 square matrix (the integrator's hot path)."""
     n = A.shape[0]
-    if n < 2:
-        return np.zeros_like(A)
-    coeff = np.arange(n - 1, dtype=np.float64) - 1.0
-    return embed(coeff * np.diagonal(A, 1))
+    N = np.zeros((n, n))  # C-ordered whatever A's layout, so reshape is a view
+    if n >= 2:
+        v = (np.arange(n - 1, dtype=np.float64) - 1.0) * np.diagonal(A, 1)
+        flat = N.reshape(-1)
+        flat[1::n + 1] = v
+        flat[n::n + 1] = v
+    return N
 
 
 def map_K(a) -> np.ndarray:
@@ -107,7 +116,11 @@ def rhs_componentwise(a) -> np.ndarray:
     da_1 = -a_1 a_2^2, da_i = a_i (a_{i-1}^2 - a_{i+1}^2) for 1 < i < n-1,
     da_{n-1} = a_{n-1} a_{n-2}^2. Identically zero for n <= 2.
     """
-    a = as_offdiag(a)
+    return _rhs_offdiag(as_offdiag(a))
+
+
+def _rhs_offdiag(a: np.ndarray) -> np.ndarray:
+    """Unchecked rhs_componentwise for a finite float64 vector."""
     out = np.zeros_like(a)
     if a.size >= 2:
         sq = a * a
@@ -120,7 +133,22 @@ def rhs_componentwise(a) -> np.ndarray:
 def rhs_matrix(H) -> np.ndarray:
     """Dense double-bracket right-hand side [H, [H, N(H)]]."""
     H = np.asarray(H, dtype=np.float64)
-    return commutator(H, commutator(H, map_N(H)))
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
+    as_offdiag(np.diagonal(H, 1))  # the entries N reads must be finite
+    return _rhs_dense(H)
+
+
+def _bracket_K(H: np.ndarray) -> np.ndarray:
+    """Unchecked inner bracket [H, N(H)] for a float64 square matrix."""
+    N = _map_N(H)
+    return H @ N - N @ H
+
+
+def _rhs_dense(H: np.ndarray) -> np.ndarray:
+    """Unchecked rhs_matrix for a float64 square matrix."""
+    K = _bracket_K(H)
+    return H @ K - K @ H
 
 
 def lyapunov_f(H) -> float:

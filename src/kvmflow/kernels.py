@@ -1,38 +1,27 @@
-"""Hot numeric kernels: flow integrators and Sturm-sequence eigensolver.
+"""Hot numeric kernels: the flow stepper and the batched Sturm eigensolver.
 
-Every kernel exists in two lanes:
+One Dormand-Prince 5(4) / fixed-step RK4 stepper integrates both forms of the
+flow. It takes the right-hand side and the squared equilibrium residual as
+arguments and works on a state of any shape:
 
-* a ``numba.njit``-compiled lane (default when numba imports), and
-* a pure-numpy fallback, selected by setting ``KVMFLOW_NO_NUMBA=1``.
+* ``integrate_offdiag_kernel`` steps the off-diagonal vector with the
+  closed-form cubic field and reflects spurious sign crossings back onto the
+  initial orthant;
+* ``integrate_dense_kernel`` steps a full symmetric matrix with the
+  nested-commutator field [H, [H, N(H)]].
 
-The integrator kernels share a single source; the fallback simply calls the
-uncompiled function. The batched Sturm eigensolver has a scalar-loop source
-(fast under numba) and a vectorized numpy twin (fast without it); the two are
-pinned together by tests. ``bench/benchmark.py`` compares the lanes.
+Everything is plain numpy. Sums that decide step acceptance and stopping run
+left to right, so results do not depend on numpy's pairwise summation.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("KVMFLOW_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled_by_env()
+from .jacobi import _bracket_K, _rhs_dense, _rhs_offdiag
 
 
 def lane() -> str:
-    """Active kernel lane, ``"numba"`` or ``"numpy"``."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Kernel lane; there is one, ``"numpy"``."""
+    return "numpy"
 
 
 # trajectory status codes shared with flow.py
@@ -70,204 +59,54 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _integrate_offdiag_impl(a0, t_max, h_init, fixed_step, abs_tol, rel_tol,
-                            eq_eps, dt_min, stride0, max_rows):
-    """Integrate da/dt on the off-diagonal chart, recording sampled rows.
+def _sum_in_order(x: np.ndarray) -> float:
+    """Sum of all entries, added left to right in C order."""
+    return np.add.accumulate(x.reshape(-1))[-1] if x.size else 0.0
+
+
+def _resid2_offdiag(a: np.ndarray) -> float:
+    """Squared equilibrium residual ||K||_F^2 = 2 sum (a_i a_{i+1})^2."""
+    p = a[:-1] * a[1:]
+    return 2.0 * _sum_in_order(p * p)
+
+
+def _resid2_dense(H: np.ndarray) -> float:
+    """Squared Frobenius norm of the inner bracket [H, N(H)]."""
+    K = _bracket_K(H)
+    return _sum_in_order(K * K)
+
+
+def _halve_rows(times, states, count) -> int:
+    """Keep t=0 and every other retained row after it; return the new count."""
+    half_n = (count + 1) // 2
+    times[1:half_n] = times[2:2 * half_n:2]
+    states[1:half_n] = states[2:2 * half_n:2]
+    return half_n
+
+
+def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
+               rel_tol, eq_eps, dt_min, stride0, max_rows):
+    """Integrate dy/dt = rhs(y) from y0, recording sampled states.
+
+    Stops at t_max, or once resid2(y) <= eq_eps^2. When sign0 is given, each
+    component that crosses zero against it after an accepted step is
+    reflected back (the exact flow keeps every component's sign).
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
     fills, every other retained row is dropped and the stride doubles, so the
     sample count never exceeds max_rows while t=0 stays in place.
     """
-    k = a0.shape[0]
-
-    def rhs(a):
-        out = np.zeros_like(a)
-        if a.shape[0] >= 2:
-            sq = a * a
-            out[0] = -a[0] * sq[1]
-            out[-1] = sq[-2] * a[-1]
-            out[1:-1] = a[1:-1] * (sq[:-2] - sq[2:])
-        return out
-
-    def knorm2(a):
-        s = 0.0
-        for i in range(a.shape[0] - 1):
-            p = a[i] * a[i + 1]
-            s += p * p
-        return 2.0 * s
-
     times = np.empty(max_rows)
-    states = np.empty((max_rows, k))
+    states = np.empty((max_rows,) + y0.shape)
     times[0] = 0.0
-    states[0, :] = a0
+    states[0] = y0
     count = 1
     stride = stride0
 
     eq2 = eq_eps * eq_eps
     t = 0.0
-    y = a0.copy()
-    h = h_init
-    status = STATUS_HORIZON
-    naccept = 0
-    nreject = 0
-    err_prev = 1.0e-4
-    just_rejected = False
-
-    # each component keeps its initial sign along the exact flow (zero is a
-    # per-component equilibrium); spurious crossings below the error floor
-    # are reflected back onto the invariant orthant
-    sign0 = np.sign(a0)
-
-    k1 = rhs(y)
-    t_edge = t_max * (1.0 - 1.0e-14)
-
-    while t < t_edge:
-        if not fixed_step and h < dt_min:
-            status = STATUS_UNDERFLOW
-            break
-        if h > t_max - t:
-            h = t_max - t
-
-        err = 0.0
-        if fixed_step:
-            half = 0.5 * h
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k_last = rhs(y_new)
-            accept = True
-        else:
-            k2 = rhs(y + h * (_A21 * k1))
-            k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
-            k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k_last = rhs(y_new)
-            err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k_last)
-
-            for i in range(k):
-                ay = abs(y[i])
-                ayn = abs(y_new[i])
-                sc = abs_tol + rel_tol * (ay if ay > ayn else ayn)
-                r = err_vec[i] / sc
-                err += r * r
-            err = np.sqrt(err / k) if k > 0 else 0.0
-            accept = err <= 1.0
-
-        if accept:
-            t = t + h
-            y = y_new
-            k1 = k_last
-            naccept += 1
-
-            flipped = False
-            for i in range(k):
-                if sign0[i] * y[i] < 0.0:
-                    y[i] = -y[i]
-                    flipped = True
-            if flipped:
-                k1 = rhs(y)
-
-            resid2 = knorm2(y)
-            done = resid2 <= eq2 or t >= t_edge
-            if naccept % stride == 0 or done:
-                if count == max_rows:
-                    half_n = (count + 1) // 2
-                    for j in range(1, half_n):
-                        times[j] = times[2 * j]
-                        states[j, :] = states[2 * j, :]
-                    count = half_n
-                    stride *= 2
-                if times[count - 1] < t:
-                    times[count] = t
-                    states[count, :] = y
-                    count += 1
-            if resid2 <= eq2:
-                status = STATUS_CONVERGED
-                break
-        else:
-            nreject += 1
-
-        if not fixed_step:
-            if err == 0.0:
-                fac = _FAC_MAX
-            else:
-                fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            if fac < _FAC_MIN:
-                fac = _FAC_MIN
-            if fac > _FAC_MAX:
-                fac = _FAC_MAX
-            if just_rejected and fac > 1.0:
-                fac = 1.0
-            if accept:
-                err_prev = err if err > 1.0e-4 else 1.0e-4
-                just_rejected = False
-            else:
-                just_rejected = True
-                if fac > 1.0:
-                    fac = 1.0
-            h = h * fac
-
-    # ensure the final state is the last recorded row
-    if times[count - 1] < t:
-        if count == max_rows:
-            half_n = (count + 1) // 2
-            for j in range(1, half_n):
-                times[j] = times[2 * j]
-                states[j, :] = states[2 * j, :]
-            count = half_n
-        times[count] = t
-        states[count, :] = y
-        count += 1
-
-    return times, states, count, status, naccept, nreject
-
-
-def _integrate_dense_impl(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
-                          eq_eps, dt_min, stride0, max_rows):
-    """Dense double-bracket integrator on full symmetric matrices.
-
-    Same stepping/recording scheme as the off-diagonal kernel; the state is an
-    n-by-n matrix and the equilibrium residual is the Frobenius norm of the
-    inner commutator.
-    """
-    n = H0.shape[0]
-
-    def mapn(A):
-        N = np.zeros_like(A)
-        for i in range(n - 1):
-            v = (i - 1.0) * A[i, i + 1]
-            N[i, i + 1] = v
-            N[i + 1, i] = v
-        return N
-
-    def rhs(H):
-        N = mapn(H)
-        K = H @ N - N @ H
-        return H @ K - K @ H
-
-    def knorm2(H):
-        N = mapn(H)
-        K = H @ N - N @ H
-        s = 0.0
-        for i in range(n):
-            for j in range(n):
-                s += K[i, j] * K[i, j]
-        return s
-
-    times = np.empty(max_rows)
-    states = np.empty((max_rows, n, n))
-    times[0] = 0.0
-    states[0] = H0
-    count = 1
-    stride = stride0
-
-    eq2 = eq_eps * eq_eps
-    t = 0.0
-    y = H0.copy()
+    y = y0.copy()
     h = h_init
     status = STATUS_HORIZON
     naccept = 0
@@ -302,16 +141,11 @@ def _integrate_dense_impl(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
             k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
             y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
             k_last = rhs(y_new)
-            err_mat = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k_last)
+            err_est = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k_last)
 
-            for i in range(n):
-                for j in range(n):
-                    ay = abs(y[i, j])
-                    ayn = abs(y_new[i, j])
-                    sc = abs_tol + rel_tol * (ay if ay > ayn else ayn)
-                    r = err_mat[i, j] / sc
-                    err += r * r
-            err = np.sqrt(err / (n * n))
+            if y.size:
+                r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+                err = np.sqrt(_sum_in_order(r * r) / y.size)
             accept = err <= 1.0
 
         if accept:
@@ -320,21 +154,23 @@ def _integrate_dense_impl(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
             k1 = k_last
             naccept += 1
 
-            resid2 = knorm2(y)
-            done = resid2 <= eq2 or t >= t_edge
+            if sign0 is not None:
+                flipped = sign0 * y < 0.0
+                if flipped.any():
+                    np.negative(y, out=y, where=flipped)
+                    k1 = rhs(y)
+
+            r2 = resid2(y)
+            done = r2 <= eq2 or t >= t_edge
             if naccept % stride == 0 or done:
                 if count == max_rows:
-                    half_n = (count + 1) // 2
-                    for j in range(1, half_n):
-                        times[j] = times[2 * j]
-                        states[j] = states[2 * j]
-                    count = half_n
+                    count = _halve_rows(times, states, count)
                     stride *= 2
                 if times[count - 1] < t:
                     times[count] = t
                     states[count] = y
                     count += 1
-            if resid2 <= eq2:
+            if r2 <= eq2:
                 status = STATUS_CONVERGED
                 break
         else:
@@ -345,28 +181,21 @@ def _integrate_dense_impl(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
                 fac = _FAC_MAX
             else:
                 fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            if fac < _FAC_MIN:
-                fac = _FAC_MIN
-            if fac > _FAC_MAX:
-                fac = _FAC_MAX
-            if just_rejected and fac > 1.0:
-                fac = 1.0
+            fac = min(max(fac, _FAC_MIN), _FAC_MAX)
             if accept:
-                err_prev = err if err > 1.0e-4 else 1.0e-4
+                if just_rejected:
+                    fac = min(fac, 1.0)
+                err_prev = max(err, 1.0e-4)
                 just_rejected = False
             else:
                 just_rejected = True
-                if fac > 1.0:
-                    fac = 1.0
+                fac = min(fac, 1.0)
             h = h * fac
 
+    # ensure the final state is the last recorded row
     if times[count - 1] < t:
         if count == max_rows:
-            half_n = (count + 1) // 2
-            for j in range(1, half_n):
-                times[j] = times[2 * j]
-                states[j] = states[2 * j]
-            count = half_n
+            count = _halve_rows(times, states, count)
         times[count] = t
         states[count] = y
         count += 1
@@ -374,92 +203,39 @@ def _integrate_dense_impl(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
     return times, states, count, status, naccept, nreject
 
 
-def _sturm_batch_loops(diag, offdiags, tol, max_iter):
-    """Sturm-sequence bisection, per-row vector form (numba lane).
+def integrate_offdiag_kernel(a0, t_max, h_init, fixed_step, abs_tol, rel_tol,
+                             eq_eps, dt_min, stride0, max_rows):
+    """Integrate da/dt on the off-diagonal chart; see :func:`_integrate`.
+
+    Each component keeps its initial sign along the exact flow (zero is a
+    per-component equilibrium), so spurious crossings below the error floor
+    are reflected back onto the initial orthant.
+    """
+    return _integrate(a0, _rhs_offdiag, _resid2_offdiag, np.sign(a0), t_max,
+                      h_init, fixed_step, abs_tol, rel_tol, eq_eps, dt_min,
+                      stride0, max_rows)
+
+
+def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
+                           eq_eps, dt_min, stride0, max_rows):
+    """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
+
+    Same stepping and recording as :func:`integrate_offdiag_kernel`, without
+    sign reflection; the residual is the Frobenius norm of [H, N(H)].
+    """
+    return _integrate(H0, _rhs_dense, _resid2_dense, None, t_max, h_init,
+                      fixed_step, abs_tol, rel_tol, eq_eps, dt_min, stride0,
+                      max_rows)
+
+
+def sturm_batch(diag, offdiags, tol, max_iter):
+    """Sturm-sequence bisection for a batch of symmetric tridiagonals.
 
     diag: (n,) shared diagonal; offdiags: (m, n-1) batch of off-diagonals.
-    All n brackets of a row are bisected simultaneously, so the pivot
-    recurrence sweeps a length-n lane the compiler can vectorize. Returns
-    (eigs (m, n) ascending per row, ok flag); ok=0 means some bracket failed
-    to shrink below 2*tol within max_iter iterations.
+    All n brackets of every row are bisected together. Returns (eigs (m, n)
+    ascending per row, ok flag); ok=0 means some bracket failed to shrink
+    below 2*tol within max_iter iterations.
     """
-    m, nm1 = offdiags.shape
-    n = nm1 + 1
-    out = np.empty((m, n))
-    ok = 1
-    x = np.empty(n)
-    q = np.empty(n)
-    cnt = np.empty(n, dtype=np.int64)
-
-    for r in range(m):
-        e2 = offdiags[r] * offdiags[r]
-        e2max = 1.0
-        for i in range(nm1):
-            if e2[i] > e2max:
-                e2max = e2[i]
-        pivmin = 1.0e-292 * e2max
-
-        lo0 = diag[0]
-        hi0 = diag[0]
-        for i in range(n):
-            rad = 0.0
-            if i > 0:
-                rad += abs(offdiags[r, i - 1])
-            if i < nm1:
-                rad += abs(offdiags[r, i])
-            if diag[i] - rad < lo0:
-                lo0 = diag[i] - rad
-            if diag[i] + rad > hi0:
-                hi0 = diag[i] + rad
-        pad = 2.0 * tol + 1.0e-12 * (1.0 + max(abs(lo0), abs(hi0)))
-        lo0 -= pad
-        hi0 += pad
-
-        lo = np.full(n, lo0)
-        hi = np.full(n, hi0)
-        for _ in range(max_iter):
-            width = 0.0
-            for k in range(n):
-                w = hi[k] - lo[k]
-                if w > width:
-                    width = w
-            if width <= 2.0 * tol:
-                break
-            # count of eigenvalues <= x[k]: negative pivots of the LDL^T
-            # recurrence, zeros forced negative (LAPACK convention)
-            for k in range(n):
-                x[k] = 0.5 * (lo[k] + hi[k])
-                qk = diag[0] - x[k]
-                if abs(qk) < pivmin:
-                    qk = -pivmin
-                q[k] = qk
-                cnt[k] = 1 if qk <= 0.0 else 0
-            for i in range(1, n):
-                di = diag[i]
-                e2i = e2[i - 1]
-                for k in range(n):
-                    qk = di - x[k] - e2i / q[k]
-                    if abs(qk) < pivmin:
-                        qk = -pivmin
-                    q[k] = qk
-                    if qk <= 0.0:
-                        cnt[k] += 1
-            for k in range(n):
-                if cnt[k] >= k + 1:
-                    hi[k] = x[k]
-                else:
-                    lo[k] = x[k]
-
-        for k in range(n):
-            if hi[k] - lo[k] > 2.0 * tol:
-                ok = 0
-            out[r, k] = 0.5 * (lo[k] + hi[k])
-
-    return out, ok
-
-
-def _sturm_batch_numpy(diag, offdiags, tol, max_iter):
-    """Vectorized twin of :func:`_sturm_batch_loops` (numpy fallback lane)."""
     m, nm1 = offdiags.shape
     n = nm1 + 1
     e2 = offdiags * offdiags
@@ -483,6 +259,8 @@ def _sturm_batch_numpy(diag, offdiags, tol, max_iter):
     for _ in range(max_iter):
         if (hi - lo).max() <= 2.0 * tol:
             break
+        # count of eigenvalues <= x: negative pivots of the LDL^T recurrence,
+        # zeros forced negative (LAPACK convention)
         x = 0.5 * (lo + hi)
         q = diag[0] - x
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
@@ -497,18 +275,3 @@ def _sturm_batch_numpy(diag, offdiags, tol, max_iter):
 
     ok = 1 if (hi - lo).max() <= 2.0 * tol else 0
     return 0.5 * (lo + hi), ok
-
-
-if HAVE_NUMBA:
-    _integrate_offdiag_jit = _njit(cache=True)(_integrate_offdiag_impl)
-    _integrate_dense_jit = _njit(cache=True)(_integrate_dense_impl)
-    _sturm_batch_jit = _njit(cache=True)(_sturm_batch_loops)
-
-if USE_NUMBA:
-    integrate_offdiag_kernel = _integrate_offdiag_jit
-    integrate_dense_kernel = _integrate_dense_jit
-    sturm_batch = _sturm_batch_jit
-else:
-    integrate_offdiag_kernel = _integrate_offdiag_impl
-    integrate_dense_kernel = _integrate_dense_impl
-    sturm_batch = _sturm_batch_numpy

@@ -7,7 +7,7 @@ never an exception.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
         "strict": strict,
         "input_offdiag": a0,
         "final_offdiag": traj.final_state,
-        "config": _config_dict(traj.config),
+        "config": asdict(traj.config),
     }
 
     if traj.status == "stationary_input":
@@ -200,20 +200,6 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
         meta["prediction"] = "skipped (strict=False)"
 
     return VerificationReport(checks=checks, meta=meta)
-
-
-def _config_dict(cfg: IntegratorConfig) -> dict:
-    return {
-        "method": cfg.method,
-        "dt": cfg.dt,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "t_max": cfg.t_max,
-        "eq_eps": cfg.eq_eps,
-        "record_stride": cfg.record_stride,
-        "max_rows": cfg.max_rows,
-        "dt_min": cfg.dt_min,
-    }
 
 
 def _sym(rng, n, lim=5.0):

@@ -14,7 +14,7 @@ settings.load_profile("ci")
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the jit kernels once so timing assertions see steady state."""
+    """Run each kernel path once so timing assertions see warm caches and imports."""
     from kvmflow import flow, jacobi
 
     a = np.array([1.0, 2.0])

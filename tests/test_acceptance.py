@@ -1,8 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (visible with pytest -s). Runtime
-budgets are asserted on the compiled kernel lane; on the pure-numpy fallback
-they are reported but not enforced.
+budgets are printed and asserted.
 """
 
 import math
@@ -12,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from kvmflow import flow, jacobi, kernels, spectral, verify
+from kvmflow import flow, jacobi, spectral, verify
 from kvmflow.verify import Tolerances, trajectory_checks
 
 from conftest import EX1, EX2, EX3, EX1_LIMIT_2DP, EX2_LIMIT_2DP, EX3_LIMIT_2DP
@@ -34,8 +33,7 @@ def criterion(name):
 
 def _assert_runtime(seconds, budget, what):
     print(f"       {what}: {seconds * 1e3:.1f} ms (budget {budget * 1e3:.0f} ms)")
-    if kernels.USE_NUMBA:
-        assert seconds < budget, f"{what} took {seconds:.3f}s, budget {budget}s"
+    assert seconds < budget, f"{what} took {seconds:.3f}s, budget {budget}s"
 
 
 def _timed_integrate(a0, cfg):
@@ -108,9 +106,13 @@ def test_criterion_2_example2_reproduction(example_runs):
 
 
 def test_criterion_3_example3_reproduction(example_runs):
-    with criterion("example-3 reproduction (29x29, residual stop, t<=10)"):
-        _, traj, seconds = example_runs["example3"]
+    with criterion("example-3 reproduction (29x29, t<=10, residual <= 1e-6(1+|a0|^2))"):
+        a0, traj, seconds = example_runs["example3"]
         assert traj.config.t_max <= 10.0
+        # the default run reaches the horizon t=10 short of its stopping
+        # residual eq_eps; it must still meet verify_run's equilibrium_reached
+        # bound
+        assert traj.k_norms[-1] <= TOL.final_residual * (1 + float(np.sum(a0 * a0)))
         assert np.abs(traj.final_state - EX3_LIMIT_2DP).max() < 0.01
         assert np.all(np.sign(traj.final_state[EX3_LIMIT_2DP != 0])
                       == np.sign(EX3_LIMIT_2DP[EX3_LIMIT_2DP != 0]))

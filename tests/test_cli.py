@@ -160,3 +160,8 @@ class TestErrorPaths:
 
     def test_evolve_rejects_symmetric_document(self, sym_file, capsys):
         assert main(_args("evolve", "--input", sym_file)) == 1
+
+    def test_bad_inline_entry_is_one_line_error(self, capsys):
+        assert main(_args("verify", "--offdiag=5,x")) == 1
+        err = capsys.readouterr().err
+        assert err == "kvmflow: error: --offdiag entry 'x' is not a number\n"

@@ -175,8 +175,9 @@ class TestDetectConvergence:
 
 
 class TestIntegrateDense:
-    def test_matches_componentwise_integrator(self, ex1):
-        cfg = flow.IntegratorConfig(t_max=1.0, eq_eps=0.0)
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_matches_componentwise_integrator(self, ex1, method):
+        cfg = flow.IntegratorConfig(method=method, t_max=1.0, eq_eps=0.0)
         dense = flow.integrate_dense(jacobi.embed(ex1), cfg)
         compact = flow.integrate(ex1, cfg)
         got = np.diagonal(dense.final_state, 1)

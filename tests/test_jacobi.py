@@ -79,6 +79,14 @@ class TestMapN:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(jacobi.map_N(np.zeros((5, 5))), np.zeros((5, 5)))
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose])
+    def test_result_independent_of_memory_layout(self, layout):
+        H = jacobi.embed([5.0, -6.0, -2.0, 0.5])
+        for fn in (jacobi.map_N, jacobi.rhs_matrix):
+            np.testing.assert_array_equal(fn(layout(H)), fn(H))
+        for fn in (jacobi.lyapunov_f, jacobi.lyapunov_f_traceform):
+            assert fn(layout(H)) == fn(H)
+
     @given(sym_pair(), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, pair, alpha, beta):
         A, B = pair

@@ -1,75 +1,64 @@
-"""Pin the numba lane and the pure-numpy fallback to each other."""
+"""The numpy kernels: lane report, Sturm eigensolver, in-order sums, recording.
+
+The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``).
+The stepper's vectorised error norm and residuals must add their terms in the
+order of a scalar loop, so they are pinned bit for bit to loop references.
+"""
 
 import numpy as np
 import pytest
 
-from kvmflow import kernels
-
-
-def _integrator_args(a0, t_max=1.0, fixed=False):
-    return (a0, t_max, 1e-3, fixed, 1e-10, 1e-10, 1e-8, 1e-14, 1, 4096)
+from kvmflow import jacobi, kernels
 
 
 class TestLaneSelection:
-    def test_numba_importable_here(self):
-        assert kernels.HAVE_NUMBA
-
     def test_lane_reports_active_path(self):
-        assert kernels.lane() in {"numba", "numpy"}
-        if kernels.USE_NUMBA:
-            assert kernels.lane() == "numba"
+        assert kernels.lane() == "numpy"
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="needs the compiled lane")
-class TestLaneEquivalence:
-    def test_offdiag_integrator_matches(self):
-        a0 = np.array([5.0, -6.0, -2.0])
-        jit = kernels._integrate_offdiag_jit(*_integrator_args(a0))
-        py = kernels._integrate_offdiag_impl(*_integrator_args(a0))
-        assert jit[2] == py[2] and jit[3] == py[3]
-        count = jit[2]
-        np.testing.assert_allclose(jit[0][:count], py[0][:count], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(jit[1][:count], py[1][:count],
-                                   rtol=1e-13, atol=1e-13)
-
-    def test_offdiag_integrator_matches_fixed_step(self):
-        a0 = np.array([1.5, -2.5, 3.5, 0.5])
-        jit = kernels._integrate_offdiag_jit(*_integrator_args(a0, fixed=True))
-        py = kernels._integrate_offdiag_impl(*_integrator_args(a0, fixed=True))
-        count = jit[2]
-        assert count == py[2]
-        np.testing.assert_allclose(jit[1][:count], py[1][:count],
-                                   rtol=1e-13, atol=1e-13)
-
-    def test_dense_integrator_matches(self):
-        rng = np.random.default_rng(4)
-        H = rng.normal(size=(5, 5))
-        H = 0.5 * (H + H.T)
-        jit = kernels._integrate_dense_jit(*_integrator_args(H, t_max=0.5))
-        py = kernels._integrate_dense_impl(*_integrator_args(H, t_max=0.5))
-        count = jit[2]
-        assert count == py[2] and jit[3] == py[3]
-        np.testing.assert_allclose(jit[1][:count], py[1][:count],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_sturm_lanes_agree_within_bisection_tolerance(self):
+class TestSturmBatch:
+    def test_matches_eigvalsh_within_bisection_tolerance(self):
         rng = np.random.default_rng(6)
         for n in (1, 2, 5, 13):
             d = rng.uniform(-10, 10, n)
             E = rng.uniform(-10, 10, (8, max(n - 1, 0)))
             tol = 1e-12 * (1 + 10 * n)
-            loops, ok1 = kernels._sturm_batch_loops(d, E, tol, 128)
-            vec, ok2 = kernels._sturm_batch_numpy(d, E, tol, 128)
-            assert ok1 and ok2
-            assert np.abs(loops - vec).max() <= 3 * tol
+            eigs, ok = kernels.sturm_batch(d, E, tol, 128)
+            assert ok
+            for row, e in zip(eigs, E):
+                lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+                assert np.abs(row - lapack).max() <= 3 * tol
 
-    def test_sturm_jit_equals_loops_source(self):
-        rng = np.random.default_rng(8)
-        d = rng.uniform(-5, 5, 6)
-        E = rng.uniform(-5, 5, (4, 5))
-        jit, _ = kernels._sturm_batch_jit(d, E, 1e-12, 128)
-        py, _ = kernels._sturm_batch_loops(d, E, 1e-12, 128)
-        np.testing.assert_array_equal(jit, py)
+
+def _loop_sum(values):
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+class TestSumsInLoopOrder:
+    def test_sum_matches_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        for size in (0, 1, 2, 7, 8, 9, 28, 64, 200):
+            x = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-8, 8, size)
+            assert kernels._sum_in_order(x) == _loop_sum(x)
+
+    def test_offdiag_residual_matches_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        for k in (0, 1, 2, 5, 28):
+            a = rng.uniform(-10, 10, k)
+            loop = 2.0 * _loop_sum([(a[i] * a[i + 1]) ** 2 for i in range(k - 1)])
+            assert kernels._resid2_offdiag(a) == loop
+
+    def test_dense_residual_matches_scalar_loop(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 8):
+            H = rng.normal(size=(n, n))
+            H = 0.5 * (H + H.T)
+            K = jacobi.commutator(H, jacobi.map_N(H))
+            loop = _loop_sum([K[i, j] * K[i, j] for i in range(n) for j in range(n)])
+            assert kernels._resid2_dense(H) == loop
 
 
 class TestRecording:
@@ -82,9 +71,34 @@ class TestRecording:
         assert times[count - 1] == pytest.approx(1.0, abs=1e-12)
         assert naccept > 32  # decimation actually happened
 
+    def test_halving_keeps_even_rows(self):
+        times = np.arange(7.0)
+        states = np.arange(14.0).reshape(7, 2)
+        count = kernels._halve_rows(times, states, 7)
+        assert count == 4
+        np.testing.assert_array_equal(times[:count], [0.0, 2.0, 4.0, 6.0])
+        np.testing.assert_array_equal(states[:count], [[0, 1], [4, 5], [8, 9], [12, 13]])
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_underflow_status(self):
         a0 = np.array([5.0, -6.0, -2.0])
         out = kernels.integrate_offdiag_kernel(
             a0, 1.0, 1e-3, False, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
+
+
+class TestSignReflection:
+    # dy/dt = -2 drives y from 1 through zero at t=0.5
+    @staticmethod
+    def _run(sign0):
+        return kernels._integrate(np.array([1.0]), lambda y: np.full_like(y, -2.0),
+                                  lambda y: 1.0, sign0, 1.0, 0.01, True, 1e-10,
+                                  1e-10, 0.0, 1e-14, 1, 256)
+
+    def test_crossing_is_reflected_onto_initial_orthant(self):
+        _, states, count, *_ = self._run(np.array([1.0]))
+        assert states[:count].min() >= 0.0
+
+    def test_no_reflection_without_orthant(self):
+        _, states, count, *_ = self._run(None)
+        assert states[count - 1, 0] == pytest.approx(-1.0)
