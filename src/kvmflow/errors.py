@@ -14,7 +14,7 @@ class StructureViolation(KvmflowError):
 
 
 class NonConvergence(KvmflowError):
-    """Bisection failed to converge; indicates an internal bracketing bug."""
+    """A bisection bracket failed to shrink, or a flow run diverged or stopped short."""
 
 
 class PairingViolation(KvmflowError):

@@ -5,18 +5,26 @@ the tridiagonal structure and zero diagonal are preserved exactly; the dense
 symmetric integrator exists for cross-validation and for experiments on full
 symmetric matrices, where only isospectrality and Lyapunov monotonicity are
 guaranteed.
+
+Both forms run through one driver, ``_run``: it resolves eq_eps, returns
+equilibria as stationary trajectories, picks the initial step, calls the
+kernel, turns a step underflow or a non-finite state into an error, and
+measures spectral drift. ``integrate`` and ``integrate_dense`` only validate
+their input and supply what depends on the state's shape (right-hand side,
+kernel, eigensolver, per-row diagnostics). The kernels and the eigensolver
+are looked up by name on every call, so a wrapper installed on the module
+attribute sees each call.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import StepUnderflow, ValidationFailure
+from .errors import NonConvergence, StepUnderflow, ValidationFailure
 from .jacobi import (
     as_offdiag,
     commutator,
-    equilibrium_residual,
     lyapunov_f_offdiag,
     map_N,
     residual_norms,
@@ -34,13 +42,6 @@ __all__ = [
     "integrate_dense",
     "detect_convergence",
 ]
-
-_METHOD_ALIASES = {
-    "rk45": "rk45",
-    "adaptive_rk45": "rk45",
-    "rk4": "rk4",
-    "fixed_rk4": "rk4",
-}
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,24 @@ class IntegratorConfig:
     dt_min: float | None = None
 
     def validated(self) -> "IntegratorConfig":
-        method = _METHOD_ALIASES.get(self.method)
-        if method is None:
+        if self.method not in ("rk45", "rk4"):
             raise ValidationFailure(
                 f"unknown method {self.method!r}; expected rk45 or rk4"
             )
-        if self.t_max <= 0:
-            raise ValidationFailure("t_max must be positive")
-        if self.dt is not None and self.dt <= 0:
+        # written so that NaN fails every check
+        if not 0 < self.t_max < np.inf:
+            raise ValidationFailure("t_max must be positive and finite")
+        if self.dt is not None and not self.dt > 0:
             raise ValidationFailure("dt must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValidationFailure("abs_tol and rel_tol must be positive")
-        if self.eq_eps is not None and self.eq_eps < 0:
+        if self.eq_eps is not None and not self.eq_eps >= 0:
             raise ValidationFailure("eq_eps must be nonnegative")
         if self.record_stride < 1:
             raise ValidationFailure("record_stride must be at least 1")
         if self.max_rows < 2:
             raise ValidationFailure("max_rows must be at least 2")
-        return replace(self, method=method)
+        return self
 
 
 _STATUS_NAMES = {
@@ -112,26 +113,14 @@ class FlowTrajectory:
 
 
 @dataclass(frozen=True)
-class DenseTrajectory:
-    """Sampled dense symmetric states (experimental mode)."""
+class DenseTrajectory(FlowTrajectory):
+    """Sampled dense symmetric states (experimental mode); states is (m, n, n)."""
 
-    times: np.ndarray
-    states: np.ndarray  # (m, n, n)
-    f_values: np.ndarray
-    k_norms: np.ndarray
-    spec_drift: np.ndarray
-    status: str
-    config: IntegratorConfig
-    eq_eps: float
     final_blocks: list = field(default_factory=list)  # contiguous block sizes
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _default_eq_eps(sq_norm: float) -> float:
@@ -152,6 +141,70 @@ def _eig_tol(scale: float) -> float:
     return 1e-12 * (1.0 + scale)
 
 
+def _sum_sq(x: np.ndarray) -> float:
+    """Sum of squared entries; an overflow gives inf, which _run reports."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(x * x))
+
+
+def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
+    """Integrate from y0 and return the trajectory fields.
+
+    sq_norm is ||a||^2 of the off-diagonal the state encodes (half the squared
+    Frobenius norm of a matrix) and sets the default eq_eps. The callables
+    carry what depends on the state's shape: rhs(y), the kernel, reference()
+    (the t=0 spectrum, after any check that needs it), eigenvalues(states)
+    and diagnostics(states) -> (Lyapunov values, residual norms). An input
+    whose residual is already <= eq_eps is returned as a one-row
+    stationary_input trajectory without integrating.
+    """
+    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(sq_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, k0 = diagnostics(y0[None])
+    if not (np.isfinite(sq_norm) and np.isfinite(k0[0])):
+        raise ValidationFailure(
+            f"initial state is out of range: squared norm {sq_norm:.3e}, "
+            f"residual {k0[0]:.3e}"
+        )
+    fields = dict(config=cfg, eq_eps=eq_eps)
+    # equilibria short-circuit before reference(): they do not move, and they
+    # typically carry the zero entries validation rejects
+    if k0[0] <= eq_eps:
+        return dict(fields, times=np.zeros(1), states=y0[None].copy(),
+                    f_values=f0, k_norms=k0, spec_drift=np.zeros(1),
+                    status="stationary_input")
+
+    ref_eigs = reference()
+    h0 = _initial_step(cfg, float(np.abs(rhs(y0)).max(initial=0.0)),
+                       float(np.abs(y0).max(initial=0.0)))
+    dt_min = cfg.dt_min if cfg.dt_min is not None else 1e-14 * cfg.t_max
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states, count, status, _, _ = kernel(
+            y0, cfg.t_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
+            eq_eps, dt_min, cfg.record_stride, cfg.max_rows)
+    if status == kernels.STATUS_UNDERFLOW:
+        raise StepUnderflow(
+            f"adaptive step fell below dt_min={dt_min:.3e}; "
+            "loosen tolerances or raise dt_min"
+        )
+    times = times[:count].copy()
+    states = states[:count].copy()
+    if not np.all(np.isfinite(states)):
+        raise NonConvergence(
+            f"{cfg.method} run diverged to a non-finite state; reduce dt"
+        )
+
+    drift = np.abs(eigenvalues(states) - ref_eigs[None, :]).max(axis=1)
+    drift[0] = 0.0
+    f_values, k_norms = diagnostics(states)
+    return dict(fields, times=times, states=states, f_values=f_values,
+                k_norms=k_norms, spec_drift=drift, status=_STATUS_NAMES[status])
+
+
+def _offdiag_diagnostics(states):
+    return lyapunov_f_offdiag(states), residual_norms(states)
+
+
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
               validate: bool = True) -> FlowTrajectory:
     """Integrate the flow from a0 until equilibrium or the horizon.
@@ -163,74 +216,27 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     """
     cfg = (cfg or IntegratorConfig()).validated()
     a0 = as_offdiag(a0)
+    sq_norm = _sum_sq(a0)
+    scale = float(np.sqrt(2.0 * sq_norm))
 
-    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(float(np.sum(a0 * a0)))
+    def eigenvalues(states):
+        return batch_eigenvalues_zero_diag(states, _eig_tol(scale))
 
-    # equilibria short-circuit before validation: they do not move, and they
-    # typically carry the zero entries validation rejects
-    if equilibrium_residual(a0) <= eq_eps:
-        return FlowTrajectory(
-            times=np.zeros(1),
-            states=a0[None, :].copy(),
-            f_values=lyapunov_f_offdiag(a0[None, :]),
-            k_norms=residual_norms(a0[None, :]),
-            spec_drift=np.zeros(1),
-            status="stationary_input",
-            config=cfg,
-            eq_eps=eq_eps,
-        )
+    def reference():
+        ref_eigs = eigenvalues(a0[None, :])[0]
+        if validate:
+            validate_initial_state(a0)
+            gaps = np.diff(ref_eigs)
+            if gaps.size and gaps.min() < default_gap_tol(scale):
+                raise ValidationFailure(
+                    f"eigenvalue gap {gaps.min():.3e} below "
+                    f"{default_gap_tol(scale):.3e}: not a Jacobi matrix"
+                )
+        return ref_eigs
 
-    scale = float(np.sqrt(2.0 * np.sum(a0 * a0)))
-    ref_eigs = batch_eigenvalues_zero_diag(a0[None, :], _eig_tol(scale))[0]
-
-    if validate:
-        validate_initial_state(a0)
-        gaps = np.diff(ref_eigs)
-        if gaps.size and gaps.min() < default_gap_tol(scale):
-            raise ValidationFailure(
-                f"eigenvalue gap {gaps.min():.3e} below "
-                f"{default_gap_tol(scale):.3e}: not a Jacobi matrix"
-            )
-
-    slope = rhs_componentwise(a0)
-    h0 = _initial_step(cfg, float(np.abs(slope).max(initial=0.0)),
-                       float(np.abs(a0).max(initial=0.0)))
-    dt_min = cfg.dt_min if cfg.dt_min is not None else 1e-14 * cfg.t_max
-
-    times, states, count, status, _, _ = kernels.integrate_offdiag_kernel(
-        a0,
-        cfg.t_max,
-        h0,
-        cfg.method == "rk4",
-        cfg.abs_tol,
-        cfg.rel_tol,
-        eq_eps,
-        dt_min,
-        cfg.record_stride,
-        cfg.max_rows,
-    )
-    if status == kernels.STATUS_UNDERFLOW:
-        raise StepUnderflow(
-            f"adaptive step fell below dt_min={dt_min:.3e}; "
-            "loosen tolerances or raise dt_min"
-        )
-
-    times = times[:count].copy()
-    states = states[:count].copy()
-    eigs = batch_eigenvalues_zero_diag(states, _eig_tol(scale))
-    drift = np.abs(eigs - ref_eigs[None, :]).max(axis=1)
-    drift[0] = 0.0
-
-    return FlowTrajectory(
-        times=times,
-        states=states,
-        f_values=lyapunov_f_offdiag(states),
-        k_norms=residual_norms(states),
-        spec_drift=drift,
-        status=_STATUS_NAMES[status],
-        config=cfg,
-        eq_eps=eq_eps,
-    )
+    return FlowTrajectory(**_run(
+        a0, cfg, sq_norm, rhs_componentwise, kernels.integrate_offdiag_kernel,
+        reference, eigenvalues, _offdiag_diagnostics))
 
 
 def block_structure(H: np.ndarray, threshold: float) -> list:
@@ -245,6 +251,12 @@ def block_structure(H: np.ndarray, threshold: float) -> list:
             start = i + 1
     sizes.append(n - start)
     return sizes
+
+
+def _dense_diagnostics(states):
+    # one norm per row: a batched norm sums in another order and changes bits
+    k_norms = np.array([np.linalg.norm(commutator(H, map_N(H))) for H in states])
+    return _dense_f(states), k_norms
 
 
 def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
@@ -264,72 +276,13 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     if sym_defect > 1e-12 * (1.0 + float(np.abs(H0).max())):
         raise ValidationFailure(f"matrix is not symmetric (defect {sym_defect:.3e})")
     H0 = 0.5 * (H0 + H0.T)
-    n = H0.shape[0]
 
-    sq_norm = float(np.sum(H0 * H0))
-    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(0.5 * sq_norm)
-    ref_eigs = np.linalg.eigvalsh(H0)
-    k0 = float(np.linalg.norm(commutator(H0, map_N(H0))))
-
-    if k0 <= eq_eps:
-        traj_states = H0[None, :, :].copy()
-        return DenseTrajectory(
-            times=np.zeros(1),
-            states=traj_states,
-            f_values=_dense_f(traj_states),
-            k_norms=np.array([k0]),
-            spec_drift=np.zeros(1),
-            status="stationary_input",
-            config=cfg,
-            eq_eps=eq_eps,
-            final_blocks=block_structure(H0, 1e-6 * (1.0 + float(np.abs(H0).max()))),
-        )
-
-    slope = rhs_matrix(H0)
-    h0 = _initial_step(cfg, float(np.abs(slope).max()), float(np.abs(H0).max()))
-    dt_min = cfg.dt_min if cfg.dt_min is not None else 1e-14 * cfg.t_max
-
-    times, states, count, status, _, _ = kernels.integrate_dense_kernel(
-        H0,
-        cfg.t_max,
-        h0,
-        cfg.method == "rk4",
-        cfg.abs_tol,
-        cfg.rel_tol,
-        eq_eps,
-        dt_min,
-        cfg.record_stride,
-        cfg.max_rows,
-    )
-    if status == kernels.STATUS_UNDERFLOW:
-        raise StepUnderflow(
-            f"adaptive step fell below dt_min={dt_min:.3e}; "
-            "loosen tolerances or raise dt_min"
-        )
-
-    times = times[:count].copy()
-    states = states[:count].copy()
-    eigs = np.linalg.eigvalsh(states)
-    drift = np.abs(eigs - ref_eigs[None, :]).max(axis=1)
-    drift[0] = 0.0
-
-    k_norms = np.empty(count)
-    for i in range(count):
-        k_norms[i] = float(np.linalg.norm(commutator(states[i], map_N(states[i]))))
-
-    return DenseTrajectory(
-        times=times,
-        states=states,
-        f_values=_dense_f(states),
-        k_norms=k_norms,
-        spec_drift=drift,
-        status=_STATUS_NAMES[status],
-        config=cfg,
-        eq_eps=eq_eps,
-        final_blocks=block_structure(
-            states[-1], 1e-6 * (1.0 + float(np.abs(H0).max()))
-        ),
-    )
+    fields = _run(H0, cfg, 0.5 * _sum_sq(H0), rhs_matrix,
+                  kernels.integrate_dense_kernel, lambda: np.linalg.eigvalsh(H0),
+                  np.linalg.eigvalsh, _dense_diagnostics)
+    threshold = 1e-6 * (1.0 + float(np.abs(H0).max()))
+    return DenseTrajectory(**fields,
+                           final_blocks=block_structure(fields["states"][-1], threshold))
 
 
 def _dense_f(states: np.ndarray) -> np.ndarray:

@@ -140,38 +140,30 @@ def _open_sink(sink, mode="w"):
     return open(Path(sink), mode, encoding="utf-8", newline=""), True
 
 
-def write_trajectory_csv(traj, sink) -> None:
-    """Write one row per sample: t, a_1..a_{n-1}, f, k_norm, spec_drift."""
+def _write_rows(sink, header, columns) -> None:
+    """Write a CSV header, then one row per sample of the stacked columns."""
     fh, owned = _open_sink(sink)
     try:
-        k = traj.states.shape[1]
-        header = ["t"] + [f"a_{i + 1}" for i in range(k)] + ["f", "k_norm", "spec_drift"]
         fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = (
-                [_fmt(traj.times[i])]
-                + [_fmt(v) for v in traj.states[i]]
-                + [_fmt(traj.f_values[i]), _fmt(traj.k_norms[i]), _fmt(traj.spec_drift[i])]
-            )
-            fh.write(",".join(row) + "\n")
+        for row in np.column_stack(columns).tolist():
+            fh.write(",".join([_fmt(v) for v in row]) + "\n")
     finally:
         if owned:
             fh.close()
+
+
+def write_trajectory_csv(traj, sink) -> None:
+    """Write one row per sample: t, a_1..a_{n-1}, f, k_norm, spec_drift."""
+    k = traj.states.shape[1]
+    header = ["t"] + [f"a_{i + 1}" for i in range(k)] + ["f", "k_norm", "spec_drift"]
+    _write_rows(sink, header,
+                [traj.times, traj.states, traj.f_values, traj.k_norms, traj.spec_drift])
 
 
 def write_dense_diagnostics_csv(traj, sink) -> None:
     """Diagnostics-only CSV for dense runs: t, f, k_norm, spec_drift."""
-    fh, owned = _open_sink(sink)
-    try:
-        fh.write("t,f,k_norm,spec_drift\n")
-        for i in range(traj.times.size):
-            fh.write(",".join([
-                _fmt(traj.times[i]), _fmt(traj.f_values[i]),
-                _fmt(traj.k_norms[i]), _fmt(traj.spec_drift[i]),
-            ]) + "\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_rows(sink, ["t", "f", "k_norm", "spec_drift"],
+                [traj.times, traj.f_values, traj.k_norms, traj.spec_drift])
 
 
 _SUMMARY_KEYS = (

@@ -118,7 +118,7 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
     t_edge = t_max * (1.0 - 1.0e-14)
 
     while t < t_edge:
-        if not fixed_step and h < dt_min:
+        if not fixed_step and not h >= dt_min:  # a NaN step is an underflow
             status = STATUS_UNDERFLOW
             break
         if h > t_max - t:

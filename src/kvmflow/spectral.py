@@ -19,6 +19,7 @@ from .errors import (
     EquilibriumInput,
     NonConvergence,
     PairingViolation,
+    ValidationFailure,
     ZeroEntry,
 )
 from .jacobi import as_offdiag, equilibrium_residual
@@ -31,6 +32,7 @@ __all__ = [
     "make_spectrum",
     "pairing_defect",
     "predict_limit",
+    "limit_slots",
     "enumerate_equilibria",
     "quadrature_nodes",
     "default_pair_tol",
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 _MAX_BISECT = 128
+# enumerate_equilibria refuses sets larger than this (signed n <= 12 fits)
+_MAX_EQUILIBRIUM_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,15 @@ def _distinct_magnitudes(spec: Spectrum, gap_tol: float) -> np.ndarray:
     return mags
 
 
+def limit_slots(n: int) -> np.ndarray:
+    """Mask of the off-diagonal slots that carry a magnitude in the limit.
+
+    For even n these are the 0-based slots 0, 2, ...; for odd n the leading
+    1x1 zero block shifts them to 1, 3, .... The other slots tend to zero.
+    """
+    return np.arange(n - 1) % 2 == n % 2
+
+
 def predict_limit(a0, spec: Spectrum, gap_tol: float | None = None) -> np.ndarray:
     """Asymptotic state of the flow from a0, built from spectrum magnitudes.
 
@@ -207,8 +220,8 @@ def predict_limit(a0, spec: Spectrum, gap_tol: float | None = None) -> np.ndarra
     mags = _distinct_magnitudes(spec, gap_tol)
 
     out = np.zeros(n - 1)
-    slots = np.arange(0, n - 1, 2) if n % 2 == 0 else np.arange(1, n - 1, 2)
-    out[slots] = np.sign(a0[slots]) * mags
+    live = limit_slots(n)
+    out[live] = np.sign(a0[live]) * mags
     return out
 
 
@@ -221,6 +234,7 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True,
     additionally a free placement of the single 1x1 zero block among the
     (n+1)/2 block positions. count_formula counts permutations (and zero-block
     placements); count_with_signs also counts the 2^(n//2) sign patterns.
+    A set of more than 100 000 points is refused before any is built.
     """
     if not spec.paired:
         raise PairingViolation("spectrum is not (+/-)-paired")
@@ -229,6 +243,13 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True,
     mags = _distinct_magnitudes(spec, gap_tol)
     n = spec.n
     m = mags.size
+    count_formula = math.factorial(m) * (1 if n % 2 == 0 else m + 1)
+    size = count_formula * 2**m if include_signs else count_formula
+    if size > _MAX_EQUILIBRIUM_POINTS:
+        raise ValidationFailure(
+            f"{size} equilibria for n={n} exceed the limit of "
+            f"{_MAX_EQUILIBRIUM_POINTS}"
+        )
 
     def build(blocks):
         a = np.zeros(n - 1)
@@ -245,14 +266,12 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True,
     if n % 2 == 0:
         for perm in itertools.permutations(mags):
             arrangements.append(list(perm))
-        count_formula = math.factorial(m)
     else:
         for zero_pos in range(m + 1):
             for perm in itertools.permutations(mags):
                 blocks = list(perm)
                 blocks.insert(zero_pos, None)
                 arrangements.append(blocks)
-        count_formula = (m + 1) * math.factorial(m)
 
     points = []
     if include_signs:
@@ -292,9 +311,12 @@ def quadrature_nodes(a, method: str = "direct", tol: float = 1e-8,
         if cfg is None:
             cfg = IntegratorConfig(t_max=100.0)
         traj = integrate(a, cfg)
-        final = traj.states[-1]
-        slots = np.arange(0, n - 1, 2) if n % 2 == 0 else np.arange(1, n - 1, 2)
-        mags = np.sort(np.abs(final[slots]))
+        if traj.status == "horizon_reached":
+            raise NonConvergence(
+                f"flow did not reach equilibrium by t_max={traj.config.t_max}; "
+                "raise t_max"
+            )
+        mags = np.sort(np.abs(traj.final_state[limit_slots(n)]))
         parts = [-mags[::-1], mags]
         if n % 2 == 1:
             parts.insert(1, np.zeros(1))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ValidationFailure
 from .flow import IntegratorConfig, integrate
+from .io import _jsonable
 from .jacobi import (
     as_offdiag,
     commutator,
@@ -31,6 +32,7 @@ from .spectral import (
     make_spectrum,
     predict_limit,
     enumerate_equilibria,
+    limit_slots,
 )
 
 __all__ = [
@@ -72,18 +74,8 @@ class VerificationReport:
                 for c in self.checks
             ],
             "overall": bool(self.overall),
-            "meta": {k: _plain(v) for k, v in self.meta.items()},
+            "meta": _jsonable(self.meta),
         }
-
-
-def _plain(v):
-    if isinstance(v, np.ndarray):
-        return [float(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in v.items()}
-    return v
 
 
 @dataclass(frozen=True)
@@ -140,10 +132,6 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
     """
     a0 = as_offdiag(a0)
     tol = tol or Tolerances()
-    cfg = cfg or IntegratorConfig()
-    scale = float(np.linalg.norm(a0))
-    sq = float(np.sum(a0 * a0))
-
     traj = integrate(a0, cfg, validate=strict)
     meta = {
         "status": traj.status,
@@ -164,6 +152,8 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
             meta=meta,
         )
 
+    scale = float(np.linalg.norm(a0))
+    sq = float(np.sum(a0 * a0))
     checks = trajectory_checks(traj, a0, tol)
 
     final_resid = float(traj.k_norms[-1])
@@ -183,15 +173,12 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
         checks.append(Check("limit_match", dev <= tol.limit_match * (1 + scale),
                             dev, tol.limit_match * (1 + scale)))
 
-        n = a0.size + 1
-        zero_slots = np.arange(1, n - 1, 2) if n % 2 == 0 else np.arange(0, n - 1, 2)
-        live_slots = np.arange(0, n - 1, 2) if n % 2 == 0 else np.arange(1, n - 1, 2)
-
-        zdev = float(np.abs(final[zero_slots]).max()) if zero_slots.size else 0.0
+        live = limit_slots(a0.size + 1)
+        zdev = float(np.abs(final[~live]).max(initial=0.0))
         checks.append(Check("limit_zero_slots", zdev <= tol.zero_slots * (1 + scale),
                             zdev, tol.zero_slots * (1 + scale)))
 
-        sq_live = final[live_slots] ** 2
+        sq_live = final[live] ** 2
         min_gap = float(np.diff(sq_live).min()) if sq_live.size > 1 else math.inf
         margin = tol.sorted_margin * (1 + sq)
         checks.append(Check("sorted_magnitudes_min_gap", min_gap > margin,

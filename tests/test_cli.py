@@ -161,6 +161,25 @@ class TestErrorPaths:
     def test_evolve_rejects_symmetric_document(self, sym_file, capsys):
         assert main(_args("evolve", "--input", sym_file)) == 1
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add lines
+    @pytest.mark.parametrize("tokens", [
+        ["verify", "--offdiag=1e200,1e200,1e200"],
+        ["verify", "--offdiag=1e200,1e200,1e200", "--eq-eps", "1"],
+        ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "0.5"],
+        ["evolve-sym", "--method", "rk4", "--dt", "0.5", "--t-max", "5"],
+        ["equilibria", "--input", FIXTURES / "ex3.json"],
+    ], ids=["verify-overflow", "verify-overflow-eq-eps", "evolve-rk4-diverges",
+            "evolve-sym-rk4-diverges", "equilibria-too-many"])
+    def test_out_of_range_run_is_one_line_error(self, tokens, tmp_path, capsys):
+        if tokens[0] == "evolve-sym":
+            H = np.random.default_rng(8).normal(size=(8, 8))
+            path = tmp_path / "sym8.json"
+            path.write_text(json.dumps({"symmetric": (0.5 * (H + H.T)).tolist()}))
+            tokens = tokens + ["--input", path]
+        assert main(_args(*tokens)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kvmflow: error: ") and err.count("\n") == 1
+
     def test_bad_inline_entry_is_one_line_error(self, capsys):
         assert main(_args("verify", "--offdiag=5,x")) == 1
         err = capsys.readouterr().err

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kvmflow import flow, jacobi, spectral
-from kvmflow.errors import StepUnderflow, ValidationFailure
+from kvmflow import flow, jacobi, kernels, spectral
+from kvmflow.errors import NonConvergence, StepUnderflow, ValidationFailure
 from kvmflow.verify import Tolerances, trajectory_checks
 
 
@@ -25,14 +25,16 @@ class TestConfig:
         dict(eq_eps=-1.0),
         dict(record_stride=0),
         dict(max_rows=1),
+        dict(method="adaptive_rk45"),
+        dict(method="fixed_rk4"),
+        dict(t_max=float("nan")),
+        dict(t_max=float("inf")),
+        dict(dt=float("nan")),
+        dict(eq_eps=float("nan")),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationFailure):
             flow.IntegratorConfig(**bad).validated()
-
-    def test_method_aliases(self):
-        assert flow.IntegratorConfig(method="adaptive_rk45").validated().method == "rk45"
-        assert flow.IntegratorConfig(method="fixed_rk4").validated().method == "rk4"
 
 
 class TestIntegrate:
@@ -72,6 +74,17 @@ class TestIntegrate:
     def test_step_underflow(self, ex1):
         cfg = flow.IntegratorConfig(abs_tol=1e-300, rel_tol=1e-300, t_max=1.0)
         with pytest.raises(StepUnderflow):
+            flow.integrate(ex1, cfg)
+
+    @pytest.mark.parametrize("a0", [[1e200, 1e200, 1e200], [1e150, 1e150]])
+    def test_non_finite_initial_state_rejected(self, a0):
+        # the squared norm, or only the residual, overflows
+        with pytest.raises(ValidationFailure, match="out of range"):
+            flow.integrate(a0, flow.IntegratorConfig(eq_eps=1.0))
+
+    def test_diverging_fixed_step_raises(self, ex1):
+        cfg = flow.IntegratorConfig(method="rk4", dt=0.5)
+        with pytest.raises(NonConvergence, match="diverged"):
             flow.integrate(ex1, cfg)
 
     def test_times_strictly_increasing_from_zero(self, ex2):
@@ -206,7 +219,56 @@ class TestIntegrateDense:
                                     flow.IntegratorConfig(t_max=30.0))
         assert traj.final_blocks == [2, 2]
 
+    def test_non_finite_initial_state_rejected(self):
+        H = [[0.0, 1e200, 0.0], [1e200, 0.0, 2e200], [0.0, 2e200, 0.0]]
+        with pytest.raises(ValidationFailure, match="out of range"):
+            flow.integrate_dense(H)
+
+    def test_diverging_fixed_step_raises(self):
+        H = np.random.default_rng(8).normal(size=(8, 8))
+        cfg = flow.IntegratorConfig(method="rk4", dt=0.5, t_max=5.0)
+        with pytest.raises(NonConvergence, match="diverged"):
+            flow.integrate_dense(0.5 * (H + H.T), cfg)
+
+    def test_is_a_flow_trajectory(self, ex1):
+        traj = flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
+        assert isinstance(traj, flow.FlowTrajectory)
+        assert traj.n == 4
+
     def test_block_structure_reader(self):
         H = np.zeros((5, 5))
         H[0, 1] = H[1, 0] = 2.0
         assert flow.block_structure(H, 1e-9) == [2, 1, 1, 1]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestCallTimeLookup:
+    """The drivers look kernels and diagnostics up by name on every call, so a
+    wrapper installed on the module attribute (as a tracer does) sees them."""
+
+    def test_integrate_calls_patched_attributes(self, monkeypatch, ex1):
+        kernel = _counting(monkeypatch, kernels, "integrate_offdiag_kernel")
+        eigs = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
+        lyap = _counting(monkeypatch, flow, "lyapunov_f_offdiag")
+        resid = _counting(monkeypatch, flow, "residual_norms")
+        flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1))
+        assert len(kernel) == 1
+        assert len(eigs) == 2  # reference spectrum and per-sample drift
+        assert lyap and resid
+
+    def test_integrate_dense_calls_patched_kernel(self, monkeypatch, ex1):
+        kernel = _counting(monkeypatch, kernels, "integrate_dense_kernel")
+        flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
+        assert len(kernel) == 1

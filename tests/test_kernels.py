@@ -86,6 +86,14 @@ class TestRecording:
             a0, 1.0, 1e-3, False, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nan_step_is_underflow(self):
+        # the first error estimate is NaN, so the next step is NaN too
+        H = np.array([[0.0, 1e200, 0.0], [1e200, 0.0, 2e200], [0.0, 2e200, 0.0]])
+        out = kernels.integrate_dense_kernel(
+            H, 1.0, 1e-3, False, 1e-10, 1e-10, 0.0, 1e-14, 1, 64)
+        assert out[3] == kernels.STATUS_UNDERFLOW
+
 
 class TestSignReflection:
     # dy/dt = -2 drives y from 1 through zero at t=0.5

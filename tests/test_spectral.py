@@ -11,9 +11,12 @@ from kvmflow.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     EquilibriumInput,
+    NonConvergence,
     PairingViolation,
+    ValidationFailure,
     ZeroEntry,
 )
+from kvmflow.flow import IntegratorConfig
 from kvmflow.verify import brute_force_equilibria
 
 from oracles import closed_form_eigenvalues
@@ -197,6 +200,13 @@ class TestEnumerateEquilibria:
         want = {tuple(np.round(p, 9)) for p in brute_force_equilibria(spec)}
         assert got == want
 
+    def test_size_cap_refuses_before_building(self):
+        mags = np.arange(1.0, 7.0)
+        spec = self._spec(np.concatenate([-mags[::-1], [0.0], mags]))  # n = 13
+        assert len(spectral.enumerate_equilibria(spec, include_signs=False).points) == 5040
+        with pytest.raises(ValidationFailure, match="exceed"):
+            spectral.enumerate_equilibria(spec)  # 7 * 6! * 2^6 = 322560 points
+
     def test_degenerate_magnitudes_rejected(self):
         with pytest.raises(DegenerateMagnitudes):
             spectral.enumerate_equilibria(self._spec([-1.0, -1.0 + 1e-12,
@@ -224,6 +234,12 @@ class TestQuadratureNodes:
         direct = spectral.quadrature_nodes(ex1, method="direct")
         via_flow = spectral.quadrature_nodes(ex1, method="flow", tol=1e-6)
         assert np.abs(direct - via_flow).max() <= 1e-6
+
+    def test_flow_short_of_equilibrium_raises(self, ex1):
+        # at t=0.01 the state is far from the limit (+/-7.96, +/-1.26)
+        with pytest.raises(NonConvergence, match="t_max"):
+            spectral.quadrature_nodes(ex1, method="flow",
+                                      cfg=IntegratorConfig(t_max=0.01))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
