@@ -32,8 +32,10 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import (
+    default_pair_tol,
     eigenvalues_tridiagonal,
     enumerate_equilibria,
+    make_spectrum,
     predict_limit,
     spectrum_zero_diag,
 )
@@ -208,7 +210,11 @@ def _cmd_evolve(args) -> int:
     if args.out_csv is not None:
         write_trajectory_csv(traj, args.out_csv)
 
-    spec = eigenvalues_tridiagonal(np.zeros(doc.n), a)
+    if traj.ref_eigs is not None:
+        spec = make_spectrum(traj.ref_eigs,
+                             pair_tol=default_pair_tol(float(np.sqrt(2.0 * np.sum(a * a)))))
+    else:
+        spec = eigenvalues_tridiagonal(np.zeros(doc.n), a)
     predicted, note = (None, None)
     if args.strict:
         predicted, note = _try_prediction(a, spec)

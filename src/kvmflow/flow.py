@@ -102,6 +102,7 @@ class FlowTrajectory:
     status: str  # converged | horizon_reached | stationary_input
     config: IntegratorConfig
     eq_eps: float  # resolved stopping threshold
+    ref_eigs: np.ndarray | None = None  # t=0 spectrum; None for stationary_input
 
     @property
     def n(self) -> int:
@@ -153,10 +154,11 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
     sq_norm is ||a||^2 of the off-diagonal the state encodes (half the squared
     Frobenius norm of a matrix) and sets the default eq_eps. The callables
     carry what depends on the state's shape: rhs(y), the kernel, reference()
-    (the t=0 spectrum, after any check that needs it), eigenvalues(states)
-    and diagnostics(states) -> (Lyapunov values, residual norms). An input
-    whose residual is already <= eq_eps is returned as a one-row
-    stationary_input trajectory without integrating.
+    (the t=0 spectrum, after any check that needs it),
+    eigenvalues(states, guess=t=0 spectrum) and diagnostics(states) ->
+    (Lyapunov values, residual norms). An input whose residual is already
+    <= eq_eps is returned as a one-row stationary_input trajectory without
+    integrating.
     """
     eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(sq_norm)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,11 +196,13 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
             f"{cfg.method} run diverged to a non-finite state; reduce dt"
         )
 
-    drift = np.abs(eigenvalues(states) - ref_eigs[None, :]).max(axis=1)
+    drift = np.abs(eigenvalues(states, guess=ref_eigs) - ref_eigs[None, :])
+    drift = drift.max(axis=1)
     drift[0] = 0.0
     f_values, k_norms = diagnostics(states)
     return dict(fields, times=times, states=states, f_values=f_values,
-                k_norms=k_norms, spec_drift=drift, status=_STATUS_NAMES[status])
+                k_norms=k_norms, spec_drift=drift, status=_STATUS_NAMES[status],
+                ref_eigs=ref_eigs)
 
 
 def _offdiag_diagnostics(states):
@@ -219,8 +223,8 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     sq_norm = _sum_sq(a0)
     scale = float(np.sqrt(2.0 * sq_norm))
 
-    def eigenvalues(states):
-        return batch_eigenvalues_zero_diag(states, _eig_tol(scale))
+    def eigenvalues(states, guess=None):
+        return batch_eigenvalues_zero_diag(states, _eig_tol(scale), guess=guess)
 
     def reference():
         ref_eigs = eigenvalues(a0[None, :])[0]
@@ -279,7 +283,7 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
 
     fields = _run(H0, cfg, 0.5 * _sum_sq(H0), rhs_matrix,
                   kernels.integrate_dense_kernel, lambda: np.linalg.eigvalsh(H0),
-                  np.linalg.eigvalsh, _dense_diagnostics)
+                  lambda states, guess: np.linalg.eigvalsh(states), _dense_diagnostics)
     threshold = 1e-6 * (1.0 + float(np.abs(H0).max()))
     return DenseTrajectory(**fields,
                            final_blocks=block_structure(fields["states"][-1], threshold))

@@ -228,13 +228,64 @@ def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
                       max_rows)
 
 
-def sturm_batch(diag, offdiags, tol, max_iter):
+# half-width of a warm bracket, relative to 1 + the row's Gershgorin bound;
+# the verifier's spectral drift bound has the same form
+_WARM_RADIUS = 1.0e-7
+
+
+def _sturm_counter(diag, e2, pivmin, shape):
+    """Return count(x): the number of eigenvalues <= x for each entry of x.
+
+    Counts negative pivots of the LDL^T recurrence, zeros forced negative
+    (LAPACK convention). x has the given shape (m, k), one row per
+    off-diagonal row. The scratch arrays are allocated once here, and count
+    returns the same buffer on every call.
+    """
+    e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
+    neg_pivmin = -pivmin
+    q = np.empty(shape)
+    t = np.empty(shape)
+    flag = np.empty(shape, dtype=bool)
+    cnt = np.empty(shape, dtype=np.int64)
+
+    def clamp_and_count():
+        np.abs(q, out=t)
+        np.less(t, pivmin, out=flag)
+        np.copyto(q, neg_pivmin, where=flag)
+        np.less_equal(q, 0.0, out=flag)
+        np.add(cnt, flag, out=cnt)
+
+    def count(x):
+        cnt.fill(0)
+        np.subtract(diag[0], x, out=q)
+        clamp_and_count()
+        for i in range(1, e2T.shape[0] + 1):
+            np.divide(e2T[i - 1], q, out=t)
+            np.subtract(diag[i], x, out=q)
+            np.subtract(q, t, out=q)
+            clamp_and_count()
+        return cnt
+
+    return count
+
+
+def sturm_batch(diag, offdiags, tol, max_iter, *, guess=None):
     """Sturm-sequence bisection for a batch of symmetric tridiagonals.
 
     diag: (n,) shared diagonal; offdiags: (m, n-1) batch of off-diagonals.
-    All n brackets of every row are bisected together. Returns (eigs (m, n)
-    ascending per row, ok flag); ok=0 means some bracket failed to shrink
-    below 2*tol within max_iter iterations.
+    Returns (eigs (m, n) ascending per row, ok flag); ok=0 means some bracket
+    failed to shrink below 2*tol within max_iter iterations.
+
+    A zero diagonal gives a (+/-)-symmetric spectrum: only the floor(n/2)
+    nonnegative eigenvalues are bisected, on [0, Gershgorin bound], and
+    mirrored; odd n gets an exact 0 in the middle. Otherwise all n
+    eigenvalues are bisected on the Gershgorin interval.
+
+    guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
+    brackets each eigenvalue as guess +/- 1e-7 * (1 + Gershgorin bound)
+    instead. Two Sturm counts confirm each such bracket; a bracket that does
+    not hold its eigenvalue falls back to the cold one, so the result is
+    always a true bisection result.
     """
     m, nm1 = offdiags.shape
     n = nm1 + 1
@@ -248,30 +299,53 @@ def sturm_batch(diag, offdiags, tol, max_iter):
         rad[:, 1:] += np.abs(offdiags)
     lo0 = (diag[None, :] - rad).min(axis=1)
     hi0 = (diag[None, :] + rad).max(axis=1)
-    pad = 2.0 * tol + 1.0e-12 * (1.0 + np.maximum(np.abs(lo0), np.abs(hi0)))
+    bound = np.maximum(np.abs(lo0), np.abs(hi0))
+    pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
     lo0 -= pad
     hi0 += pad
 
-    lo = np.repeat(lo0[:, None], n, axis=1)
-    hi = np.repeat(hi0[:, None], n, axis=1)
-    need = np.arange(1, n + 1)[None, :]
+    zero_diag = not np.any(diag)
+    if zero_diag:
+        # the bisection's first midpoint would be exactly 0, which puts every
+        # positive eigenvalue in [0, hi0]
+        k = n // 2
+        need = np.arange(n - k + 1, n + 1)
+        lo = np.zeros((m, k))
+    else:
+        k = n
+        need = np.arange(1, n + 1)
+        lo = np.repeat(lo0[:, None], n, axis=1)
+    hi = np.repeat(hi0[:, None], k, axis=1)
 
+    if guess is not None and k:
+        g = np.broadcast_to(guess, (m, n))[:, need - 1]
+        r = (_WARM_RADIUS * (1.0 + bound))[:, None]
+        warm = np.concatenate([g - r, g + r], axis=1)
+        cnt = _sturm_counter(diag, e2, pivmin, warm.shape)(warm)
+        holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need)
+        lo = np.where(holds, warm[:, :k], lo)
+        hi = np.where(holds, warm[:, k:], hi)
+
+    count = _sturm_counter(diag, e2, pivmin, (m, k))
+    x = np.empty((m, k))
+    width = np.empty((m, k))
+    take_hi = np.empty((m, k), dtype=bool)
     for _ in range(max_iter):
-        if (hi - lo).max() <= 2.0 * tol:
+        np.subtract(hi, lo, out=width)
+        if width.max(initial=0.0) <= 2.0 * tol:
             break
-        # count of eigenvalues <= x: negative pivots of the LDL^T recurrence,
-        # zeros forced negative (LAPACK convention)
-        x = 0.5 * (lo + hi)
-        q = diag[0] - x
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        cnt = (q <= 0.0).astype(np.int64)
-        for i in range(1, n):
-            q = diag[i] - x - e2[:, i - 1][:, None] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            cnt += q <= 0.0
-        take_hi = cnt >= need
-        hi = np.where(take_hi, x, hi)
-        lo = np.where(take_hi, lo, x)
+        np.add(lo, hi, out=x)
+        x *= 0.5
+        np.greater_equal(count(x), need, out=take_hi)
+        np.copyto(hi, x, where=take_hi)
+        np.logical_not(take_hi, out=take_hi)
+        np.copyto(lo, x, where=take_hi)
 
-    ok = 1 if (hi - lo).max() <= 2.0 * tol else 0
-    return 0.5 * (lo + hi), ok
+    ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
+    mid = 0.5 * (lo + hi)
+    if not zero_diag:
+        return mid, ok
+    eigs = np.zeros((m, n))
+    eigs[:, n - k:] = mid
+    eigs[:, :k] = -mid[:, ::-1]
+    return eigs, ok

@@ -1,8 +1,10 @@
 """Tridiagonal eigensolver, spectrum classification, limit prediction, equilibria.
 
-The eigensolver is Sturm-sequence bisection with Gershgorin bracketing. It
-never touches the flow, so it serves as an independent oracle for everything
-the integrator produces.
+The eigensolver is Sturm-sequence bisection with Gershgorin bracketing. For a
+zero diagonal it bisects the nonnegative half of the (+/-)-symmetric spectrum
+and mirrors it; a batch of rows near a known spectrum (the drift rows of a
+trajectory) can start from brackets around it. It never touches the flow, so
+it serves as an independent oracle for everything the integrator produces.
 """
 
 import itertools
@@ -93,20 +95,19 @@ def pairing_defect(values: np.ndarray) -> float:
     return defect
 
 
-def _sturm_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, tol: float) -> np.ndarray:
-    eigs, ok = kernels.sturm_batch(diag, offdiag[None, :], tol, _MAX_BISECT)
-    if not ok:
-        raise NonConvergence(
-            "bisection bracket failed to shrink; Gershgorin bounds are broken"
+def _sturm_eigenvalues(diag: np.ndarray, offdiags: np.ndarray, tol: float,
+                       guess=None) -> np.ndarray:
+    """kernels.sturm_batch on (m, n-1) rows, after a range check of its inputs."""
+    # the kernel squares the off-diagonal entries and adds the two ends of a
+    # Gershgorin bracket
+    emax = float(np.abs(offdiags).max(initial=0.0))
+    bound = 2.0 * (float(np.abs(diag).max()) + 2.0 * emax + 2.0 * tol)
+    if not (math.isfinite(tol) and math.isfinite(emax * emax) and math.isfinite(bound)):
+        raise ValidationFailure(
+            f"matrix is out of range: largest off-diagonal entry {emax:.3e}, "
+            f"tolerance {tol:.3e}, Gershgorin bound {bound:.3e}"
         )
-    return eigs[0]
-
-
-def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues for a batch of off-diagonal rows (m, n-1) -> (m, n)."""
-    states = np.ascontiguousarray(np.atleast_2d(states), dtype=np.float64)
-    n = states.shape[1] + 1
-    eigs, ok = kernels.sturm_batch(np.zeros(n), states, tol, _MAX_BISECT)
+    eigs, ok = kernels.sturm_batch(diag, offdiags, tol, _MAX_BISECT, guess=guess)
     if not ok:
         raise NonConvergence(
             "bisection bracket failed to shrink; Gershgorin bounds are broken"
@@ -114,11 +115,24 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float) -> np.ndarray:
     return eigs
 
 
+def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
+                                guess=None) -> np.ndarray:
+    """Eigenvalues for a batch of off-diagonal rows (m, n-1) -> (m, n).
+
+    guess, approximate eigenvalues shared by all rows (such as the t=0
+    spectrum of a trajectory), warm-starts the bisection; see
+    :func:`kernels.sturm_batch`.
+    """
+    states = np.ascontiguousarray(np.atleast_2d(states), dtype=np.float64)
+    return _sturm_eigenvalues(np.zeros(states.shape[1] + 1), states, tol, guess)
+
+
 def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum:
     """All eigenvalues of the symmetric tridiagonal matrix (diag, offdiag).
 
     Sturm-sequence bisection, each eigenvalue within ``tol`` of exact
-    (default ``1e-12 * (1 + ||T||_F)``).
+    (default ``1e-12 * (1 + ||T||_F)``). Entries whose norm overflows raise
+    ValidationFailure.
     """
     d = np.asarray(diag, dtype=np.float64).reshape(-1)
     e = np.asarray(offdiag, dtype=np.float64).reshape(-1)
@@ -128,10 +142,13 @@ def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum
         )
     if d.size == 0:
         raise DimensionMismatch("matrix dimension must be at least 1")
-    scale = float(np.sqrt(np.sum(d * d) + 2.0 * np.sum(e * e)))
+    with np.errstate(over="ignore"):
+        scale = float(np.sqrt(np.sum(d * d) + 2.0 * np.sum(e * e)))
+    if not math.isfinite(scale):
+        raise ValidationFailure(f"matrix is out of range: Frobenius norm {scale:.3e}")
     if tol is None:
         tol = 1e-12 * (1.0 + scale)
-    values = _sturm_eigenvalues(d, e, tol)
+    values = _sturm_eigenvalues(d, e[None, :], tol)[0]
     return make_spectrum(values, pair_tol=default_pair_tol(scale))
 
 
@@ -149,22 +166,15 @@ def spectrum_zero_diag(a, tol: float | None = None,
                        gap_tol: float | None = None) -> Spectrum:
     """Spectrum of the zero-diagonal Jacobi matrix encoded by ``a``.
 
-    The (+/-)-pairing is structural for zero-diagonal matrices, so a pairing
-    defect beyond pair_tol raises PairingViolation (eigensolver fault).
+    The eigensolver bisects the nonnegative half and mirrors it, so the
+    values are (+/-)-paired exactly, with an exact 0 for odd n.
     DegenerateSpectrum flags eigenvalue gaps below gap_tol: the input is not
     a Jacobi matrix, which requires distinct eigenvalues.
     """
     a = as_offdiag(a)
-    n = a.size + 1
-    scale = float(np.sqrt(2.0 * np.sum(a * a)))
-    spec = eigenvalues_tridiagonal(np.zeros(n), a, tol=tol)
-    if not spec.paired:
-        raise PairingViolation(
-            f"pairing defect {pairing_defect(spec.values):.3e} exceeds "
-            f"pair_tol {spec.pair_tol:.3e} for a zero-diagonal input"
-        )
+    spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a, tol=tol)
     if gap_tol is None:
-        gap_tol = default_gap_tol(scale)
+        gap_tol = default_gap_tol(float(np.sqrt(2.0 * np.sum(a * a))))
     if spec.gap_min < gap_tol:
         raise DegenerateSpectrum(
             f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
@@ -302,7 +312,8 @@ def quadrature_nodes(a, method: str = "direct", tol: float = 1e-8,
     a = as_offdiag(a)
     n = a.size + 1
     if method == "direct":
-        scale = float(np.sqrt(2.0 * np.sum(a * a)))
+        with np.errstate(over="ignore"):  # the eigensolver reports an overflow
+            scale = float(np.sqrt(2.0 * np.sum(a * a)))
         eig_tol = min(tol / 8.0, 1e-10 * (1.0 + scale))
         return eigenvalues_tridiagonal(np.zeros(n), a, tol=eig_tol).values
     if method == "flow":

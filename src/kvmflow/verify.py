@@ -162,8 +162,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
                         final_resid, tol.final_residual * (1 + sq)))
 
     final = traj.final_state
-    spec = make_spectrum(batch_eigenvalues_zero_diag(a0[None, :],
-                                                     1e-12 * (1 + scale))[0])
+    spec = make_spectrum(traj.ref_eigs)
     meta["spectrum"] = spec.values
     if strict:
         predicted = predict_limit(a0, spec)

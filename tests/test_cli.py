@@ -47,6 +47,17 @@ class TestEvolve:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"] in {"converged", "horizon_reached"}
 
+    def test_summary_spectrum_is_the_trajectory_reference(self, monkeypatch, capsys):
+        from kvmflow import cli, spectral
+
+        def no_second_bisection(*args, **kwargs):
+            raise AssertionError("evolve bisected the t=0 spectrum again")
+
+        monkeypatch.setattr(cli, "eigenvalues_tridiagonal", no_second_bisection)
+        assert main(_args("evolve", "--offdiag=5,-6,-2", "--t-max", "1")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["spectrum"] == spectral.spectrum_zero_diag([5, -6, -2]).values.tolist()
+
     def test_strict_false_allows_zero_entries(self, capsys):
         code = main(_args("evolve", "--offdiag=1,0,0.5,2", "--strict", "false",
                           "--t-max", "5"))
@@ -168,8 +179,11 @@ class TestErrorPaths:
         ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "0.5"],
         ["evolve-sym", "--method", "rk4", "--dt", "0.5", "--t-max", "5"],
         ["equilibria", "--input", FIXTURES / "ex3.json"],
+        ["spectrum", "--offdiag=1e200,1e200,1e200"],
+        ["predict", "--offdiag=1e200,1e200,1e200"],
     ], ids=["verify-overflow", "verify-overflow-eq-eps", "evolve-rk4-diverges",
-            "evolve-sym-rk4-diverges", "equilibria-too-many"])
+            "evolve-sym-rk4-diverges", "equilibria-too-many", "spectrum-overflow",
+            "predict-overflow"])
     def test_out_of_range_run_is_one_line_error(self, tokens, tmp_path, capsys):
         if tokens[0] == "evolve-sym":
             H = np.random.default_rng(8).normal(size=(8, 8))

@@ -47,6 +47,19 @@ class TestIntegrate:
         assert traj.status == "stationary_input"
         assert traj.times.size == 1
         assert traj.k_norms[0] == 0.0
+        assert traj.ref_eigs is None
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_carries_reference_spectrum(self, request, name, validate):
+        a0 = request.getfixturevalue(name)
+        traj = flow.integrate(a0, flow.IntegratorConfig(t_max=0.1), validate=validate)
+        np.testing.assert_array_equal(traj.ref_eigs,
+                                      spectral.spectrum_zero_diag(a0).values)
+        # an oracle outside the bisection: the spectrum of a0 itself
+        tol = 1e-12 * (1.0 + np.sqrt(2.0) * np.linalg.norm(a0))
+        np.testing.assert_allclose(traj.ref_eigs,
+                                   np.linalg.eigvalsh(jacobi.embed(a0)), rtol=0, atol=3 * tol)
 
     def test_n2_is_stationary(self):
         traj = flow.integrate([0.7])

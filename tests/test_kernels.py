@@ -1,12 +1,15 @@
 """The numpy kernels: lane report, Sturm eigensolver, in-order sums, recording.
 
-The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``).
+The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``),
+cold and warm-started.
 The stepper's vectorised error norm and residuals must add their terms in the
 order of a scalar loop, so they are pinned bit for bit to loop references.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
 
@@ -25,9 +28,89 @@ class TestSturmBatch:
             tol = 1e-12 * (1 + 10 * n)
             eigs, ok = kernels.sturm_batch(d, E, tol, 128)
             assert ok
-            for row, e in zip(eigs, E):
+            warm, ok = kernels.sturm_batch(d, E, tol, 128, guess=eigs)
+            assert ok
+            for row, warm_row, e in zip(eigs, warm, E):
                 lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
                 assert np.abs(row - lapack).max() <= 3 * tol
+                assert np.abs(warm_row - lapack).max() <= 3 * tol
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+               lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)),
+           st.floats(-100.0, 100.0))
+    def test_zero_diagonal_matches_eigvalsh_and_mirrors(self, entries, exponent):
+        a = np.array(entries, dtype=np.float64) * 10.0 ** exponent
+        n = a.size + 1
+        tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a * a)))
+        eigs, ok = kernels.sturm_batch(np.zeros(n), a[None, :], tol, 128)
+        assert ok
+        lapack = np.linalg.eigvalsh(jacobi.embed(a))
+        assert np.abs(eigs[0] - lapack).max() <= 3 * tol
+        np.testing.assert_array_equal(eigs[0], -eigs[0][::-1])
+
+
+class TestSturmWarmStart:
+    """Drift rows: a batch near a0, warm-started from a0's spectrum."""
+
+    @staticmethod
+    def _batch(n=13, m=40, spread=1e-9):
+        rng = np.random.default_rng(21)
+        a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        rows = a0 + spread * rng.uniform(-1.0, 1.0, (m, n - 1))
+        tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a0 * a0)))
+        ref, ok = kernels.sturm_batch(np.zeros(n), a0[None, :], tol, 128)
+        assert ok
+        return rows, ref[0], tol
+
+    @staticmethod
+    def _solve(rows, tol, guess=None):
+        eigs, ok = kernels.sturm_batch(np.zeros(rows.shape[1] + 1), rows, tol, 128,
+                                       guess=guess)
+        assert ok
+        return eigs
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        """Count the Sturm-count passes over the batch."""
+        passes = []
+        make_counter = kernels._sturm_counter
+
+        def counting(*args):
+            count = make_counter(*args)
+
+            def counted(x):
+                passes.append(x.shape)
+                return count(x)
+            return counted
+
+        monkeypatch.setattr(kernels, "_sturm_counter", counting)
+        return passes
+
+    def test_warm_and_cold_agree(self, monkeypatch):
+        rows, ref, tol = self._batch()
+        passes = self._count_sweeps(monkeypatch)
+        cold = self._solve(rows, tol)
+        cold_passes = len(passes)
+        warm = self._solve(rows, tol, guess=ref)
+        assert np.abs(warm - cold).max() <= 2 * tol
+        # warm brackets start 2e-7 * (1 + bound) wide: half the sweeps or fewer
+        assert len(passes) - cold_passes < cold_passes // 2
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_every_bracket_failing_gives_cold_result(self, n):
+        rows, ref, tol = self._batch(n=n)
+        np.testing.assert_array_equal(self._solve(rows, tol, guess=ref + 1.0),
+                                      self._solve(rows, tol))
+
+    def test_one_failing_bracket_is_still_correct(self):
+        rows, ref, tol = self._batch()
+        guess = ref.copy()
+        guess[-3] += 1e-3  # this bracket misses its eigenvalue and falls back
+        warm = self._solve(rows, tol, guess=guess)
+        assert np.abs(warm - self._solve(rows, tol)).max() <= 2 * tol
+        for row, e in zip(warm, rows):
+            assert np.abs(row - np.linalg.eigvalsh(jacobi.embed(e))).max() <= 3 * tol
 
 
 def _loop_sum(values):

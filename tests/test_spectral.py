@@ -98,6 +98,30 @@ class TestSpectrumZeroDiag:
         assert spec.n == 5
         assert np.sum(np.abs(spec.values) <= spec.pair_tol) == 1
 
+    def test_1x1_is_exactly_zero(self):
+        spec = spectral.spectrum_zero_diag([])
+        assert spec.values.tolist() == [0.0]
+
+    def test_odd_n_middle_eigenvalue_is_exactly_zero(self, ex3):
+        for a in ([1.0, 1.0], [2.0, 3.0, 1.0, 4.0], ex3):
+            spec = spectral.spectrum_zero_diag(a)
+            assert spec.n % 2 == 1
+            assert spec.values[spec.n // 2] == 0.0
+            np.testing.assert_array_equal(spec.values, -spec.values[::-1])
+
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned
+    def test_overflowing_input_raises(self):
+        with pytest.raises(ValidationFailure, match="out of range"):
+            spectral.spectrum_zero_diag([1e200, 1e200, 1e200])
+        with pytest.raises(ValidationFailure, match="out of range"):
+            spectral.eigenvalues_tridiagonal([1e308, 1e308], [1e308])
+        with pytest.raises(ValidationFailure, match="out of range"):
+            spectral.batch_eigenvalues_zero_diag(np.ones((2, 3)), np.inf)
+        with pytest.raises(ValidationFailure, match="out of range"):
+            spectral.batch_eigenvalues_zero_diag(np.full((2, 3), 1e200), 1e-3)
+        with pytest.raises(ValidationFailure, match="out of range"):
+            spectral.quadrature_nodes([1e200, 1e200])
+
 
 class TestPredictLimit:
     def test_example1(self, ex1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvmflow import verify
+from kvmflow import flow, verify
 from kvmflow.errors import ValidationFailure
 from kvmflow.flow import IntegratorConfig
 
@@ -27,6 +27,22 @@ class TestVerifyRun:
         report = verify.verify_run(ex3)
         assert report.overall, [c for c in report.checks if not c.passed]
         assert report.meta["status"] in {"converged", "horizon_reached"}
+
+    def test_reuses_the_trajectory_reference_spectrum(self, monkeypatch, ex1):
+        rows = []
+        original = flow.batch_eigenvalues_zero_diag
+
+        def counting(states, *args, **kwargs):
+            rows.append(np.atleast_2d(states).shape[0])
+            return original(states, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "batch_eigenvalues_zero_diag", counting)
+        monkeypatch.setattr(verify, "batch_eigenvalues_zero_diag", counting)
+        traj = flow.integrate(ex1)
+        rows.clear()
+        report = verify.verify_run(ex1)
+        assert rows[0] == 1 and len(rows) == 2  # t=0 spectrum, then the drift
+        np.testing.assert_array_equal(report.meta["spectrum"], traj.ref_eigs)
 
     def test_stationary_input_skips_prediction(self):
         report = verify.verify_run([1.26, 0.0, -7.96])
