@@ -61,7 +61,6 @@ from .spectral import (
     spectrum_zero_diag,
 )
 from .verify import (
-    Tolerances,
     VerificationReport,
     verify_equilibrium_counts,
     verify_identities,
@@ -100,7 +99,6 @@ __all__ = [
     "integrate_dense",
     "detect_convergence",
     # verify
-    "Tolerances",
     "VerificationReport",
     "verify_run",
     "verify_identities",

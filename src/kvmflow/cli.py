@@ -39,7 +39,7 @@ from .spectral import (
     predict_limit,
     spectrum_zero_diag,
 )
-from .verify import Tolerances, verify_run
+from .verify import verify_run
 
 _EXPERIMENTAL_NOTE = (
     "experimental symmetric-matrix mode: only spectral drift and Lyapunov "
@@ -96,13 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_integrator_options(p)
     _add_output_options(p)
     p.add_argument("--strict", type=_boolean, default=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("predict", help="predicted asymptotic state from the spectrum")
     _add_input_options(p)
     _add_output_options(p)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("verify", help="run and check every trajectory claim")
@@ -110,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_integrator_options(p)
     _add_output_options(p)
     p.add_argument("--strict", type=_boolean, default=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the input matrix")
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p, offdiag_inline=False)
     _add_integrator_options(p)
     _add_output_options(p)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_evolve_sym)
 
     return parser
@@ -186,13 +182,6 @@ def _cfg_from_args(args) -> IntegratorConfig:
     return IntegratorConfig(**kw)
 
 
-def _emit_summary(summary: dict, args) -> None:
-    if getattr(args, "out_summary", None) is not None:
-        write_summary(summary, args.out_summary)
-    else:
-        write_summary(summary, sys.stdout)
-
-
 def _try_prediction(a: np.ndarray, spec):
     try:
         return predict_limit(a, spec), None
@@ -227,9 +216,8 @@ def _cmd_evolve(args) -> int:
         spectrum=spec.values,
         predicted_limit=predicted,
         config=asdict(traj.config),
-        seed=args.seed,
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0
 
 
@@ -247,9 +235,8 @@ def _cmd_predict(args) -> int:
         status=status,
         spectrum=spec.values,
         predicted_limit=predicted,
-        seed=args.seed,
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0
 
 
@@ -257,7 +244,7 @@ def _cmd_verify(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
     cfg = _cfg_from_args(args)
-    report = verify_run(a, cfg, Tolerances(), strict=args.strict, seed=args.seed)
+    report = verify_run(a, cfg, strict=args.strict)
     d = report.to_dict()
     meta = d["meta"]
     summary = build_summary(
@@ -271,9 +258,8 @@ def _cmd_verify(args) -> int:
         checks=d["checks"],
         overall=d["overall"],
         config=meta.get("config"),
-        seed=args.seed,
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0 if report.overall else 2
 
 
@@ -293,7 +279,7 @@ def _cmd_spectrum(args) -> int:
         spectrum=values,
         extras={"gap_min": gap_min, "paired": paired},
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0
 
 
@@ -313,7 +299,7 @@ def _cmd_equilibria(args) -> int:
             "points": [[float(x) for x in p] for p in eqset.points],
         },
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0
 
 
@@ -332,7 +318,6 @@ def _cmd_evolve_sym(args) -> int:
         input=document_to_dict(doc),
         status=traj.status,
         config=asdict(traj.config),
-        seed=args.seed,
         extras={
             "final_matrix": [[float(x) for x in row] for row in traj.final_state],
             "final_blocks": traj.final_blocks,
@@ -340,7 +325,7 @@ def _cmd_evolve_sym(args) -> int:
             "lyapunov_final": float(traj.f_values[-1]),
         },
     )
-    _emit_summary(summary, args)
+    write_summary(summary, args.out_summary or sys.stdout)
     return 0
 
 

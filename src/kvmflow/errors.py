@@ -42,7 +42,7 @@ class ValidationFailure(KvmflowError):
 
 
 class StepUnderflow(KvmflowError):
-    """Adaptive step fell below dt_min; tolerances are misconfigured."""
+    """Adaptive step fell below 1e-14 * t_max; tolerances are misconfigured."""
 
 
 class ParseError(KvmflowError):

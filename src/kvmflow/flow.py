@@ -61,7 +61,6 @@ class IntegratorConfig:
     eq_eps: float | None = None
     record_stride: int = 1
     max_rows: int = 10_000
-    dt_min: float | None = None
 
     def validated(self) -> "IntegratorConfig":
         if self.method not in ("rk45", "rk4"):
@@ -73,8 +72,8 @@ class IntegratorConfig:
             raise ValidationFailure("t_max must be positive and finite")
         if self.dt is not None and not self.dt > 0:
             raise ValidationFailure("dt must be positive")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValidationFailure("abs_tol and rel_tol must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValidationFailure("abs_tol and rel_tol must be positive and finite")
         if self.eq_eps is not None and not self.eq_eps >= 0:
             raise ValidationFailure("eq_eps must be nonnegative")
         if self.record_stride < 1:
@@ -83,6 +82,9 @@ class IntegratorConfig:
             raise ValidationFailure("max_rows must be at least 2")
         return self
 
+
+# an rk4 run of more steps than this is refused before it starts
+_MAX_RK4_STEPS = 10**6
 
 _STATUS_NAMES = {
     kernels.STATUS_CONVERGED: "converged",
@@ -179,15 +181,20 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
     ref_eigs = reference()
     h0 = _initial_step(cfg, float(np.abs(rhs(y0)).max(initial=0.0)),
                        float(np.abs(y0).max(initial=0.0)))
-    dt_min = cfg.dt_min if cfg.dt_min is not None else 1e-14 * cfg.t_max
+    if cfg.method == "rk4" and cfg.t_max / h0 > _MAX_RK4_STEPS:
+        raise ValidationFailure(
+            f"rk4 run of t_max/dt = {cfg.t_max / h0:.3e} steps exceeds "
+            f"{_MAX_RK4_STEPS}; raise dt or lower t_max"
+        )
+    dt_min = 1e-14 * cfg.t_max
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, count, status, _, _ = kernel(
             y0, cfg.t_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
             eq_eps, dt_min, cfg.record_stride, cfg.max_rows)
     if status == kernels.STATUS_UNDERFLOW:
         raise StepUnderflow(
-            f"adaptive step fell below dt_min={dt_min:.3e}; "
-            "loosen tolerances or raise dt_min"
+            f"adaptive step fell below {dt_min:.3e} (1e-14 * t_max); "
+            "loosen tolerances"
         )
     times = times[:count].copy()
     states = states[:count].copy()

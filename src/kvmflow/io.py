@@ -6,7 +6,7 @@ byte-identical files.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,6 @@ class MatrixInputDocument:
     offdiag: np.ndarray | None = None  # length n-1
     symmetric: np.ndarray | None = None  # (n, n), experimental mode
     label: str | None = None
-
-    @property
-    def kind(self) -> str:
-        return "offdiag" if self.offdiag is not None else "symmetric"
 
 
 def _reject_constant(name):
@@ -178,7 +174,6 @@ _SUMMARY_KEYS = (
     "checks",
     "overall",
     "config",
-    "seed",
 )
 
 
@@ -200,7 +195,7 @@ def _jsonable(v):
 
 def build_summary(*, label=None, mode=None, notes=None, input=None, status=None,
                   final_offdiag=None, spectrum=None, predicted_limit=None,
-                  checks=None, overall=None, config=None, seed=None,
+                  checks=None, overall=None, config=None,
                   extras: dict | None = None) -> dict:
     """Summary mapping with a fixed key order (null for absent values)."""
     values = {
@@ -215,7 +210,6 @@ def build_summary(*, label=None, mode=None, notes=None, input=None, status=None,
         "checks": checks,
         "overall": overall,
         "config": config,
-        "seed": seed,
     }
     out = {k: _jsonable(values[k]) for k in _SUMMARY_KEYS}
     for k, v in (extras or {}).items():
@@ -223,38 +217,13 @@ def build_summary(*, label=None, mode=None, notes=None, input=None, status=None,
     return out
 
 
-def write_summary(obj, sink) -> None:
-    """Serialize a summary dict, a VerificationReport, or a FlowTrajectory."""
-    if isinstance(obj, dict):
-        summary = _jsonable(obj)
-    elif hasattr(obj, "checks") and hasattr(obj, "meta"):
-        d = obj.to_dict()
-        meta = d["meta"]
-        summary = build_summary(
-            input={"n": meta.get("n"), "offdiag": meta.get("input_offdiag")},
-            status=meta.get("status"),
-            final_offdiag=meta.get("final_offdiag"),
-            spectrum=meta.get("spectrum"),
-            predicted_limit=meta.get("predicted_limit"),
-            checks=d["checks"],
-            overall=d["overall"],
-            config=meta.get("config"),
-            seed=meta.get("seed"),
-        )
-    elif hasattr(obj, "states") and hasattr(obj, "k_norms"):
-        summary = build_summary(
-            input={"n": obj.states.shape[1] + 1,
-                   "offdiag": [float(x) for x in obj.states[0]]},
-            status=obj.status,
-            final_offdiag=obj.final_state,
-            config=asdict(obj.config),
-        )
-    else:
-        raise TypeError(f"cannot summarize object of type {type(obj).__name__}")
-
+def write_summary(summary: dict, sink) -> None:
+    """Serialize a summary dict (see build_summary) to a path or a stream."""
+    if not isinstance(summary, dict):
+        raise TypeError(f"cannot summarize object of type {type(summary).__name__}")
     fh, owned = _open_sink(sink)
     try:
-        fh.write(json.dumps(summary, indent=2))
+        fh.write(json.dumps(_jsonable(summary), indent=2))
         fh.write("\n")
     finally:
         if owned:

@@ -181,7 +181,9 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
                 fac = _FAC_MAX
             else:
                 fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            fac = min(max(fac, _FAC_MIN), _FAC_MAX)
+            # written so that a NaN error estimate (an overflowing trial step,
+            # already rejected above) shrinks h by _FAC_MIN
+            fac = min(fac, _FAC_MAX) if fac >= _FAC_MIN else _FAC_MIN
             if accept:
                 if just_rejected:
                     fac = min(fac, 1.0)
@@ -228,6 +230,8 @@ def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
                       max_rows)
 
 
+# bisection steps per bracket before sturm_batch gives up (ok=0)
+_MAX_BISECT = 128
 # half-width of a warm bracket, relative to 1 + the row's Gershgorin bound;
 # the verifier's spectral drift bound has the same form
 _WARM_RADIUS = 1.0e-7
@@ -269,12 +273,12 @@ def _sturm_counter(diag, e2, pivmin, shape):
     return count
 
 
-def sturm_batch(diag, offdiags, tol, max_iter, *, guess=None):
+def sturm_batch(diag, offdiags, tol, *, guess=None):
     """Sturm-sequence bisection for a batch of symmetric tridiagonals.
 
     diag: (n,) shared diagonal; offdiags: (m, n-1) batch of off-diagonals.
     Returns (eigs (m, n) ascending per row, ok flag); ok=0 means some bracket
-    failed to shrink below 2*tol within max_iter iterations.
+    failed to shrink below 2*tol within _MAX_BISECT iterations.
 
     A zero diagonal gives a (+/-)-symmetric spectrum: only the floor(n/2)
     nonnegative eigenvalues are bisected, on [0, Gershgorin bound], and
@@ -330,7 +334,7 @@ def sturm_batch(diag, offdiags, tol, max_iter, *, guess=None):
     x = np.empty((m, k))
     width = np.empty((m, k))
     take_hi = np.empty((m, k), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT):
         np.subtract(hi, lo, out=width)
         if width.max(initial=0.0) <= 2.0 * tol:
             break

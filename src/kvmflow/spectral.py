@@ -41,7 +41,6 @@ __all__ = [
     "default_gap_tol",
 ]
 
-_MAX_BISECT = 128
 # enumerate_equilibria refuses sets larger than this (signed n <= 12 fits)
 _MAX_EQUILIBRIUM_POINTS = 100_000
 
@@ -107,7 +106,7 @@ def _sturm_eigenvalues(diag: np.ndarray, offdiags: np.ndarray, tol: float,
             f"matrix is out of range: largest off-diagonal entry {emax:.3e}, "
             f"tolerance {tol:.3e}, Gershgorin bound {bound:.3e}"
         )
-    eigs, ok = kernels.sturm_batch(diag, offdiags, tol, _MAX_BISECT, guess=guess)
+    eigs, ok = kernels.sturm_batch(diag, offdiags, tol, guess=guess)
     if not ok:
         raise NonConvergence(
             "bisection bracket failed to shrink; Gershgorin bounds are broken"

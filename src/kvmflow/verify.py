@@ -38,7 +38,6 @@ from .spectral import (
 __all__ = [
     "Check",
     "VerificationReport",
-    "Tolerances",
     "verify_run",
     "verify_identities",
     "verify_equilibrium_counts",
@@ -78,38 +77,36 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Scale-aware verification thresholds, each used as coeff * (1 + scale)."""
-
-    spec_drift: float = 1e-7  # scale: ||a0||_2
-    norm_drift: float = 1e-8  # scale: ||a0||_2
-    lyapunov_slack: float = 1e-9  # scale: max |f| along the run
-    final_residual: float = 1e-6  # scale: ||a0||^2
-    limit_match: float = 1e-6  # scale: ||a0||_2
-    zero_slots: float = 1e-6  # scale: ||a0||_2
-    sorted_margin: float = 1e-8  # scale: ||a0||^2, on squared entries
+# Scale-aware verification thresholds, each used as coeff * (1 + scale).
+SPEC_DRIFT = 1e-7  # scale: ||a0||_2
+NORM_DRIFT = 1e-8  # scale: ||a0||_2
+LYAPUNOV_SLACK = 1e-9  # scale: max |f| along the run
+FINAL_RESIDUAL = 1e-6  # scale: ||a0||^2
+LIMIT_MATCH = 1e-6  # scale: ||a0||_2
+ZERO_SLOTS = 1e-6  # scale: ||a0||_2
+SORTED_MARGIN = 1e-8  # scale: ||a0||^2, on squared entries
+REFERENCE_SPECTRUM = 1e-9  # scale: ||a0||^2, on the sum of squared eigenvalues
 
 
-def trajectory_checks(traj, a0: np.ndarray, tol: Tolerances) -> list:
+def trajectory_checks(traj, a0: np.ndarray) -> list:
     """Invariant checks shared by verify_run and the acceptance suite."""
     scale = float(np.linalg.norm(a0))
     checks = []
 
     drift = float(traj.spec_drift.max())
-    checks.append(Check("spectral_drift", drift <= tol.spec_drift * (1 + scale),
-                        drift, tol.spec_drift * (1 + scale)))
+    checks.append(Check("spectral_drift", drift <= SPEC_DRIFT * (1 + scale),
+                        drift, SPEC_DRIFT * (1 + scale)))
 
     norms = np.sqrt(np.sum(traj.states**2, axis=1))
     norm_dev = float(np.abs(norms - scale).max())
     checks.append(Check("frobenius_conservation",
-                        norm_dev <= tol.norm_drift * (1 + scale),
-                        norm_dev, tol.norm_drift * (1 + scale)))
+                        norm_dev <= NORM_DRIFT * (1 + scale),
+                        norm_dev, NORM_DRIFT * (1 + scale)))
 
     f_scale = float(np.abs(traj.f_values).max(initial=0.0))
     dips = -np.diff(traj.f_values)
     worst_dip = max(0.0, float(dips.max(initial=0.0)))
-    slack = tol.lyapunov_slack * (1 + f_scale)
+    slack = LYAPUNOV_SLACK * (1 + f_scale)
     checks.append(Check("lyapunov_monotone", worst_dip <= slack, worst_dip, slack))
 
     # a decaying component may underflow to exactly 0.0 (its limit); only a
@@ -117,12 +114,18 @@ def trajectory_checks(traj, a0: np.ndarray, tol: Tolerances) -> list:
     flips = int(np.sum(np.sign(traj.states) * np.sign(a0)[None, :] < 0.0))
     checks.append(Check("sign_preservation", flips == 0, float(flips), 0.0))
 
+    # the drift and the predicted limit are measured against ref_eigs, so it
+    # must be the spectrum of a0: tr(H^2) = 2 ||a0||^2
+    sq = float(np.sum(a0 * a0))
+    trace_dev = abs(float(np.sum(traj.ref_eigs ** 2)) - 2.0 * sq)
+    bound = REFERENCE_SPECTRUM * (1 + sq)
+    checks.append(Check("reference_spectrum", trace_dev <= bound, trace_dev, bound))
+
     return checks
 
 
-def verify_run(a0, cfg: IntegratorConfig | None = None,
-               tol: Tolerances | None = None, *, strict: bool = True,
-               seed=None) -> VerificationReport:
+def verify_run(a0, cfg: IntegratorConfig | None = None, *,
+               strict: bool = True) -> VerificationReport:
     """Integrate a0 and check every trajectory-level claim.
 
     With strict=False, validation is relaxed and the limit-prediction checks
@@ -131,12 +134,10 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
     prediction checks skipped.
     """
     a0 = as_offdiag(a0)
-    tol = tol or Tolerances()
     traj = integrate(a0, cfg, validate=strict)
     meta = {
         "status": traj.status,
         "n": a0.size + 1,
-        "seed": seed,
         "strict": strict,
         "input_offdiag": a0,
         "final_offdiag": traj.final_state,
@@ -154,12 +155,12 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
 
     scale = float(np.linalg.norm(a0))
     sq = float(np.sum(a0 * a0))
-    checks = trajectory_checks(traj, a0, tol)
+    checks = trajectory_checks(traj, a0)
 
     final_resid = float(traj.k_norms[-1])
     checks.append(Check("equilibrium_reached",
-                        final_resid <= tol.final_residual * (1 + sq),
-                        final_resid, tol.final_residual * (1 + sq)))
+                        final_resid <= FINAL_RESIDUAL * (1 + sq),
+                        final_resid, FINAL_RESIDUAL * (1 + sq)))
 
     final = traj.final_state
     spec = make_spectrum(traj.ref_eigs)
@@ -169,17 +170,17 @@ def verify_run(a0, cfg: IntegratorConfig | None = None,
         meta["predicted_limit"] = predicted
 
         dev = float(np.abs(final - predicted).max())
-        checks.append(Check("limit_match", dev <= tol.limit_match * (1 + scale),
-                            dev, tol.limit_match * (1 + scale)))
+        checks.append(Check("limit_match", dev <= LIMIT_MATCH * (1 + scale),
+                            dev, LIMIT_MATCH * (1 + scale)))
 
         live = limit_slots(a0.size + 1)
         zdev = float(np.abs(final[~live]).max(initial=0.0))
-        checks.append(Check("limit_zero_slots", zdev <= tol.zero_slots * (1 + scale),
-                            zdev, tol.zero_slots * (1 + scale)))
+        checks.append(Check("limit_zero_slots", zdev <= ZERO_SLOTS * (1 + scale),
+                            zdev, ZERO_SLOTS * (1 + scale)))
 
         sq_live = final[live] ** 2
         min_gap = float(np.diff(sq_live).min()) if sq_live.size > 1 else math.inf
-        margin = tol.sorted_margin * (1 + sq)
+        margin = SORTED_MARGIN * (1 + sq)
         checks.append(Check("sorted_magnitudes_min_gap", min_gap > margin,
                             min_gap, margin))
     else:

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from kvmflow import flow, jacobi, spectral, verify
-from kvmflow.verify import Tolerances, trajectory_checks
+from kvmflow.verify import FINAL_RESIDUAL, trajectory_checks
 
 from conftest import EX1, EX2, EX3, EX1_LIMIT_2DP, EX2_LIMIT_2DP, EX3_LIMIT_2DP
 from oracles import closed_form_eigenvalues
-
-TOL = Tolerances()
 
 
 @contextmanager
@@ -84,7 +82,7 @@ def oracle_runs():
                 "status": traj.status,
                 "limit_dev": dev,
                 "limit_bound": bound,
-                "checks": trajectory_checks(traj, a0, TOL),
+                "checks": trajectory_checks(traj, a0),
             })
     return results
 
@@ -112,7 +110,7 @@ def test_criterion_3_example3_reproduction(example_runs):
         # the default run reaches the horizon t=10 short of its stopping
         # residual eq_eps; it must still meet verify_run's equilibrium_reached
         # bound
-        assert traj.k_norms[-1] <= TOL.final_residual * (1 + float(np.sum(a0 * a0)))
+        assert traj.k_norms[-1] <= FINAL_RESIDUAL * (1 + float(np.sum(a0 * a0)))
         assert np.abs(traj.final_state - EX3_LIMIT_2DP).max() < 0.01
         assert np.all(np.sign(traj.final_state[EX3_LIMIT_2DP != 0])
                       == np.sign(EX3_LIMIT_2DP[EX3_LIMIT_2DP != 0]))
@@ -134,7 +132,7 @@ def test_criterion_5_invariant_suite(example_runs, oracle_runs):
     with criterion("invariant suite on every run above"):
         failures = []
         for name, (a0, traj, _) in example_runs.items():
-            for check in trajectory_checks(traj, a0, TOL):
+            for check in trajectory_checks(traj, a0):
                 if not check.passed:
                     failures.append((name, check))
         for r in oracle_runs:

@@ -84,26 +84,38 @@ class TestPredict:
 
 
 class TestVerify:
-    def test_example1_passes(self, ex1_file):
+    def test_example1_passes(self, ex1_file, capsys):
         assert main(_args("verify", "--input", ex1_file)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["input"]["offdiag"] == [5.0, -6.0, -2.0]
+        assert summary["status"] == "converged"
+        assert summary["overall"] is True
+        assert summary["predicted_limit"][0] == pytest.approx(1.2557, abs=5e-4)
+        assert summary["checks"][0]["name"] == "spectral_drift"
 
     def test_exit_2_when_checks_fail(self, ex1_file, tmp_path):
         out = tmp_path / "report.json"
         code = main(_args("verify", "--input", ex1_file, "--t-max", "0.001",
                           "--out-summary", out))
         assert code == 2
-        assert json.loads(out.read_text())["overall"] is False
+        summary = json.loads(out.read_text())
+        assert summary["overall"] is False
+        assert summary["status"] == "horizon_reached"
 
     def test_seeded_runs_are_byte_identical(self, ex1_file, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
-            assert main(_args("verify", "--input", ex1_file, "--seed", "11",
-                              "--out-summary", p)) == 0
+            assert main(_args("verify", "--input", ex1_file, "--out-summary", p)) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize("name", ["ex1.json", "ex2.json", "ex3.json"])
     def test_shipped_fixtures_verify_clean(self, name):
         assert main(_args("verify", "--input", FIXTURES / name)) == 0
+
+    def test_overflowing_first_step_is_shrunk(self, capsys):
+        # a trial step of 0.1 overflows on ex3; it must be rejected and
+        # shrunk, not reported as a step underflow
+        assert main(_args("verify", "--input", FIXTURES / "ex3.json", "--dt", "0.1")) == 0
 
 
 class TestSpectrum:
@@ -181,9 +193,11 @@ class TestErrorPaths:
         ["equilibria", "--input", FIXTURES / "ex3.json"],
         ["spectrum", "--offdiag=1e200,1e200,1e200"],
         ["predict", "--offdiag=1e200,1e200,1e200"],
+        ["verify", "--offdiag=5,-6,-2", "--abs-tol", "inf"],
+        ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "1e-9"],
     ], ids=["verify-overflow", "verify-overflow-eq-eps", "evolve-rk4-diverges",
             "evolve-sym-rk4-diverges", "equilibria-too-many", "spectrum-overflow",
-            "predict-overflow"])
+            "predict-overflow", "abs-tol-inf", "evolve-rk4-too-many-steps"])
     def test_out_of_range_run_is_one_line_error(self, tokens, tmp_path, capsys):
         if tokens[0] == "evolve-sym":
             H = np.random.default_rng(8).normal(size=(8, 8))

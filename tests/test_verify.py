@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ class TestVerifyRun:
         assert report.meta["status"] == "converged"
         names = {c.name for c in report.checks}
         assert {"spectral_drift", "frobenius_conservation", "lyapunov_monotone",
-                "sign_preservation", "equilibrium_reached", "limit_match",
-                "limit_zero_slots", "sorted_magnitudes_min_gap"} <= names
+                "sign_preservation", "reference_spectrum", "equilibrium_reached",
+                "limit_match", "limit_zero_slots", "sorted_magnitudes_min_gap"} <= names
         limit = next(c for c in report.checks if c.name == "limit_match")
         assert limit.measured < 0.01
 
@@ -44,6 +46,18 @@ class TestVerifyRun:
         assert rows[0] == 1 and len(rows) == 2  # t=0 spectrum, then the drift
         np.testing.assert_array_equal(report.meta["spectrum"], traj.ref_eigs)
 
+    def test_reference_spectrum_of_another_matrix_fails(self, monkeypatch, ex1):
+        def scaled_reference(*args, **kwargs):
+            traj = flow.integrate(*args, **kwargs)
+            return dataclasses.replace(traj, ref_eigs=traj.ref_eigs * (1 + 1e-6))
+
+        monkeypatch.setattr(verify, "integrate", scaled_reference)
+        report = verify.verify_run(ex1)
+        failing = {c.name for c in report.checks if not c.passed}
+        assert "reference_spectrum" in failing
+        check = next(c for c in report.checks if c.name == "reference_spectrum")
+        assert check.measured > 1e3 * check.threshold
+
     def test_stationary_input_skips_prediction(self):
         report = verify.verify_run([1.26, 0.0, -7.96])
         assert report.meta["status"] == "stationary_input"
@@ -65,9 +79,8 @@ class TestVerifyRun:
         assert report.overall
 
     def test_report_dict_is_plain_json_types(self, ex1):
-        d = verify.verify_run(ex1, seed=7).to_dict()
+        d = verify.verify_run(ex1).to_dict()
         assert d["overall"] is True
-        assert d["meta"]["seed"] == 7
         for c in d["checks"]:
             assert isinstance(c["measured"], float)
             assert isinstance(c["passed"], bool)
