@@ -32,10 +32,8 @@ from .io import (
     write_trajectory_csv,
 )
 from .spectral import (
-    default_pair_tol,
     eigenvalues_tridiagonal,
     enumerate_equilibria,
-    make_spectrum,
     predict_limit,
     spectrum_zero_diag,
 )
@@ -80,8 +78,9 @@ def _add_integrator_options(p):
     p.add_argument("--record-stride", type=int, dest="record_stride")
 
 
-def _add_output_options(p):
-    p.add_argument("--out-csv", type=Path, dest="out_csv")
+def _add_output_options(p, csv=False):
+    if csv:
+        p.add_argument("--out-csv", type=Path, dest="out_csv")
     p.add_argument("--out-summary", type=Path, dest="out_summary")
 
 
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="integrate the flow, write CSV/summary")
     _add_input_options(p)
     _add_integrator_options(p)
-    _add_output_options(p)
+    _add_output_options(p, csv=True)
     p.add_argument("--strict", type=_boolean, default=True)
     p.set_defaults(func=_cmd_evolve)
 
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experimental: integrate a full symmetric matrix")
     _add_input_options(p, offdiag_inline=False)
     _add_integrator_options(p)
-    _add_output_options(p)
+    _add_output_options(p, csv=True)
     p.set_defaults(func=_cmd_evolve_sym)
 
     return parser
@@ -140,10 +139,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except KvmflowError as exc:
-        print(f"kvmflow: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KvmflowError, OSError) as exc:
         print(f"kvmflow: error: {exc}", file=sys.stderr)
         return 1
 
@@ -182,6 +178,12 @@ def _cfg_from_args(args) -> IntegratorConfig:
     return IntegratorConfig(**kw)
 
 
+def _emit(args, doc: MatrixInputDocument, **fields) -> None:
+    """Write the summary of doc's run to --out-summary, or to stdout."""
+    summary = build_summary(label=doc.label, input=document_to_dict(doc), **fields)
+    write_summary(summary, args.out_summary or sys.stdout)
+
+
 def _try_prediction(a: np.ndarray, spec):
     try:
         return predict_limit(a, spec), None
@@ -199,25 +201,13 @@ def _cmd_evolve(args) -> int:
     if args.out_csv is not None:
         write_trajectory_csv(traj, args.out_csv)
 
-    if traj.ref_eigs is not None:
-        spec = make_spectrum(traj.ref_eigs,
-                             pair_tol=default_pair_tol(float(np.sqrt(2.0 * np.sum(a * a)))))
-    else:
-        spec = eigenvalues_tridiagonal(np.zeros(doc.n), a)
+    spec = traj.spectrum or eigenvalues_tridiagonal(np.zeros(doc.n), a)
     predicted, note = (None, None)
     if args.strict:
         predicted, note = _try_prediction(a, spec)
-    summary = build_summary(
-        label=doc.label,
-        notes=note,
-        input=document_to_dict(doc),
-        status=traj.status,
-        final_offdiag=traj.final_state,
-        spectrum=spec.values,
-        predicted_limit=predicted,
-        config=asdict(traj.config),
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    _emit(args, doc, notes=note, status=traj.status, final_offdiag=traj.final_state,
+          spectrum=spec.values, predicted_limit=predicted,
+          config=asdict(traj.config))
     return 0
 
 
@@ -226,40 +216,18 @@ def _cmd_predict(args) -> int:
     a = _require_offdiag(doc)
     spec = spectrum_zero_diag(a)
     predicted, note = _try_prediction(a, spec)
-    status = note if note == "stationary_input" else None
     if note is not None and note != "stationary_input":
         raise KvmflowError(f"prediction {note}")
-    summary = build_summary(
-        label=doc.label,
-        input=document_to_dict(doc),
-        status=status,
-        spectrum=spec.values,
-        predicted_limit=predicted,
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    _emit(args, doc, status=note, spectrum=spec.values, predicted_limit=predicted)
     return 0
 
 
 def _cmd_verify(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
-    cfg = _cfg_from_args(args)
-    report = verify_run(a, cfg, strict=args.strict)
-    d = report.to_dict()
-    meta = d["meta"]
-    summary = build_summary(
-        label=doc.label,
-        notes=meta.get("prediction"),
-        input=document_to_dict(doc),
-        status=meta.get("status"),
-        final_offdiag=meta.get("final_offdiag"),
-        spectrum=meta.get("spectrum"),
-        predicted_limit=meta.get("predicted_limit"),
-        checks=d["checks"],
-        overall=d["overall"],
-        config=meta.get("config"),
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    report = verify_run(a, _cfg_from_args(args), strict=args.strict)
+    _emit(args, doc, checks=report.to_dict()["checks"], overall=report.overall,
+          **report.meta)
     return 0 if report.overall else 2
 
 
@@ -273,13 +241,7 @@ def _cmd_spectrum(args) -> int:
         gaps = np.diff(values)
         gap_min = float(gaps.min()) if gaps.size else float("inf")
         paired = None
-    summary = build_summary(
-        label=doc.label,
-        input=document_to_dict(doc),
-        spectrum=values,
-        extras={"gap_min": gap_min, "paired": paired},
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    _emit(args, doc, spectrum=values, extras={"gap_min": gap_min, "paired": paired})
     return 0
 
 
@@ -288,18 +250,12 @@ def _cmd_equilibria(args) -> int:
     a = _require_offdiag(doc)
     spec = spectrum_zero_diag(a)
     eqset = enumerate_equilibria(spec, include_signs=args.include_signs)
-    summary = build_summary(
-        label=doc.label,
-        input=document_to_dict(doc),
-        spectrum=spec.values,
-        extras={
-            "include_signs": args.include_signs,
-            "count_formula": eqset.count_formula,
-            "count_with_signs": eqset.count_with_signs,
-            "points": [[float(x) for x in p] for p in eqset.points],
-        },
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    _emit(args, doc, spectrum=spec.values, extras={
+        "include_signs": args.include_signs,
+        "count_formula": eqset.count_formula,
+        "count_with_signs": eqset.count_with_signs,
+        "points": [[float(x) for x in p] for p in eqset.points],
+    })
     return 0
 
 
@@ -307,25 +263,16 @@ def _cmd_evolve_sym(args) -> int:
     doc = parse_input(Path(args.input).read_bytes())
     if doc.symmetric is None:
         raise KvmflowError("evolve-sym needs a 'symmetric' input document")
-    cfg = _cfg_from_args(args)
-    traj = integrate_dense(doc.symmetric, cfg)
+    traj = integrate_dense(doc.symmetric, _cfg_from_args(args))
     if args.out_csv is not None:
         write_dense_diagnostics_csv(traj, args.out_csv)
-    summary = build_summary(
-        label=doc.label,
-        mode="experimental-symmetric",
-        notes=_EXPERIMENTAL_NOTE,
-        input=document_to_dict(doc),
-        status=traj.status,
-        config=asdict(traj.config),
-        extras={
-            "final_matrix": [[float(x) for x in row] for row in traj.final_state],
-            "final_blocks": traj.final_blocks,
-            "spec_drift_max": float(traj.spec_drift.max()),
-            "lyapunov_final": float(traj.f_values[-1]),
-        },
-    )
-    write_summary(summary, args.out_summary or sys.stdout)
+    _emit(args, doc, mode="experimental-symmetric", notes=_EXPERIMENTAL_NOTE,
+          status=traj.status, config=asdict(traj.config), extras={
+              "final_matrix": [[float(x) for x in row] for row in traj.final_state],
+              "final_blocks": traj.final_blocks,
+              "spec_drift_max": float(traj.spec_drift.max()),
+              "lyapunov_final": float(traj.f_values[-1]),
+          })
     return 0
 
 

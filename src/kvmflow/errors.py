@@ -21,10 +21,6 @@ class PairingViolation(KvmflowError):
     """Spectrum of a zero-diagonal matrix is not (+/-)-symmetric; eigensolver fault."""
 
 
-class DegenerateSpectrum(KvmflowError):
-    """Eigenvalues are not pairwise distinct within the gap tolerance."""
-
-
 class DegenerateMagnitudes(KvmflowError):
     """Eigenvalue magnitudes are not strictly separated (or vanish for even n)."""
 
@@ -39,6 +35,10 @@ class EquilibriumInput(KvmflowError):
 
 class ValidationFailure(KvmflowError):
     """Initial condition fails flow validation (zero entry / degenerate spectrum)."""
+
+
+class DegenerateSpectrum(ValidationFailure):
+    """Eigenvalues are not pairwise distinct within the gap tolerance."""
 
 
 class StepUnderflow(KvmflowError):

@@ -32,7 +32,14 @@ from .jacobi import (
     rhs_matrix,
     validate_initial_state,
 )
-from .spectral import batch_eigenvalues_zero_diag, default_gap_tol
+from .spectral import (
+    Spectrum,
+    batch_eigenvalues_zero_diag,
+    default_eig_tol,
+    eigenvalues_tridiagonal,
+    make_spectrum,
+    spectrum_zero_diag,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -104,7 +111,7 @@ class FlowTrajectory:
     status: str  # converged | horizon_reached | stationary_input
     config: IntegratorConfig
     eq_eps: float  # resolved stopping threshold
-    ref_eigs: np.ndarray | None = None  # t=0 spectrum; None for stationary_input
+    spectrum: Spectrum | None = None  # t=0 spectrum; None for stationary_input
 
     @property
     def n(self) -> int:
@@ -140,10 +147,6 @@ def _initial_step(cfg: IntegratorConfig, slope_inf: float, state_inf: float) -> 
     return min(h0, 1e-3 * cfg.t_max)
 
 
-def _eig_tol(scale: float) -> float:
-    return 1e-12 * (1.0 + scale)
-
-
 def _sum_sq(x: np.ndarray) -> float:
     """Sum of squared entries; an overflow gives inf, which _run reports."""
     with np.errstate(over="ignore"):
@@ -156,8 +159,8 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
     sq_norm is ||a||^2 of the off-diagonal the state encodes (half the squared
     Frobenius norm of a matrix) and sets the default eq_eps. The callables
     carry what depends on the state's shape: rhs(y), the kernel, reference()
-    (the t=0 spectrum, after any check that needs it),
-    eigenvalues(states, guess=t=0 spectrum) and diagnostics(states) ->
+    (the t=0 Spectrum, after any check that needs it),
+    eigenvalues(states, guess=t=0 eigenvalues) and diagnostics(states) ->
     (Lyapunov values, residual norms). An input whose residual is already
     <= eq_eps is returned as a one-row stationary_input trajectory without
     integrating.
@@ -178,7 +181,7 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
                     f_values=f0, k_norms=k0, spec_drift=np.zeros(1),
                     status="stationary_input")
 
-    ref_eigs = reference()
+    spectrum = reference()
     h0 = _initial_step(cfg, float(np.abs(rhs(y0)).max(initial=0.0)),
                        float(np.abs(y0).max(initial=0.0)))
     if cfg.method == "rk4" and cfg.t_max / h0 > _MAX_RK4_STEPS:
@@ -187,6 +190,9 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
             f"{_MAX_RK4_STEPS}; raise dt or lower t_max"
         )
     dt_min = 1e-14 * cfg.t_max
+    if cfg.method == "rk45":
+        # the kernel refuses a trial step below the floor before it can grow it
+        h0 = max(h0, dt_min)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, count, status, _, _ = kernel(
             y0, cfg.t_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
@@ -203,13 +209,14 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
             f"{cfg.method} run diverged to a non-finite state; reduce dt"
         )
 
-    drift = np.abs(eigenvalues(states, guess=ref_eigs) - ref_eigs[None, :])
+    ref = spectrum.values
+    drift = np.abs(eigenvalues(states, guess=ref) - ref[None, :])
     drift = drift.max(axis=1)
     drift[0] = 0.0
     f_values, k_norms = diagnostics(states)
     return dict(fields, times=times, states=states, f_values=f_values,
                 k_norms=k_norms, spec_drift=drift, status=_STATUS_NAMES[status],
-                ref_eigs=ref_eigs)
+                spectrum=spectrum)
 
 
 def _offdiag_diagnostics(states):
@@ -228,22 +235,16 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     cfg = (cfg or IntegratorConfig()).validated()
     a0 = as_offdiag(a0)
     sq_norm = _sum_sq(a0)
-    scale = float(np.sqrt(2.0 * sq_norm))
+    tol = default_eig_tol(float(np.sqrt(2.0 * sq_norm)))
 
-    def eigenvalues(states, guess=None):
-        return batch_eigenvalues_zero_diag(states, _eig_tol(scale), guess=guess)
+    def eigenvalues(states, guess):
+        return batch_eigenvalues_zero_diag(states, tol, guess=guess)
 
     def reference():
-        ref_eigs = eigenvalues(a0[None, :])[0]
-        if validate:
-            validate_initial_state(a0)
-            gaps = np.diff(ref_eigs)
-            if gaps.size and gaps.min() < default_gap_tol(scale):
-                raise ValidationFailure(
-                    f"eigenvalue gap {gaps.min():.3e} below "
-                    f"{default_gap_tol(scale):.3e}: not a Jacobi matrix"
-                )
-        return ref_eigs
+        if not validate:
+            return eigenvalues_tridiagonal(np.zeros(a0.size + 1), a0)
+        validate_initial_state(a0)
+        return spectrum_zero_diag(a0)
 
     return FlowTrajectory(**_run(
         a0, cfg, sq_norm, rhs_componentwise, kernels.integrate_offdiag_kernel,
@@ -289,7 +290,8 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     H0 = 0.5 * (H0 + H0.T)
 
     fields = _run(H0, cfg, 0.5 * _sum_sq(H0), rhs_matrix,
-                  kernels.integrate_dense_kernel, lambda: np.linalg.eigvalsh(H0),
+                  kernels.integrate_dense_kernel,
+                  lambda: make_spectrum(np.linalg.eigvalsh(H0)),
                   lambda states, guess: np.linalg.eigvalsh(states), _dense_diagnostics)
     threshold = 1e-6 * (1.0 + float(np.abs(H0).max()))
     return DenseTrajectory(**fields,

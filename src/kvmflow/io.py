@@ -193,25 +193,13 @@ def _jsonable(v):
     return v
 
 
-def build_summary(*, label=None, mode=None, notes=None, input=None, status=None,
-                  final_offdiag=None, spectrum=None, predicted_limit=None,
-                  checks=None, overall=None, config=None,
-                  extras: dict | None = None) -> dict:
-    """Summary mapping with a fixed key order (null for absent values)."""
-    values = {
-        "label": label,
-        "mode": mode,
-        "notes": notes,
-        "input": input,
-        "status": status,
-        "final_offdiag": final_offdiag,
-        "spectrum": spectrum,
-        "predicted_limit": predicted_limit,
-        "checks": checks,
-        "overall": overall,
-        "config": config,
-    }
-    out = {k: _jsonable(values[k]) for k in _SUMMARY_KEYS}
+def build_summary(*, extras: dict | None = None, **fields) -> dict:
+    """Summary mapping with the keys of _SUMMARY_KEYS in order (null for
+    absent values), then extras; a field outside _SUMMARY_KEYS is a TypeError."""
+    unknown = set(fields).difference(_SUMMARY_KEYS)
+    if unknown:
+        raise TypeError(f"unknown summary field(s): {sorted(unknown)}")
+    out = {k: _jsonable(fields.get(k)) for k in _SUMMARY_KEYS}
     for k, v in (extras or {}).items():
         out[k] = _jsonable(v)
     return out

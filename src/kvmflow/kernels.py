@@ -95,7 +95,8 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
     fills, every other retained row is dropped and the stride doubles, so the
-    sample count never exceeds max_rows while t=0 stays in place.
+    sample count never exceeds max_rows while t=0 stays in place. Every exit
+    but an underflow records the final state as the last row.
     """
     times = np.empty(max_rows)
     states = np.empty((max_rows,) + y0.shape)
@@ -193,14 +194,6 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
                 just_rejected = True
                 fac = min(fac, 1.0)
             h = h * fac
-
-    # ensure the final state is the last recorded row
-    if times[count - 1] < t:
-        if count == max_rows:
-            count = _halve_rows(times, states, count)
-        times[count] = t
-        states[count] = y
-        count += 1
 
     return times, states, count, status, naccept, nreject
 

@@ -37,6 +37,7 @@ __all__ = [
     "limit_slots",
     "enumerate_equilibria",
     "quadrature_nodes",
+    "default_eig_tol",
     "default_pair_tol",
     "default_gap_tol",
 ]
@@ -71,6 +72,10 @@ class EquilibriumSet:
     points: list  # list of off-diagonal vectors
     count_formula: int  # permutation count (even: (n/2)!, odd: ((n+1)/2)((n-1)/2)!)
     count_with_signs: int  # full count including sign patterns
+
+
+def default_eig_tol(scale: float) -> float:
+    return 1e-12 * (1.0 + scale)
 
 
 def default_pair_tol(scale: float) -> float:
@@ -146,7 +151,7 @@ def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum
     if not math.isfinite(scale):
         raise ValidationFailure(f"matrix is out of range: Frobenius norm {scale:.3e}")
     if tol is None:
-        tol = 1e-12 * (1.0 + scale)
+        tol = default_eig_tol(scale)
     values = _sturm_eigenvalues(d, e[None, :], tol)[0]
     return make_spectrum(values, pair_tol=default_pair_tol(scale))
 
@@ -161,19 +166,17 @@ def make_spectrum(values, pair_tol: float | None = None) -> Spectrum:
     return Spectrum(values=v, gap_min=gap_min, paired=paired, pair_tol=pair_tol)
 
 
-def spectrum_zero_diag(a, tol: float | None = None,
-                       gap_tol: float | None = None) -> Spectrum:
+def spectrum_zero_diag(a) -> Spectrum:
     """Spectrum of the zero-diagonal Jacobi matrix encoded by ``a``.
 
     The eigensolver bisects the nonnegative half and mirrors it, so the
     values are (+/-)-paired exactly, with an exact 0 for odd n.
-    DegenerateSpectrum flags eigenvalue gaps below gap_tol: the input is not
-    a Jacobi matrix, which requires distinct eigenvalues.
+    DegenerateSpectrum flags eigenvalue gaps below 1e-8 * (1 + ||T||_F): the
+    input is not a Jacobi matrix, which requires distinct eigenvalues.
     """
     a = as_offdiag(a)
-    spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a, tol=tol)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(float(np.sqrt(2.0 * np.sum(a * a))))
+    spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a)
+    gap_tol = default_gap_tol(float(np.sqrt(2.0 * np.sum(a * a))))
     if spec.gap_min < gap_tol:
         raise DegenerateSpectrum(
             f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
@@ -204,7 +207,7 @@ def limit_slots(n: int) -> np.ndarray:
     return np.arange(n - 1) % 2 == n % 2
 
 
-def predict_limit(a0, spec: Spectrum, gap_tol: float | None = None) -> np.ndarray:
+def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     """Asymptotic state of the flow from a0, built from spectrum magnitudes.
 
     For even n the odd-indexed slots (1-based 1, 3, ...) carry the magnitudes
@@ -224,9 +227,8 @@ def predict_limit(a0, spec: Spectrum, gap_tol: float | None = None) -> np.ndarra
         raise ZeroEntry(f"a_{idx} is zero; the limit sign sgn(a_{idx}) is undefined")
     if not spec.paired:
         raise PairingViolation("spectrum is not (+/-)-paired")
-    if gap_tol is None:
-        gap_tol = default_gap_tol(float(np.sqrt(2.0 * np.sum(a0 * a0))))
-    mags = _distinct_magnitudes(spec, gap_tol)
+    mags = _distinct_magnitudes(
+        spec, default_gap_tol(float(np.sqrt(2.0 * np.sum(a0 * a0)))))
 
     out = np.zeros(n - 1)
     live = limit_slots(n)
@@ -234,8 +236,7 @@ def predict_limit(a0, spec: Spectrum, gap_tol: float | None = None) -> np.ndarra
     return out
 
 
-def enumerate_equilibria(spec: Spectrum, include_signs: bool = True,
-                         gap_tol: float | None = None) -> EquilibriumSet:
+def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> EquilibriumSet:
     """All flow equilibria with the given paired spectrum.
 
     Equilibria have no two consecutive nonzero entries. For even n that means
@@ -247,9 +248,8 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True,
     """
     if not spec.paired:
         raise PairingViolation("spectrum is not (+/-)-paired")
-    if gap_tol is None:
-        gap_tol = default_gap_tol(float(np.abs(spec.values).max()) if spec.n else 0.0)
-    mags = _distinct_magnitudes(spec, gap_tol)
+    mags = _distinct_magnitudes(
+        spec, default_gap_tol(float(np.abs(spec.values).max()) if spec.n else 0.0))
     n = spec.n
     m = mags.size
     count_formula = math.factorial(m) * (1 if n % 2 == 0 else m + 1)

@@ -29,6 +29,7 @@ from .jacobi import (
 from .spectral import (
     Spectrum,
     batch_eigenvalues_zero_diag,
+    default_eig_tol,
     make_spectrum,
     predict_limit,
     enumerate_equilibria,
@@ -114,10 +115,10 @@ def trajectory_checks(traj, a0: np.ndarray) -> list:
     flips = int(np.sum(np.sign(traj.states) * np.sign(a0)[None, :] < 0.0))
     checks.append(Check("sign_preservation", flips == 0, float(flips), 0.0))
 
-    # the drift and the predicted limit are measured against ref_eigs, so it
-    # must be the spectrum of a0: tr(H^2) = 2 ||a0||^2
+    # the drift and the predicted limit are measured against traj.spectrum,
+    # so it must be the spectrum of a0: tr(H^2) = 2 ||a0||^2
     sq = float(np.sum(a0 * a0))
-    trace_dev = abs(float(np.sum(traj.ref_eigs ** 2)) - 2.0 * sq)
+    trace_dev = abs(float(np.sum(traj.spectrum.values ** 2)) - 2.0 * sq)
     bound = REFERENCE_SPECTRUM * (1 + sq)
     checks.append(Check("reference_spectrum", trace_dev <= bound, trace_dev, bound))
 
@@ -131,22 +132,20 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     With strict=False, validation is relaxed and the limit-prediction checks
     are skipped (their hypotheses need nonzero entries and distinct
     magnitudes). A stationary input yields a short report with the
-    prediction checks skipped.
+    prediction checks skipped. The meta keys are summary fields (see
+    io.build_summary).
     """
     a0 = as_offdiag(a0)
     traj = integrate(a0, cfg, validate=strict)
     meta = {
         "status": traj.status,
-        "n": a0.size + 1,
-        "strict": strict,
-        "input_offdiag": a0,
         "final_offdiag": traj.final_state,
         "config": asdict(traj.config),
     }
 
     if traj.status == "stationary_input":
         resid = float(traj.k_norms[0])
-        meta["prediction"] = "skipped (stationary input)"
+        meta["notes"] = "skipped (stationary input)"
         return VerificationReport(
             checks=[Check("stationary_residual", resid <= traj.eq_eps,
                           resid, traj.eq_eps)],
@@ -163,7 +162,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
                         final_resid, FINAL_RESIDUAL * (1 + sq)))
 
     final = traj.final_state
-    spec = make_spectrum(traj.ref_eigs)
+    spec = traj.spectrum
     meta["spectrum"] = spec.values
     if strict:
         predicted = predict_limit(a0, spec)
@@ -184,7 +183,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
         checks.append(Check("sorted_magnitudes_min_gap", min_gap > margin,
                             min_gap, margin))
     else:
-        meta["prediction"] = "skipped (strict=False)"
+        meta["notes"] = "skipped (strict=False)"
 
     return VerificationReport(checks=checks, meta=meta)
 
@@ -241,14 +240,13 @@ def verify_identities(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     return VerificationReport(checks=checks, meta={"n": n, "trials": trials, "seed": seed})
 
 
-def brute_force_equilibria(spec: Spectrum, atol: float | None = None) -> list:
+def brute_force_equilibria(spec: Spectrum) -> list:
     """All signed placements of the magnitudes that are equilibria with the
     given spectrum, found by exhaustive filtering (test oracle)."""
     mags = spec.positive_magnitudes
     n = spec.n
     m = mags.size
-    if atol is None:
-        atol = 1e-9 * (1 + float(np.abs(spec.values).max(initial=0.0)))
+    atol = 1e-9 * (1 + float(np.abs(spec.values).max(initial=0.0)))
     found = []
     for slots in itertools.permutations(range(n - 1), m):
         for signs in itertools.product((1.0, -1.0), repeat=m):
@@ -257,7 +255,7 @@ def brute_force_equilibria(spec: Spectrum, atol: float | None = None) -> list:
                 a[p] = v * s
             if equilibrium_residual(a) != 0.0:
                 continue
-            eigs = batch_eigenvalues_zero_diag(a[None, :], 1e-12 * (1 + mags.max()))[0]
+            eigs = batch_eigenvalues_zero_diag(a[None, :], default_eig_tol(mags.max()))[0]
             if np.abs(eigs - spec.values).max() <= atol:
                 found.append(a)
     return found

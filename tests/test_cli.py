@@ -184,6 +184,14 @@ class TestErrorPaths:
     def test_evolve_rejects_symmetric_document(self, sym_file, capsys):
         assert main(_args("evolve", "--input", sym_file)) == 1
 
+    @pytest.mark.parametrize("command", ["predict", "verify", "spectrum", "equilibria"])
+    def test_out_csv_only_for_evolve(self, command, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        assert main(_args(command, "--offdiag=5,-6,-2", "--out-csv", target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --out-csv" in err
+        assert not target.exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy warning would add lines
     @pytest.mark.parametrize("tokens", [
         ["verify", "--offdiag=1e200,1e200,1e200"],
@@ -212,3 +220,34 @@ class TestErrorPaths:
         assert main(_args("verify", "--offdiag=5,x")) == 1
         err = capsys.readouterr().err
         assert err == "kvmflow: error: --offdiag entry 'x' is not a number\n"
+
+
+class TestDegenerateSpectrum:
+    """The library and the CLI reject a degenerate spectrum with one error."""
+
+    A0 = [1.0, 1e-9, 1.0]
+    MESSAGE = ("smallest eigenvalue gap 1.000e-09 is below gap_tol 3.000e-08; "
+               "eigenvalues must be pairwise distinct")
+
+    @staticmethod
+    def _call(entry, a0):
+        from kvmflow import cli, flow, spectral
+
+        if entry == "integrate":
+            return flow.integrate(a0)
+        if entry == "spectrum_zero_diag":
+            return spectral.spectrum_zero_diag(a0)
+        args = cli.build_parser().parse_args([entry, "--offdiag=" + ",".join(map(str, a0))])
+        return args.func(args)
+
+    @pytest.mark.parametrize("entry", ["integrate", "spectrum_zero_diag", "verify", "predict"])
+    def test_same_class_and_message(self, entry, capsys):
+        from kvmflow.errors import DegenerateSpectrum, ValidationFailure
+
+        with pytest.raises(DegenerateSpectrum) as got:
+            self._call(entry, self.A0)
+        assert isinstance(got.value, ValidationFailure)
+        assert str(got.value) == self.MESSAGE
+        if entry in ("verify", "predict"):
+            assert main([entry, "--offdiag=1,1e-9,1"]) == 1
+            assert capsys.readouterr().err == f"kvmflow: error: {self.MESSAGE}\n"

@@ -49,18 +49,18 @@ class TestIntegrate:
         assert traj.status == "stationary_input"
         assert traj.times.size == 1
         assert traj.k_norms[0] == 0.0
-        assert traj.ref_eigs is None
+        assert traj.spectrum is None
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     @pytest.mark.parametrize("validate", [True, False])
     def test_carries_reference_spectrum(self, request, name, validate):
         a0 = request.getfixturevalue(name)
         traj = flow.integrate(a0, flow.IntegratorConfig(t_max=0.1), validate=validate)
-        np.testing.assert_array_equal(traj.ref_eigs,
+        np.testing.assert_array_equal(traj.spectrum.values,
                                       spectral.spectrum_zero_diag(a0).values)
         # an oracle outside the bisection: the spectrum of a0 itself
         tol = 1e-12 * (1.0 + np.sqrt(2.0) * np.linalg.norm(a0))
-        np.testing.assert_allclose(traj.ref_eigs,
+        np.testing.assert_allclose(traj.spectrum.values,
                                    np.linalg.eigvalsh(jacobi.embed(a0)), rtol=0, atol=3 * tol)
 
     def test_n2_is_stationary(self):
@@ -90,6 +90,14 @@ class TestIntegrate:
         cfg = flow.IntegratorConfig(abs_tol=1e-300, rel_tol=1e-300, t_max=1.0)
         with pytest.raises(StepUnderflow):
             flow.integrate(ex1, cfg)
+
+    @pytest.mark.parametrize("a0", ["ex1", "ex3"])
+    @pytest.mark.parametrize("dt", [1e-20, 1e-13, 1e-300])
+    def test_tiny_rk45_trial_step_starts_at_the_floor(self, request, a0, dt):
+        # a trial step below 1e-14 * t_max is raised to it, not refused
+        report = verify_run(request.getfixturevalue(a0), flow.IntegratorConfig(dt=dt))
+        assert report.overall, [c for c in report.checks if not c.passed]
+        assert report.meta["status"] in {"converged", "horizon_reached"}
 
     @pytest.mark.parametrize("dt", [0.5, 10.0, 1e300])
     def test_overflowing_trial_step_is_rejected(self, ex1, dt):
@@ -282,12 +290,13 @@ class TestCallTimeLookup:
 
     def test_integrate_calls_patched_attributes(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_offdiag_kernel")
-        eigs = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
+        reference = _counting(monkeypatch, flow, "spectrum_zero_diag")
+        drift = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
         lyap = _counting(monkeypatch, flow, "lyapunov_f_offdiag")
         resid = _counting(monkeypatch, flow, "residual_norms")
         flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1))
         assert len(kernel) == 1
-        assert len(eigs) == 2  # reference spectrum and per-sample drift
+        assert len(reference) == 1 and len(drift) == 1
         assert lyap and resid
 
     def test_integrate_dense_calls_patched_kernel(self, monkeypatch, ex1):

@@ -127,6 +127,10 @@ class TestWriteSummary:
         summary = kio.build_summary(status="converged", overall=True)
         assert list(summary) == list(kio._SUMMARY_KEYS)
 
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match="predicted"):
+            kio.build_summary(status="converged", predicted=[1.0])
+
     def test_plain_dict_passthrough_and_numpy_conversion(self):
         sink = stdio.StringIO()
         kio.write_summary({"x": np.float64(1.5), "y": np.arange(3)}, sink)

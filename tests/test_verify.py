@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kvmflow import flow, verify
+from kvmflow import flow, spectral, verify
 from kvmflow.errors import ValidationFailure
 from kvmflow.flow import IntegratorConfig
 
@@ -31,25 +31,33 @@ class TestVerifyRun:
         assert report.meta["status"] in {"converged", "horizon_reached"}
 
     def test_reuses_the_trajectory_reference_spectrum(self, monkeypatch, ex1):
-        rows = []
-        original = flow.batch_eigenvalues_zero_diag
+        solves = []
 
-        def counting(states, *args, **kwargs):
-            rows.append(np.atleast_2d(states).shape[0])
-            return original(states, *args, **kwargs)
+        def count_as(kind, module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(flow, "batch_eigenvalues_zero_diag", counting)
-        monkeypatch.setattr(verify, "batch_eigenvalues_zero_diag", counting)
+            def counting(*args, **kwargs):
+                solves.append(kind)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_as("t=0", spectral, "eigenvalues_tridiagonal")
+        count_as("t=0", flow, "eigenvalues_tridiagonal")
+        count_as("drift", flow, "batch_eigenvalues_zero_diag")
+        count_as("drift", verify, "batch_eigenvalues_zero_diag")
         traj = flow.integrate(ex1)
-        rows.clear()
+        solves.clear()
         report = verify.verify_run(ex1)
-        assert rows[0] == 1 and len(rows) == 2  # t=0 spectrum, then the drift
-        np.testing.assert_array_equal(report.meta["spectrum"], traj.ref_eigs)
+        assert solves == ["t=0", "drift"]
+        np.testing.assert_array_equal(report.meta["spectrum"], traj.spectrum.values)
 
     def test_reference_spectrum_of_another_matrix_fails(self, monkeypatch, ex1):
         def scaled_reference(*args, **kwargs):
             traj = flow.integrate(*args, **kwargs)
-            return dataclasses.replace(traj, ref_eigs=traj.ref_eigs * (1 + 1e-6))
+            scaled = dataclasses.replace(traj.spectrum,
+                                         values=traj.spectrum.values * (1 + 1e-6))
+            return dataclasses.replace(traj, spectrum=scaled)
 
         monkeypatch.setattr(verify, "integrate", scaled_reference)
         report = verify.verify_run(ex1)
@@ -61,7 +69,7 @@ class TestVerifyRun:
     def test_stationary_input_skips_prediction(self):
         report = verify.verify_run([1.26, 0.0, -7.96])
         assert report.meta["status"] == "stationary_input"
-        assert "skipped" in report.meta["prediction"]
+        assert "skipped" in report.meta["notes"]
         assert report.overall
         assert all("limit" not in c.name for c in report.checks)
 
@@ -74,7 +82,7 @@ class TestVerifyRun:
     def test_non_strict_skips_prediction_checks(self):
         report = verify.verify_run([1.0, 0.0, 0.5, 2.0],
                                    IntegratorConfig(t_max=50.0), strict=False)
-        assert report.meta["prediction"] == "skipped (strict=False)"
+        assert report.meta["notes"] == "skipped (strict=False)"
         assert all("limit" not in c.name for c in report.checks)
         assert report.overall
 
