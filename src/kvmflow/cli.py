@@ -34,6 +34,7 @@ from .io import (
 from .spectral import (
     eigenvalues_tridiagonal,
     enumerate_equilibria,
+    make_spectrum,
     predict_limit,
     spectrum_zero_diag,
 )
@@ -235,13 +236,12 @@ def _cmd_spectrum(args) -> int:
     doc = _load_document(args)
     if doc.offdiag is not None:
         spec = eigenvalues_tridiagonal(np.zeros(doc.n), doc.offdiag)
-        values, gap_min, paired = spec.values, spec.gap_min, spec.paired
+        paired = spec.paired
     else:
-        values = np.linalg.eigvalsh(doc.symmetric)
-        gaps = np.diff(values)
-        gap_min = float(gaps.min()) if gaps.size else float("inf")
-        paired = None
-    _emit(args, doc, spectrum=values, extras={"gap_min": gap_min, "paired": paired})
+        spec = make_spectrum(np.linalg.eigvalsh(doc.symmetric))
+        paired = None  # pairing is a property of zero-diagonal matrices
+    _emit(args, doc, spectrum=spec.values,
+          extras={"gap_min": spec.gap_min, "paired": paired})
     return 0
 
 

@@ -6,17 +6,22 @@ symmetric integrator exists for cross-validation and for experiments on full
 symmetric matrices, where only isospectrality and Lyapunov monotonicity are
 guaranteed.
 
+``integrate`` normalises once: with c = ||a0|| it steps v = log|a0 / c| in
+the time tau = c^2 t (the log-magnitude chart, see
+``kernels.integrate_offdiag_kernel``) and maps times, states and diagnostics
+back at the end. ``integrate_dense`` stays in matrix coordinates.
+
 Both forms run through one driver, ``_run``: it resolves eq_eps, returns
 equilibria as stationary trajectories, picks the initial step, calls the
 kernel, turns a step underflow or a non-finite state into an error, and
-measures spectral drift. ``integrate`` and ``integrate_dense`` only validate
-their input and supply what depends on the state's shape (right-hand side,
-kernel, eigensolver, per-row diagnostics). The kernels and the eigensolver
-are looked up by name on every call, so a wrapper installed on the module
-attribute sees each call.
+measures spectral drift. The callers supply what depends on the state's
+shape (right-hand side, kernel, eigensolver, per-row diagnostics). The
+kernels and the eigensolver are looked up by name on every call, so a
+wrapper installed on the module attribute sees each call.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,11 +30,12 @@ from .errors import NonConvergence, StepUnderflow, ValidationFailure
 from .jacobi import (
     as_offdiag,
     commutator,
+    log_chart_rhs,
     lyapunov_f_offdiag,
     map_N,
     residual_norms,
-    rhs_componentwise,
     rhs_matrix,
+    scaled_norm,
     validate_initial_state,
 )
 from .spectral import (
@@ -55,9 +61,11 @@ __all__ = [
 class IntegratorConfig:
     """Integrator settings.
 
-    dt is the fixed step for rk4 and the initial trial step for rk45
-    (None picks one from the initial slope). eq_eps is the equilibrium
-    residual that stops the run early (None -> 1e-10 * (1 + ||a0||^2)).
+    dt is the fixed step for rk4 (None -> 1e-3) and the initial trial step
+    for rk45 (None picks one from the initial slope). eq_eps is the
+    equilibrium residual that stops the run early (None -> 1e-10 * ||a0||^2).
+    For the off-diagonal flow abs_tol and rel_tol bound the error in
+    log|a_i|, which makes them relative accuracies on each entry.
     """
 
     method: str = "rk45"
@@ -135,14 +143,18 @@ class DenseTrajectory(FlowTrajectory):
 
 def _default_eq_eps(sq_norm: float) -> float:
     # the residual scales quadratically in the entries
-    return 1e-10 * (1.0 + sq_norm)
+    return 1e-10 * sq_norm
+
+
+# the rk4 step when dt is None, in units of t
+_RK4_DT = 1e-3
 
 
 def _initial_step(cfg: IntegratorConfig, slope_inf: float, state_inf: float) -> float:
     if cfg.dt is not None:
         return cfg.dt
     if cfg.method == "rk4":
-        return 1e-3
+        return _RK4_DT
     h0 = 0.1 * (1.0 + state_inf) / (1.0 + slope_inf)
     return min(h0, 1e-3 * cfg.t_max)
 
@@ -153,21 +165,24 @@ def _sum_sq(x: np.ndarray) -> float:
         return float(np.sum(x * x))
 
 
-def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
-    """Integrate from y0 and return the trajectory fields.
+def _run(y0, cfg, sq_norm, unit, rhs, kernel, reference, rows, measure):
+    """Integrate from y0 and return the trajectory fields in the kernel's units.
 
-    sq_norm is ||a||^2 of the off-diagonal the state encodes (half the squared
-    Frobenius norm of a matrix) and sets the default eq_eps. The callables
-    carry what depends on the state's shape: rhs(y), the kernel, reference()
-    (the t=0 Spectrum, after any check that needs it),
-    eigenvalues(states, guess=t=0 eigenvalues) and diagnostics(states) ->
-    (Lyapunov values, residual norms). An input whose residual is already
-    <= eq_eps is returned as a one-row stationary_input trajectory without
-    integrating.
+    y0, cfg and sq_norm (||a||^2 of the off-diagonal the state encodes, half
+    the squared Frobenius norm of a matrix, which sets the default eq_eps)
+    are in the coordinates the kernel steps, whose length unit is unit
+    (||a0|| on the log chart, 1 for a matrix). The callables carry what
+    depends on the state's shape: rhs(y), the kernel, reference() (the t=0
+    Spectrum, after any check that needs it), rows(states) (the matrix rows
+    the states encode, in that unit) and measure(rows, ref) -> (Lyapunov
+    values, residual norms, spectral drift against ref, zeros when ref is
+    None). An input whose residual is already <= eq_eps is returned as a
+    one-row stationary_input trajectory without integrating.
     """
     eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(sq_norm)
+    row0 = rows(y0[None].copy())
     with np.errstate(over="ignore", invalid="ignore"):
-        f0, k0 = diagnostics(y0[None])
+        f0, k0, drift0 = measure(row0, None)
     if not (np.isfinite(sq_norm) and np.isfinite(k0[0])):
         raise ValidationFailure(
             f"initial state is out of range: squared norm {sq_norm:.3e}, "
@@ -177,13 +192,13 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
     if k0[0] <= eq_eps:
-        return dict(fields, times=np.zeros(1), states=y0[None].copy(),
-                    f_values=f0, k_norms=k0, spec_drift=np.zeros(1),
-                    status="stationary_input")
+        return dict(fields, times=np.zeros(1), states=row0, f_values=f0,
+                    k_norms=k0, spec_drift=drift0, status="stationary_input")
 
     spectrum = reference()
+    finite = np.abs(y0[np.isfinite(y0)])  # a zero entry is -inf on the log chart
     h0 = _initial_step(cfg, float(np.abs(rhs(y0)).max(initial=0.0)),
-                       float(np.abs(y0).max(initial=0.0)))
+                       float(finite.max(initial=0.0)))
     if cfg.method == "rk4" and cfg.t_max / h0 > _MAX_RK4_STEPS:
         raise ValidationFailure(
             f"rk4 run of t_max/dt = {cfg.t_max / h0:.3e} steps exceeds "
@@ -197,30 +212,25 @@ def _run(y0, cfg, sq_norm, rhs, kernel, reference, eigenvalues, diagnostics):
         times, states, count, status, _, _ = kernel(
             y0, cfg.t_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
             eq_eps, dt_min, cfg.record_stride, cfg.max_rows)
-    if status == kernels.STATUS_UNDERFLOW:
-        raise StepUnderflow(
-            f"adaptive step fell below {dt_min:.3e} (1e-14 * t_max); "
-            "loosen tolerances"
-        )
-    times = times[:count].copy()
-    states = states[:count].copy()
+        if status == kernels.STATUS_UNDERFLOW:
+            raise StepUnderflow(
+                "adaptive step fell below 1e-14 * t_max; loosen tolerances"
+            )
+        states = rows(states[:count].copy())
     if not np.all(np.isfinite(states)):
         raise NonConvergence(
             f"{cfg.method} run diverged to a non-finite state; reduce dt"
         )
 
-    ref = spectrum.values
-    drift = np.abs(eigenvalues(states, guess=ref) - ref[None, :])
-    drift = drift.max(axis=1)
+    f_values, k_norms, drift = measure(states, spectrum.values / unit)
     drift[0] = 0.0
-    f_values, k_norms = diagnostics(states)
-    return dict(fields, times=times, states=states, f_values=f_values,
-                k_norms=k_norms, spec_drift=drift, status=_STATUS_NAMES[status],
-                spectrum=spectrum)
+    return dict(fields, times=times[:count].copy(), states=states,
+                f_values=f_values, k_norms=k_norms, spec_drift=drift,
+                status=_STATUS_NAMES[status], spectrum=spectrum)
 
 
-def _offdiag_diagnostics(states):
-    return lyapunov_f_offdiag(states), residual_norms(states)
+# smallest normal float: ||a0||^2 and the normalised horizon must reach it
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
@@ -231,24 +241,65 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     entries and pairwise-distinct eigenvalues. An initial condition that is
     already an equilibrium (residual <= eq_eps) yields a single-row
     stationary_input trajectory without integrating.
+
+    The run is made once, at unit norm: with c = ||a0|| and s = sign(a0), the
+    kernel steps v = log|a0 / c| in tau = c^2 t, and the trajectory is
+    mapped back as t = tau / c^2, a = s c exp(v) (row 0 is a0 itself),
+    Lyapunov values and residuals times c^2, drift times c. An input whose
+    c^2 (or n c^2) is not a finite normal float is rejected.
     """
     cfg = (cfg or IntegratorConfig()).validated()
     a0 = as_offdiag(a0)
-    sq_norm = _sum_sq(a0)
-    tol = default_eig_tol(float(np.sqrt(2.0 * sq_norm)))
+    n = a0.size + 1
+    c = scaled_norm(a0) or 1.0  # any unit serves the zero vector, a fixed point
+    c2 = c * c
+    if not (_TINY <= c2 and n * c2 < math.inf):
+        raise ValidationFailure(
+            f"initial state is out of range: norm {c:.3e} squares outside "
+            "the normal float range"
+        )
+    dt = cfg.dt
+    if dt is None and cfg.method == "rk4":
+        dt = _RK4_DT  # a step in t: it maps like a given one
+    chart = replace(cfg, t_max=c2 * cfg.t_max, dt=None if dt is None else c2 * dt,
+                    eq_eps=None if cfg.eq_eps is None else cfg.eq_eps / c2)
+    if not _TINY <= chart.t_max < math.inf:
+        raise ValidationFailure(
+            f"t_max * ||a0||^2 = {chart.t_max:.3e} is out of range"
+        )
+    sign = np.sign(a0)
+    with np.errstate(divide="ignore"):
+        v0 = np.log(np.abs(a0) / c)
+    tol = default_eig_tol(math.sqrt(2.0))  # unit rows: ||T||_F = sqrt(2)
 
-    def eigenvalues(states, guess):
-        return batch_eigenvalues_zero_diag(states, tol, guess=guess)
+    def rows(V):
+        return sign * np.exp(V)
+
+    def measure(B, ref):
+        f, k = lyapunov_f_offdiag(B), residual_norms(B)
+        if ref is None:
+            return f, k, np.zeros(len(B))
+        drift = np.abs(batch_eigenvalues_zero_diag(B, tol, guess=ref) - ref)
+        return f, k, drift.max(axis=1)
 
     def reference():
         if not validate:
-            return eigenvalues_tridiagonal(np.zeros(a0.size + 1), a0)
+            return eigenvalues_tridiagonal(np.zeros(n), a0)
         validate_initial_state(a0)
         return spectrum_zero_diag(a0)
 
-    return FlowTrajectory(**_run(
-        a0, cfg, sq_norm, rhs_componentwise, kernels.integrate_offdiag_kernel,
-        reference, eigenvalues, _offdiag_diagnostics))
+    fields = _run(v0, chart, 1.0, c, log_chart_rhs(a0.size),
+                  kernels.integrate_offdiag_kernel, reference, rows, measure)
+    times = fields["times"] / c2
+    if fields["status"] == "horizon_reached":
+        times[-1] = cfg.t_max
+    states = c * fields["states"]
+    states[0] = a0
+    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(c2)
+    return FlowTrajectory(**dict(
+        fields, config=cfg, eq_eps=eq_eps, times=times, states=states,
+        f_values=c2 * fields["f_values"], k_norms=c2 * fields["k_norms"],
+        spec_drift=c * fields["spec_drift"]))
 
 
 def block_structure(H: np.ndarray, threshold: float) -> list:
@@ -265,10 +316,14 @@ def block_structure(H: np.ndarray, threshold: float) -> list:
     return sizes
 
 
-def _dense_diagnostics(states):
+def _dense_measure(states, ref):
     # one norm per row: a batched norm sums in another order and changes bits
     k_norms = np.array([np.linalg.norm(commutator(H, map_N(H))) for H in states])
-    return _dense_f(states), k_norms
+    if ref is None:
+        drift = np.zeros(len(states))
+    else:
+        drift = np.abs(np.linalg.eigvalsh(states) - ref).max(axis=1)
+    return _dense_f(states), k_norms, drift
 
 
 def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
@@ -289,10 +344,10 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
         raise ValidationFailure(f"matrix is not symmetric (defect {sym_defect:.3e})")
     H0 = 0.5 * (H0 + H0.T)
 
-    fields = _run(H0, cfg, 0.5 * _sum_sq(H0), rhs_matrix,
+    fields = _run(H0, cfg, 0.5 * _sum_sq(H0), 1.0, rhs_matrix,
                   kernels.integrate_dense_kernel,
                   lambda: make_spectrum(np.linalg.eigvalsh(H0)),
-                  lambda states, guess: np.linalg.eigvalsh(states), _dense_diagnostics)
+                  lambda states: states, _dense_measure)
     threshold = 1e-6 * (1.0 + float(np.abs(H0).max()))
     return DenseTrajectory(**fields,
                            final_blocks=block_structure(fields["states"][-1], threshold))

@@ -5,6 +5,8 @@ A zero-diagonal Jacobi matrix is encoded compactly by its super-diagonal
 Entry indices in docstrings are 1-based to match the usual notation.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, StructureViolation, ValidationFailure
@@ -17,11 +19,13 @@ __all__ = [
     "map_K",
     "commutator",
     "rhs_componentwise",
+    "log_chart_rhs",
     "rhs_matrix",
     "lyapunov_f",
     "lyapunov_f_traceform",
     "lyapunov_f_offdiag",
     "equilibrium_residual",
+    "scaled_norm",
     "validate_initial_state",
 ]
 
@@ -116,18 +120,32 @@ def rhs_componentwise(a) -> np.ndarray:
     da_1 = -a_1 a_2^2, da_i = a_i (a_{i-1}^2 - a_{i+1}^2) for 1 < i < n-1,
     da_{n-1} = a_{n-1} a_{n-2}^2. Identically zero for n <= 2.
     """
-    return _rhs_offdiag(as_offdiag(a))
+    a = as_offdiag(a)
+    sq = np.zeros(a.size + 2)  # a_0 = a_n = 0 at the two ends
+    sq[1:-1] = a * a
+    return a * (sq[:-2] - sq[2:])
 
 
-def _rhs_offdiag(a: np.ndarray) -> np.ndarray:
-    """Unchecked rhs_componentwise for a finite float64 vector."""
-    out = np.zeros_like(a)
-    if a.size >= 2:
-        sq = a * a
-        out[0] = -a[0] * sq[1]
-        out[-1] = sq[-2] * a[-1]
-        out[1:-1] = a[1:-1] * (sq[:-2] - sq[2:])
-    return out
+def log_chart_rhs(k: int):
+    """Return rhs(v), the flow's field on the log-magnitude chart, for k entries.
+
+    With c = ||a0||, v_i = log|a_i / c| and tau = c^2 t, the componentwise
+    field becomes dv_i/dtau = e_{i-1} - e_{i+1} with e = exp(2 v) and
+    e_0 = e_n = 0: no sign, no scale. The flow of a = c b is c b(c^2 t),
+    since the field is homogeneous of degree 3. rhs writes e into one padded
+    buffer allocated here, so the ends need no branch; each call allocates
+    only its result. An entry at v = -inf (a zero entry) has e = 0.
+    """
+    e = np.zeros(k + 2)
+    inner = e[1:-1]
+    before, after = e[:-2], e[2:]
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        np.multiply(v, 2.0, out=inner)
+        np.exp(inner, out=inner)
+        return before - after
+
+    return rhs
 
 
 def rhs_matrix(H) -> np.ndarray:
@@ -191,6 +209,20 @@ def residual_norms(states: np.ndarray) -> np.ndarray:
         return np.zeros(states.shape[0])
     prods = states[:, :-1] * states[:, 1:]
     return np.sqrt(2.0 * np.sum(prods * prods, axis=1))
+
+
+def scaled_norm(x) -> float:
+    """Euclidean norm of the entries of x, as m * ||x / m|| with m = max |x_i|.
+
+    No entry is squared into under- or overflow; the result is inf only when
+    the norm itself overflows.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    m = float(np.abs(x).max(initial=0.0))
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    y = x / m
+    return m * math.sqrt(float(np.dot(y, y)))
 
 
 def validate_initial_state(a) -> np.ndarray:

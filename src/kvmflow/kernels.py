@@ -4,9 +4,9 @@ One Dormand-Prince 5(4) / fixed-step RK4 stepper integrates both forms of the
 flow. It takes the right-hand side and the squared equilibrium residual as
 arguments and works on a state of any shape:
 
-* ``integrate_offdiag_kernel`` steps the off-diagonal vector with the
-  closed-form cubic field and reflects spurious sign crossings back onto the
-  initial orthant;
+* ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
+  chart ``v = log|a / ||a0|| |`` in normalised time, where the field is
+  smooth, scale-free and leaves every sign where it started;
 * ``integrate_dense_kernel`` steps a full symmetric matrix with the
   nested-commutator field [H, [H, N(H)]].
 
@@ -16,7 +16,7 @@ left to right, so results do not depend on numpy's pairwise summation.
 
 import numpy as np
 
-from .jacobi import _bracket_K, _rhs_dense, _rhs_offdiag
+from .jacobi import _bracket_K, _rhs_dense, log_chart_rhs
 
 
 def lane() -> str:
@@ -70,6 +70,14 @@ def _resid2_offdiag(a: np.ndarray) -> float:
     return 2.0 * _sum_in_order(p * p)
 
 
+def _resid2_log(v: np.ndarray) -> float:
+    """Squared residual 2 sum exp(2 (v_i + v_{i+1})) of the unit rows exp(v).
+
+    Signs drop out of the squares; an entry at v = -inf adds exactly 0.
+    """
+    return _resid2_offdiag(np.exp(v))
+
+
 def _resid2_dense(H: np.ndarray) -> float:
     """Squared Frobenius norm of the inner bracket [H, N(H)]."""
     K = _bracket_K(H)
@@ -84,13 +92,13 @@ def _halve_rows(times, states, count) -> int:
     return half_n
 
 
-def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
-               rel_tol, eq_eps, dt_min, stride0, max_rows):
+def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
+               eq_eps, dt_min, stride0, max_rows):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
-    Stops at t_max, or once resid2(y) <= eq_eps^2. When sign0 is given, each
-    component that crosses zero against it after an accepted step is
-    reflected back (the exact flow keeps every component's sign).
+    Stops at t_max, or once resid2(y) <= eq_eps^2. A fixed-step run takes its
+    time from the step index, k * h_init, so no rounding accumulates; a step
+    that ends within 1e-14 * t_max of t_max ends exactly on it.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
@@ -119,11 +127,19 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
     t_edge = t_max * (1.0 - 1.0e-14)
 
     while t < t_edge:
-        if not fixed_step and not h >= dt_min:  # a NaN step is an underflow
-            status = STATUS_UNDERFLOW
-            break
-        if h > t_max - t:
-            h = t_max - t
+        if fixed_step:
+            t_new = (naccept + 1) * h_init
+        else:
+            if not h >= dt_min:  # a NaN step is an underflow
+                status = STATUS_UNDERFLOW
+                break
+            if h > t_max - t:
+                h = t_max - t
+            t_new = t + h
+        if t_new >= t_edge:
+            t_new = t_max
+        if fixed_step:
+            h = t_new - t
 
         err = 0.0
         if fixed_step:
@@ -150,16 +166,10 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
             accept = err <= 1.0
 
         if accept:
-            t = t + h
+            t = t_new
             y = y_new
             k1 = k_last
             naccept += 1
-
-            if sign0 is not None:
-                flipped = sign0 * y < 0.0
-                if flipped.any():
-                    np.negative(y, out=y, where=flipped)
-                    k1 = rhs(y)
 
             r2 = resid2(y)
             done = r2 <= eq2 or t >= t_edge
@@ -198,29 +208,32 @@ def _integrate(y0, rhs, resid2, sign0, t_max, h_init, fixed_step, abs_tol,
     return times, states, count, status, naccept, nreject
 
 
-def integrate_offdiag_kernel(a0, t_max, h_init, fixed_step, abs_tol, rel_tol,
+def integrate_offdiag_kernel(v0, t_max, h_init, fixed_step, abs_tol, rel_tol,
                              eq_eps, dt_min, stride0, max_rows):
-    """Integrate da/dt on the off-diagonal chart; see :func:`_integrate`.
+    """Integrate the off-diagonal flow on the log-magnitude chart.
 
-    Each component keeps its initial sign along the exact flow (zero is a
-    per-component equilibrium), so spurious crossings below the error floor
-    are reflected back onto the initial orthant.
+    The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
+    stepped in normalised time tau = ||a0||^2 t with the field of
+    :func:`jacobi.log_chart_rhs`; t_max, h_init, dt_min and eq_eps are in
+    those units, and eq_eps bounds the residual of exp(v). A zero entry is
+    v = -inf: it stays there and adds 0 to the field, the residual and the
+    error norm. abs_tol and rel_tol bound the error in v, which is the
+    relative error of each entry. See :func:`_integrate` for the return value.
     """
-    return _integrate(a0, _rhs_offdiag, _resid2_offdiag, np.sign(a0), t_max,
-                      h_init, fixed_step, abs_tol, rel_tol, eq_eps, dt_min,
-                      stride0, max_rows)
+    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, h_init,
+                      fixed_step, abs_tol, rel_tol, eq_eps, dt_min, stride0,
+                      max_rows)
 
 
 def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
                            eq_eps, dt_min, stride0, max_rows):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
-    Same stepping and recording as :func:`integrate_offdiag_kernel`, without
-    sign reflection; the residual is the Frobenius norm of [H, N(H)].
+    Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
+    coordinates; the residual is the Frobenius norm of [H, N(H)].
     """
-    return _integrate(H0, _rhs_dense, _resid2_dense, None, t_max, h_init,
-                      fixed_step, abs_tol, rel_tol, eq_eps, dt_min, stride0,
-                      max_rows)
+    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, h_init, fixed_step,
+                      abs_tol, rel_tol, eq_eps, dt_min, stride0, max_rows)
 
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)

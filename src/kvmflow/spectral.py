@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
     ZeroEntry,
 )
-from .jacobi import as_offdiag, equilibrium_residual
+from .jacobi import as_offdiag, scaled_norm
 
 __all__ = [
     "Spectrum",
@@ -74,6 +74,12 @@ class EquilibriumSet:
     count_with_signs: int  # full count including sign patterns
 
 
+# The default tolerances below are set for a matrix (or spectrum) divided by
+# its largest entry magnitude, whose Frobenius norm (or largest magnitude) is
+# `scale`; callers multiply them back by that entry. Every tolerance is then
+# homogeneous of degree 1 in the input: scale-free.
+
+
 def default_eig_tol(scale: float) -> float:
     return 1e-12 * (1.0 + scale)
 
@@ -84,6 +90,25 @@ def default_pair_tol(scale: float) -> float:
 
 def default_gap_tol(scale: float) -> float:
     return 1e-8 * (1.0 + scale)
+
+
+def _unit(x) -> float:
+    """Largest entry magnitude of x (1 for an all-zero x): the unit in which
+    the default tolerances are set."""
+    m = float(np.abs(x).max(initial=0.0))
+    return m if m > 0.0 else 1.0
+
+
+def _spectrum_tol(default_tol, values) -> float:
+    """default_tol for eigenvalues, set on them divided by the largest."""
+    unit = _unit(values)
+    return unit * default_tol(float(np.abs(values).max(initial=0.0)) / unit)
+
+
+def _zero_diag_gap_tol(a: np.ndarray) -> float:
+    """Smallest eigenvalue gap (and magnitude) accepted for the matrix of a."""
+    unit = _unit(a)
+    return unit * default_gap_tol(math.sqrt(2.0) * scaled_norm(a / unit))
 
 
 def pairing_defect(values: np.ndarray) -> float:
@@ -134,9 +159,11 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
 def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum:
     """All eigenvalues of the symmetric tridiagonal matrix (diag, offdiag).
 
-    Sturm-sequence bisection, each eigenvalue within ``tol`` of exact
-    (default ``1e-12 * (1 + ||T||_F)``). Entries whose norm overflows raise
-    ValidationFailure.
+    Sturm-sequence bisection on the matrix divided by its largest entry, so
+    the brackets and tolerances are scale-free; the values are scaled back.
+    Each eigenvalue is within ``tol`` of exact (default ``1e-12 * (m +
+    ||T||_F)``, m the largest entry). A matrix whose squared Frobenius norm
+    overflows raises ValidationFailure.
     """
     d = np.asarray(diag, dtype=np.float64).reshape(-1)
     e = np.asarray(offdiag, dtype=np.float64).reshape(-1)
@@ -146,21 +173,28 @@ def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum
         )
     if d.size == 0:
         raise DimensionMismatch("matrix dimension must be at least 1")
-    with np.errstate(over="ignore"):
-        scale = float(np.sqrt(np.sum(d * d) + 2.0 * np.sum(e * e)))
-    if not math.isfinite(scale):
-        raise ValidationFailure(f"matrix is out of range: Frobenius norm {scale:.3e}")
-    if tol is None:
-        tol = default_eig_tol(scale)
-    values = _sturm_eigenvalues(d, e[None, :], tol)[0]
-    return make_spectrum(values, pair_tol=default_pair_tol(scale))
+    unit = _unit(np.concatenate([d, e]))
+    if math.isfinite(unit):
+        d, e = d / unit, e / unit
+        scale = math.sqrt(float(np.dot(d, d) + 2.0 * np.dot(e, e)))
+    else:
+        scale = math.inf
+    norm = unit * scale
+    if not math.isfinite(norm * norm):
+        raise ValidationFailure(
+            f"matrix is out of range: Frobenius norm {norm:.3e} squares to "
+            "more than the largest float"
+        )
+    tol = default_eig_tol(scale) if tol is None else tol / unit
+    values = _sturm_eigenvalues(d, e[None, :], tol)[0] * unit
+    return make_spectrum(values, pair_tol=unit * default_pair_tol(scale))
 
 
 def make_spectrum(values, pair_tol: float | None = None) -> Spectrum:
     """Build a Spectrum from raw eigenvalues, measuring gap_min and pairing."""
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     if pair_tol is None:
-        pair_tol = default_pair_tol(float(np.abs(v).max()) if v.size else 0.0)
+        pair_tol = _spectrum_tol(default_pair_tol, v)
     gap_min = float(np.diff(v).min()) if v.size > 1 else math.inf
     paired = pairing_defect(v) <= pair_tol
     return Spectrum(values=v, gap_min=gap_min, paired=paired, pair_tol=pair_tol)
@@ -171,13 +205,14 @@ def spectrum_zero_diag(a) -> Spectrum:
 
     The eigensolver bisects the nonnegative half and mirrors it, so the
     values are (+/-)-paired exactly, with an exact 0 for odd n.
-    DegenerateSpectrum flags eigenvalue gaps below 1e-8 * (1 + ||T||_F): the
-    input is not a Jacobi matrix, which requires distinct eigenvalues.
+    DegenerateSpectrum flags eigenvalue gaps below 1e-8 * (m + ||T||_F), m
+    the largest |a_i|: the input is not a Jacobi matrix, which requires
+    distinct eigenvalues.
     """
     a = as_offdiag(a)
     spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a)
-    gap_tol = default_gap_tol(float(np.sqrt(2.0 * np.sum(a * a))))
-    if spec.gap_min < gap_tol:
+    gap_tol = _zero_diag_gap_tol(a)
+    if not spec.gap_min >= gap_tol:
         raise DegenerateSpectrum(
             f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
             f"gap_tol {gap_tol:.3e}; eigenvalues must be pairwise distinct"
@@ -220,15 +255,17 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     n = a0.size + 1
     if spec.n != n:
         raise DimensionMismatch(f"spectrum has {spec.n} values, state implies {n}")
-    if equilibrium_residual(a0) == 0.0:
+    nonzero = a0 != 0.0
+    # no two neighbours nonzero: map_K(a0) = 0, read from the pattern because
+    # the products under- or overflow at extreme scales
+    if not np.any(nonzero[:-1] & nonzero[1:]):
         raise EquilibriumInput("input is already an equilibrium; it does not move")
     if a0.size and np.any(a0 == 0.0):
         idx = int(np.flatnonzero(a0 == 0.0)[0]) + 1
         raise ZeroEntry(f"a_{idx} is zero; the limit sign sgn(a_{idx}) is undefined")
     if not spec.paired:
         raise PairingViolation("spectrum is not (+/-)-paired")
-    mags = _distinct_magnitudes(
-        spec, default_gap_tol(float(np.sqrt(2.0 * np.sum(a0 * a0)))))
+    mags = _distinct_magnitudes(spec, _zero_diag_gap_tol(a0))
 
     out = np.zeros(n - 1)
     live = limit_slots(n)
@@ -248,8 +285,7 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
     """
     if not spec.paired:
         raise PairingViolation("spectrum is not (+/-)-paired")
-    mags = _distinct_magnitudes(
-        spec, default_gap_tol(float(np.abs(spec.values).max()) if spec.n else 0.0))
+    mags = _distinct_magnitudes(spec, _spectrum_tol(default_gap_tol, spec.values))
     n = spec.n
     m = mags.size
     count_formula = math.factorial(m) * (1 if n % 2 == 0 else m + 1)

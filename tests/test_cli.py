@@ -68,6 +68,16 @@ class TestEvolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_fixed_step_run_ends_exactly_on_the_horizon(self, tmp_path, capsys):
+        # rk4 time comes from the step index: no sliver step after 1 - 5.5e-14
+        csv_path = tmp_path / "s.csv"
+        assert main(_args("evolve", "--offdiag=5,-6,-2", "--method", "rk4",
+                          "--dt", "5e-4", "--t-max", "1", "--eq-eps", "0",
+                          "--out-csv", csv_path)) == 0
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == 2001
+        assert float(rows[-1].split(",")[0]) == 1.0
+
 
 class TestPredict:
     def test_closed_form_values(self, capsys):
@@ -75,6 +85,13 @@ class TestPredict:
         summary = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(summary["predicted_limit"],
                                    [1.2557, 0.0, -7.9639], atol=5e-5)
+
+    def test_tiny_input_predicts_the_scaled_limit(self, capsys):
+        assert main(_args("predict", "--offdiag=5e-60,-6e-60,-2e-60")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(summary["predicted_limit"],
+                                   np.array([1.25567, 0.0, -7.96387]) * 1e-60,
+                                   rtol=0, atol=5e-65)
 
     def test_stationary_input_reported(self, capsys):
         assert main(_args("predict", "--offdiag=1.26,0,-7.96")) == 0
@@ -107,6 +124,14 @@ class TestVerify:
         for p in paths:
             assert main(_args("verify", "--input", ex1_file, "--out-summary", p)) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_small_input_is_not_stationary(self, capsys):
+        # ex1 * 1e-6 moves 1e12 times slower than ex1: at t_max = 10 it has
+        # barely moved, which is a failed check, not a stationary pass
+        assert main(_args("verify", "--offdiag=5e-6,-6e-6,-2e-6")) == 2
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "horizon_reached"
+        assert summary["overall"] is False
 
     @pytest.mark.parametrize("name", ["ex1.json", "ex2.json", "ex3.json"])
     def test_shipped_fixtures_verify_clean(self, name):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kvmflow import flow, jacobi, kernels, spectral
 from kvmflow.errors import NonConvergence, StepUnderflow, ValidationFailure
@@ -107,11 +109,35 @@ class TestIntegrate:
         assert report.overall, [c for c in report.checks if not c.passed]
         assert report.meta["status"] == "converged"
 
-    @pytest.mark.parametrize("a0", [[1e200, 1e200, 1e200], [1e150, 1e150]])
+    @pytest.mark.parametrize("a0", [[1e200, 1e200, 1e200]])
     def test_non_finite_initial_state_rejected(self, a0):
-        # the squared norm, or only the residual, overflows
+        # the squared norm overflows
         with pytest.raises(ValidationFailure, match="out of range"):
             flow.integrate(a0, flow.IntegratorConfig(eq_eps=1.0))
+
+    def test_squared_norm_near_the_float_limit_converges(self):
+        # ||a0||^2 = 2e300 is finite; the residual of a0 itself (1.4e300)
+        # is too, though its square is not. tau_max = ||a0||^2 t_max = 200.
+        a0 = np.array([1e150, 1e150])
+        traj = flow.integrate(a0, flow.IntegratorConfig(t_max=1e-298))
+        assert traj.status == "converged"
+        assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.k_norms))
+        np.testing.assert_allclose(traj.final_state, [0.0, np.sqrt(2.0) * 1e150],
+                                   rtol=0, atol=1e-9 * np.sqrt(2.0) * 1e150)
+
+    def test_underflowing_squared_norm_rejected(self):
+        # not a stationary input: ||a0||^2 = 3e-400 is not a normal float
+        with pytest.raises(ValidationFailure, match="out of range"):
+            flow.integrate([1e-200, 1e-200, 1e-200])
+
+    @pytest.mark.parametrize("factor, t_max", [(1e-100, 1e200), (1e100, 1e-200)])
+    def test_scaled_input_converges_to_the_scaled_limit(self, ex1, factor, t_max):
+        # the flow from c*b is c*b(c^2 t)
+        unscaled = flow.integrate(ex1)
+        traj = flow.integrate(ex1 * factor, flow.IntegratorConfig(t_max=t_max))
+        assert unscaled.status == traj.status == "converged"
+        np.testing.assert_allclose(traj.final_state / factor, unscaled.final_state,
+                                   rtol=0, atol=1e-9 * np.linalg.norm(ex1))
 
     def test_diverging_fixed_step_raises(self, ex1):
         cfg = flow.IntegratorConfig(method="rk4", dt=0.5)
@@ -187,6 +213,37 @@ class TestInvariants:
         assert np.abs(rk4.final_state - rk45.final_state).max() <= 1e-6
 
 
+@st.composite
+def _oracle_input(draw):
+    """n in 3..8, entries +-U[0.5, 10], squared magnitudes (and, for odd n,
+    the smallest one) at least 0.35 apart: the rule of the oracle suite."""
+    n = draw(st.integers(3, 8))
+    mags = draw(st.lists(st.floats(0.5, 10.0), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n - 1, max_size=n - 1))
+    b = np.array(mags) * np.array(signs)
+    sq = np.linalg.eigvalsh(jacobi.embed(b))[n - n // 2:] ** 2
+    gaps = np.concatenate([sq[:1], np.diff(sq)]) if n % 2 else np.diff(sq)
+    assume(gaps.min() >= 0.35)
+    return b
+
+
+class TestScaleInvariance:
+    """The flow from 10^k b is 10^k b(10^(2k) t): a scaled run must repeat the
+    unscaled one, whatever the scale."""
+
+    @settings(max_examples=40)
+    @given(_oracle_input(), st.integers(-150, 150))
+    def test_scaled_run_repeats_the_unscaled_run(self, b, k):
+        scale = 10.0 ** k
+        plain = verify_run(b, flow.IntegratorConfig(t_max=150.0, max_rows=160))
+        scaled = verify_run(b * scale, flow.IntegratorConfig(
+            t_max=150.0 * 10.0 ** (-2 * k), max_rows=160))
+        assert scaled.meta["status"] == plain.meta["status"] != "stationary_input"
+        dev = np.abs(scaled.meta["final_offdiag"] / scale - plain.meta["final_offdiag"])
+        assert dev.max() <= 1e-9 * np.linalg.norm(b)
+        assert scaled.overall == plain.overall
+
+
 class TestDetectConvergence:
     def _traj(self, k_norms):
         m = len(k_norms)
@@ -218,13 +275,25 @@ class TestDetectConvergence:
 
 
 class TestIntegrateDense:
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    @pytest.mark.parametrize("method", ["rk45"])
     def test_matches_componentwise_integrator(self, ex1, method):
         cfg = flow.IntegratorConfig(method=method, t_max=1.0, eq_eps=0.0)
         dense = flow.integrate_dense(jacobi.embed(ex1), cfg)
         compact = flow.integrate(ex1, cfg)
         got = np.diagonal(dense.final_state, 1)
         assert np.abs(got - compact.final_state).max() <= 1e-8
+
+    def test_rk4_is_fourth_order_against_a_dense_reference(self, ex1):
+        # rk4 on the log chart and rk4 on the matrix truncate differently, so
+        # the compact rk4 run is measured against a tight dense rk45 run
+        tight = flow.IntegratorConfig(t_max=1.0, eq_eps=0.0, abs_tol=1e-14, rel_tol=1e-14)
+        ref = np.diagonal(flow.integrate_dense(jacobi.embed(ex1), tight).final_state, 1)
+        errors = []
+        for dt in (1e-3, 5e-4):
+            cfg = flow.IntegratorConfig(method="rk4", dt=dt, t_max=1.0, eq_eps=0.0)
+            errors.append(np.abs(flow.integrate(ex1, cfg).final_state - ref).max())
+        assert errors[0] / errors[1] >= 12.0  # 16 for a fourth-order method
+        assert errors[1] <= 5e-8
 
     def test_diagonal_matrix_is_stationary(self):
         traj = flow.integrate_dense(np.diag([3.0, -1.0, 2.0]))

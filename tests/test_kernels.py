@@ -1,4 +1,4 @@
-"""The numpy kernels: lane report, Sturm eigensolver, in-order sums, recording.
+"""The numpy kernels: lane report, Sturm eigensolver, log chart, in-order sums, recording.
 
 The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``),
 cold and warm-started.
@@ -143,11 +143,54 @@ class TestSumsInLoopOrder:
             assert kernels._resid2_dense(H) == loop
 
 
+def _log_chart(a):
+    """v = log|a / ||a|| |, the state the off-diagonal kernel steps."""
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(a) / np.linalg.norm(a))
+
+
+class TestLogChart:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=12),
+           st.floats(-50.0, 50.0))
+    def test_field_is_the_flow_on_log_magnitudes(self, mags, exponent):
+        # d log|a_i| / d(c^2 t) = (da_i/dt) / (a_i c^2), at any scale c
+        a = np.array(mags) * 10.0 ** exponent
+        c2 = float(np.sum(a * a))
+        got = jacobi.log_chart_rhs(a.size)(_log_chart(a))
+        want = jacobi.rhs_componentwise(a) / a / c2
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_field_reuses_its_buffer(self):
+        rhs = jacobi.log_chart_rhs(3)
+        first = rhs(_log_chart([5.0, -6.0, -2.0])).copy()
+        rhs(_log_chart([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(rhs(_log_chart([5.0, -6.0, -2.0])), first)
+
+    def test_zero_entry_stays_exactly_at_minus_infinity(self):
+        # with strict=False a zero entry is v = -inf: a fixed point that adds
+        # nothing to the field, the residual or the error norm
+        v0 = _log_chart([1.0, 0.0, 0.5, 2.0])
+        rhs = jacobi.log_chart_rhs(4)
+        field = rhs(v0)
+        assert field[0] == 0.0
+        np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)(v0[2:]))
+        times, states, count, status, *_ = kernels.integrate_offdiag_kernel(
+            v0, 100.0, 1e-3, False, 1e-10, 1e-10, 1e-10, 1e-12, 1, 1000)
+        assert status == kernels.STATUS_CONVERGED
+        assert np.all(states[:count, 1] == -np.inf)
+        assert np.all(np.isfinite(states[:count, [0, 2, 3]]))
+        # the left block [a_1] is alone: it does not move
+        assert np.all(states[:count, 0] == v0[0])
+        assert kernels._resid2_log(np.array([0.0, -np.inf, -np.inf])) == 0.0
+
+
 class TestRecording:
     def test_decimation_keeps_t0_and_final(self):
-        a0 = np.array([5.0, -6.0, -2.0])
+        v0 = _log_chart([5.0, -6.0, -2.0])
         times, states, count, status, naccept, _ = kernels.integrate_offdiag_kernel(
-            a0, 1.0, 1e-3, True, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
+            v0, 1.0, 1e-3, True, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
         assert count <= 32
         assert times[0] == 0.0
         assert times[count - 1] == pytest.approx(1.0, abs=1e-12)
@@ -163,9 +206,9 @@ class TestRecording:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_underflow_status(self):
-        a0 = np.array([5.0, -6.0, -2.0])
+        v0 = _log_chart([5.0, -6.0, -2.0])
         out = kernels.integrate_offdiag_kernel(
-            a0, 1.0, 1e-3, False, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
+            v0, 1.0, 1e-3, False, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -176,20 +219,3 @@ class TestRecording:
         out = kernels.integrate_dense_kernel(
             H, 1.0, 1e-3, False, 1e-10, 1e-10, 0.0, 1e-14, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
-
-
-class TestSignReflection:
-    # dy/dt = -2 drives y from 1 through zero at t=0.5
-    @staticmethod
-    def _run(sign0):
-        return kernels._integrate(np.array([1.0]), lambda y: np.full_like(y, -2.0),
-                                  lambda y: 1.0, sign0, 1.0, 0.01, True, 1e-10,
-                                  1e-10, 0.0, 1e-14, 1, 256)
-
-    def test_crossing_is_reflected_onto_initial_orthant(self):
-        _, states, count, *_ = self._run(np.array([1.0]))
-        assert states[:count].min() >= 0.0
-
-    def test_no_reflection_without_orthant(self):
-        _, states, count, *_ = self._run(None)
-        assert states[count - 1, 0] == pytest.approx(-1.0)
