@@ -42,7 +42,7 @@ class DegenerateSpectrum(ValidationFailure):
 
 
 class StepUnderflow(KvmflowError):
-    """Adaptive step fell below 1e-14 * t_max; tolerances are misconfigured."""
+    """Adaptive step fell below 1e-14 of the run's time scale; tolerances too tight."""
 
 
 class ParseError(KvmflowError):

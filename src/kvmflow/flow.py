@@ -6,22 +6,22 @@ symmetric integrator exists for cross-validation and for experiments on full
 symmetric matrices, where only isospectrality and Lyapunov monotonicity are
 guaranteed.
 
-``integrate`` normalises once: with c = ||a0|| it steps v = log|a0 / c| in
-the time tau = c^2 t (the log-magnitude chart, see
-``kernels.integrate_offdiag_kernel``) and maps times, states and diagnostics
-back at the end. ``integrate_dense`` stays in matrix coordinates.
-
-Both forms run through one driver, ``_run``: it resolves eq_eps, returns
-equilibria as stationary trajectories, picks the initial step, calls the
-kernel, turns a step underflow or a non-finite state into an error, and
-measures spectral drift. The callers supply what depends on the state's
-shape (right-hand side, kernel, eigensolver, per-row diagnostics). The
-kernels and the eigensolver are looked up by name on every call, so a
-wrapper installed on the module attribute sees each call.
+The field is homogeneous of degree 3, so the flow from c * b is c * b(c^2 t)
+for both state shapes. Both run through one driver, ``_run``, which owns the
+units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
+for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
+stationary trajectories, calls the kernel, turns a step underflow or a
+non-finite state into an error, measures spectral drift and maps times,
+states and diagnostics back. ``integrate`` steps v = log|a0 / c| (the
+log-magnitude chart, see ``kernels.integrate_offdiag_kernel``);
+``integrate_dense`` steps the matrix H0 / c. The callers supply what depends
+on the state's shape (kernel, eigensolver, per-row diagnostics). The kernels
+and the eigensolver are looked up by name on every call, so a wrapper
+installed on the module attribute sees each call.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .errors import NonConvergence, StepUnderflow, ValidationFailure
 from .jacobi import (
     as_offdiag,
     commutator,
-    log_chart_rhs,
     lyapunov_f_offdiag,
     map_N,
     residual_norms,
-    rhs_matrix,
     scaled_norm,
     validate_initial_state,
 )
@@ -63,9 +61,10 @@ class IntegratorConfig:
 
     dt is the fixed step for rk4 (None -> 1e-3) and the initial trial step
     for rk45 (None picks one from the initial slope). eq_eps is the
-    equilibrium residual that stops the run early (None -> 1e-10 * ||a0||^2).
-    For the off-diagonal flow abs_tol and rel_tol bound the error in
-    log|a_i|, which makes them relative accuracies on each entry.
+    equilibrium residual that stops the run early (None -> 1e-10 * c^2, c
+    the run's unit). For the off-diagonal flow abs_tol and rel_tol bound the
+    error in log|a_i|, which makes them relative accuracies on each entry;
+    for the dense flow they bound the error in H / c.
     """
 
     method: str = "rk45"
@@ -141,80 +140,74 @@ class DenseTrajectory(FlowTrajectory):
         return self.states.shape[1]
 
 
-def _default_eq_eps(sq_norm: float) -> float:
-    # the residual scales quadratically in the entries
-    return 1e-10 * sq_norm
-
-
+# the default eq_eps at unit norm; it is 1e-10 * c^2 in the input's units
+_EQ_EPS = 1e-10
 # the rk4 step when dt is None, in units of t
 _RK4_DT = 1e-3
+# smallest normal float: c^2 and the normalised horizon must reach it
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-def _initial_step(cfg: IntegratorConfig, slope_inf: float, state_inf: float) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    if cfg.method == "rk4":
-        return _RK4_DT
-    h0 = 0.1 * (1.0 + state_inf) / (1.0 + slope_inf)
-    return min(h0, 1e-3 * cfg.t_max)
+def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
+    """Integrate x0 / c in tau = c^2 t; return the trajectory fields in x0's units.
 
+    c is the input's unit and y0 the kernel state of x0 / c. Only here are
+    t_max, dt and eq_eps mapped into tau and the residual of x0 / c, and
+    times, states (row 0 is x0 itself), Lyapunov values and residuals
+    (times c^2) and drift (times c) mapped back. An input whose c^2, n c^2
+    or c^2 t_max is not a finite normal float is rejected.
 
-def _sum_sq(x: np.ndarray) -> float:
-    """Sum of squared entries; an overflow gives inf, which _run reports."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(x * x))
-
-
-def _run(y0, cfg, sq_norm, unit, rhs, kernel, reference, rows, measure):
-    """Integrate from y0 and return the trajectory fields in the kernel's units.
-
-    y0, cfg and sq_norm (||a||^2 of the off-diagonal the state encodes, half
-    the squared Frobenius norm of a matrix, which sets the default eq_eps)
-    are in the coordinates the kernel steps, whose length unit is unit
-    (||a0|| on the log chart, 1 for a matrix). The callables carry what
-    depends on the state's shape: rhs(y), the kernel, reference() (the t=0
-    Spectrum, after any check that needs it), rows(states) (the matrix rows
-    the states encode, in that unit) and measure(rows, ref) -> (Lyapunov
-    values, residual norms, spectral drift against ref, zeros when ref is
-    None). An input whose residual is already <= eq_eps is returned as a
-    one-row stationary_input trajectory without integrating.
+    The callables carry what depends on the state's shape: the kernel,
+    reference() (the t=0 Spectrum in the input's units, after any check
+    that needs it), rows(states) (the unit rows the kernel states encode)
+    and measure(rows, ref) -> (Lyapunov values, residual norms, spectral
+    drift against ref, zeros when ref is None). An input whose unit
+    residual is already <= eq_eps / c^2 is returned as a one-row
+    stationary_input trajectory without integrating.
     """
-    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(sq_norm)
-    row0 = rows(y0[None].copy())
-    with np.errstate(over="ignore", invalid="ignore"):
-        f0, k0, drift0 = measure(row0, None)
-    if not (np.isfinite(sq_norm) and np.isfinite(k0[0])):
+    c2 = c * c
+    n = len(x0) + 1  # n for an off-diagonal, n + 1 for a matrix
+    if not (_TINY <= c2 and n * c2 < math.inf):
         raise ValidationFailure(
-            f"initial state is out of range: squared norm {sq_norm:.3e}, "
-            f"residual {k0[0]:.3e}"
+            f"initial state is out of range: norm {c:.3e} squares outside "
+            "the normal float range"
         )
+    tau_max = c2 * cfg.t_max
+    if not _TINY <= tau_max < math.inf:
+        raise ValidationFailure(f"t_max * ||a0||^2 = {tau_max:.3e} is out of range")
+    if cfg.eq_eps is None:
+        eq_eps, eq_unit = _EQ_EPS * c2, _EQ_EPS
+    else:
+        eq_eps, eq_unit = cfg.eq_eps, cfg.eq_eps / c2
     fields = dict(config=cfg, eq_eps=eq_eps)
+
+    row0 = rows(y0[None].copy())
+    f0, k0, drift0 = measure(row0, None)
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
-    if k0[0] <= eq_eps:
-        return dict(fields, times=np.zeros(1), states=row0, f_values=f0,
-                    k_norms=k0, spec_drift=drift0, status="stationary_input")
+    if k0[0] <= eq_unit:
+        return dict(fields, times=np.zeros(1), states=x0[None].copy(),
+                    f_values=c2 * f0, k_norms=c2 * k0, spec_drift=drift0,
+                    status="stationary_input")
 
     spectrum = reference()
-    finite = np.abs(y0[np.isfinite(y0)])  # a zero entry is -inf on the log chart
-    h0 = _initial_step(cfg, float(np.abs(rhs(y0)).max(initial=0.0)),
-                       float(finite.max(initial=0.0)))
-    if cfg.method == "rk4" and cfg.t_max / h0 > _MAX_RK4_STEPS:
+    dt = _RK4_DT if cfg.dt is None and cfg.method == "rk4" else cfg.dt
+    h0 = None if dt is None else c2 * dt  # None: the kernel picks one
+    if cfg.method == "rk4" and tau_max / h0 > _MAX_RK4_STEPS:
         raise ValidationFailure(
-            f"rk4 run of t_max/dt = {cfg.t_max / h0:.3e} steps exceeds "
+            f"rk4 run of t_max/dt = {tau_max / h0:.3e} steps exceeds "
             f"{_MAX_RK4_STEPS}; raise dt or lower t_max"
         )
-    dt_min = 1e-14 * cfg.t_max
-    if cfg.method == "rk45":
-        # the kernel refuses a trial step below the floor before it can grow it
-        h0 = max(h0, dt_min)
+    # on a unit state the field is O(1), so tau = 1 is the run's time scale
+    dt_min = 1e-14 * min(tau_max, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, count, status, _, _ = kernel(
-            y0, cfg.t_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
-            eq_eps, dt_min, cfg.record_stride, cfg.max_rows)
+            y0, tau_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
+            eq_unit, dt_min, cfg.record_stride, cfg.max_rows)
         if status == kernels.STATUS_UNDERFLOW:
             raise StepUnderflow(
-                "adaptive step fell below 1e-14 * t_max; loosen tolerances"
+                "adaptive step fell below 1e-14 of the run's time scale; "
+                "loosen tolerances"
             )
         states = rows(states[:count].copy())
     if not np.all(np.isfinite(states)):
@@ -222,15 +215,16 @@ def _run(y0, cfg, sq_norm, unit, rhs, kernel, reference, rows, measure):
             f"{cfg.method} run diverged to a non-finite state; reduce dt"
         )
 
-    f_values, k_norms, drift = measure(states, spectrum.values / unit)
+    f_values, k_norms, drift = measure(states, spectrum.values / c)
     drift[0] = 0.0
-    return dict(fields, times=times[:count].copy(), states=states,
-                f_values=f_values, k_norms=k_norms, spec_drift=drift,
+    times = times[:count] / c2
+    if status == kernels.STATUS_HORIZON:
+        times[-1] = cfg.t_max
+    states *= c
+    states[0] = x0
+    return dict(fields, times=times, states=states, f_values=c2 * f_values,
+                k_norms=c2 * k_norms, spec_drift=c * drift,
                 status=_STATUS_NAMES[status], spectrum=spectrum)
-
-
-# smallest normal float: ||a0||^2 and the normalised horizon must reach it
-_TINY = float(np.finfo(np.float64).tiny)
 
 
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
@@ -242,31 +236,13 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     already an equilibrium (residual <= eq_eps) yields a single-row
     stationary_input trajectory without integrating.
 
-    The run is made once, at unit norm: with c = ||a0|| and s = sign(a0), the
-    kernel steps v = log|a0 / c| in tau = c^2 t, and the trajectory is
-    mapped back as t = tau / c^2, a = s c exp(v) (row 0 is a0 itself),
-    Lyapunov values and residuals times c^2, drift times c. An input whose
-    c^2 (or n c^2) is not a finite normal float is rejected.
+    With c = ||a0|| and s = sign(a0), the kernel steps v = log|a0 / c| in
+    tau = c^2 t and the unit rows are s exp(v); ``_run`` maps the units.
     """
     cfg = (cfg or IntegratorConfig()).validated()
     a0 = as_offdiag(a0)
     n = a0.size + 1
     c = scaled_norm(a0) or 1.0  # any unit serves the zero vector, a fixed point
-    c2 = c * c
-    if not (_TINY <= c2 and n * c2 < math.inf):
-        raise ValidationFailure(
-            f"initial state is out of range: norm {c:.3e} squares outside "
-            "the normal float range"
-        )
-    dt = cfg.dt
-    if dt is None and cfg.method == "rk4":
-        dt = _RK4_DT  # a step in t: it maps like a given one
-    chart = replace(cfg, t_max=c2 * cfg.t_max, dt=None if dt is None else c2 * dt,
-                    eq_eps=None if cfg.eq_eps is None else cfg.eq_eps / c2)
-    if not _TINY <= chart.t_max < math.inf:
-        raise ValidationFailure(
-            f"t_max * ||a0||^2 = {chart.t_max:.3e} is out of range"
-        )
     sign = np.sign(a0)
     with np.errstate(divide="ignore"):
         v0 = np.log(np.abs(a0) / c)
@@ -288,18 +264,8 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
         validate_initial_state(a0)
         return spectrum_zero_diag(a0)
 
-    fields = _run(v0, chart, 1.0, c, log_chart_rhs(a0.size),
-                  kernels.integrate_offdiag_kernel, reference, rows, measure)
-    times = fields["times"] / c2
-    if fields["status"] == "horizon_reached":
-        times[-1] = cfg.t_max
-    states = c * fields["states"]
-    states[0] = a0
-    eq_eps = cfg.eq_eps if cfg.eq_eps is not None else _default_eq_eps(c2)
-    return FlowTrajectory(**dict(
-        fields, config=cfg, eq_eps=eq_eps, times=times, states=states,
-        f_values=c2 * fields["f_values"], k_norms=c2 * fields["k_norms"],
-        spec_drift=c * fields["spec_drift"]))
+    return FlowTrajectory(**_run(a0, cfg, c, v0, kernels.integrate_offdiag_kernel,
+                                 reference, rows, measure))
 
 
 def block_structure(H: np.ndarray, threshold: float) -> list:
@@ -340,17 +306,18 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     if not np.all(np.isfinite(H0)):
         raise ValidationFailure("matrix entries must be finite")
     sym_defect = float(np.abs(H0 - H0.T).max())
-    if sym_defect > 1e-12 * (1.0 + float(np.abs(H0).max())):
+    scale = float(np.abs(H0).max(initial=0.0))
+    if sym_defect > 1e-12 * scale:
         raise ValidationFailure(f"matrix is not symmetric (defect {sym_defect:.3e})")
     H0 = 0.5 * (H0 + H0.T)
+    # ||H0||_F / sqrt(2) is ||a0|| when H0 embeds a0; any unit serves H0 = 0
+    c = scaled_norm(H0) / math.sqrt(2.0) or 1.0
 
-    fields = _run(H0, cfg, 0.5 * _sum_sq(H0), 1.0, rhs_matrix,
-                  kernels.integrate_dense_kernel,
+    fields = _run(H0, cfg, c, H0 / c, kernels.integrate_dense_kernel,
                   lambda: make_spectrum(np.linalg.eigvalsh(H0)),
                   lambda states: states, _dense_measure)
-    threshold = 1e-6 * (1.0 + float(np.abs(H0).max()))
-    return DenseTrajectory(**fields,
-                           final_blocks=block_structure(fields["states"][-1], threshold))
+    return DenseTrajectory(**fields, final_blocks=block_structure(
+        fields["states"][-1], 1e-6 * scale))
 
 
 def _dense_f(states: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ def parse_input(data) -> MatrixInputDocument:
     if "n" in obj and obj["n"] != n:
         raise ValidationError(f"'n'={obj['n']} does not match matrix dimension {n}")
     defect = float(np.abs(H - H.T).max())
-    if defect > 1e-12 * (1.0 + float(np.abs(H).max())):
+    if defect > 1e-12 * float(np.abs(H).max()):
         raise ValidationError(f"'symmetric' matrix is asymmetric (defect {defect:.3e})")
     return MatrixInputDocument(n=n, symmetric=0.5 * (H + H.T), label=label)
 

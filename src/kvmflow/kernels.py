@@ -7,8 +7,8 @@ arguments and works on a state of any shape:
 * ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
   chart ``v = log|a / ||a0|| |`` in normalised time, where the field is
   smooth, scale-free and leaves every sign where it started;
-* ``integrate_dense_kernel`` steps a full symmetric matrix with the
-  nested-commutator field [H, [H, N(H)]].
+* ``integrate_dense_kernel`` steps a full symmetric matrix, normalised by
+  the caller, with the nested-commutator field [H, [H, N(H)]].
 
 Everything is plain numpy. Sums that decide step acceptance and stopping run
 left to right, so results do not depend on numpy's pairwise summation.
@@ -98,7 +98,9 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
 
     Stops at t_max, or once resid2(y) <= eq_eps^2. A fixed-step run takes its
     time from the step index, k * h_init, so no rounding accumulates; a step
-    that ends within 1e-14 * t_max of t_max ends exactly on it.
+    that ends within 1e-14 * t_max of t_max ends exactly on it. An adaptive
+    run starts from h_init, or from a step set by y0 and its slope when
+    h_init is None, and never below dt_min.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
@@ -124,6 +126,14 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     just_rejected = False
 
     k1 = rhs(y)
+    if not fixed_step:
+        if h is None:
+            # a zero entry is v = -inf on the log chart
+            y_inf = np.abs(y[np.isfinite(y)]).max(initial=0.0)
+            h = min(0.1 * (1.0 + y_inf) / (1.0 + np.abs(k1).max(initial=0.0)),
+                    1e-3 * t_max)
+        # a trial step below the floor would be refused before it could grow
+        h = max(h, dt_min)
     t_edge = t_max * (1.0 - 1.0e-14)
 
     while t < t_edge:
@@ -230,7 +240,8 @@ def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
-    coordinates; the residual is the Frobenius norm of [H, N(H)].
+    coordinates; the residual is the Frobenius norm of [H, N(H)]. The caller
+    passes H0 / c and times in tau = c^2 t, so both are unit-sized.
     """
     return _integrate(H0, _rhs_dense, _resid2_dense, t_max, h_init, fixed_step,
                       abs_tol, rel_tol, eq_eps, dt_min, stride0, max_rows)

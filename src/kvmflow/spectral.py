@@ -335,22 +335,19 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
     )
 
 
-def quadrature_nodes(a, method: str = "direct", tol: float = 1e-8,
-                     cfg=None) -> np.ndarray:
+def quadrature_nodes(a, method: str = "direct", cfg=None) -> np.ndarray:
     """Nodes of the n-point quadrature rule attached to recurrence coefficients a.
 
     The nodes are the eigenvalues of the zero-diagonal Jacobi matrix built
-    from a. method="direct" computes them with the Sturm eigensolver;
-    method="flow" integrates the sorting flow and reads them off the limit
-    as {+/- |entries|} (plus 0 for odd n). The two agree within tol.
+    from a. method="direct" computes them with the Sturm eigensolver at its
+    default, scale-free tolerance; method="flow" integrates the sorting flow
+    and reads them off the limit as {+/- |entries|} (plus 0 for odd n), as
+    accurate as the run's cfg.
     """
     a = as_offdiag(a)
     n = a.size + 1
     if method == "direct":
-        with np.errstate(over="ignore"):  # the eigensolver reports an overflow
-            scale = float(np.sqrt(2.0 * np.sum(a * a)))
-        eig_tol = min(tol / 8.0, 1e-10 * (1.0 + scale))
-        return eigenvalues_tridiagonal(np.zeros(n), a, tol=eig_tol).values
+        return eigenvalues_tridiagonal(np.zeros(n), a).values
     if method == "flow":
         from .flow import IntegratorConfig, integrate
 

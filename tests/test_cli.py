@@ -183,6 +183,26 @@ class TestEvolveSym:
         assert "final_blocks" in summary
         assert csv_path.read_text().splitlines()[0] == "t,f,k_norm,spec_drift"
 
+    def test_tiny_matrix_is_not_stationary(self, sym_file, tmp_path, capsys):
+        # the run is normalised: sym.json * 1e-100 at t_max * 1e200 repeats
+        # the unscaled run instead of reading as an equilibrium
+        assert main(_args("evolve-sym", "--input", sym_file, "--t-max", "2")) == 0
+        plain = json.loads(capsys.readouterr().out)
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"symmetric": [
+            [1e-100 * x for x in row] for row in plain["input"]["symmetric"]]}))
+        assert main(_args("evolve-sym", "--input", tiny, "--t-max", "2e200")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == plain["status"] != "stationary_input"
+        assert summary["final_blocks"] == plain["final_blocks"]
+
+    def test_asymmetric_tiny_matrix_rejected(self, tmp_path, capsys):
+        path = tmp_path / "asym.json"
+        path.write_text('{"symmetric": [[0, 1e-100, 0], [3e-100, 0, 1e-100], '
+                        '[0, 1e-100, 0]]}')
+        assert main(_args("spectrum", "--input", path)) == 1
+        assert "asymmetric" in capsys.readouterr().err
+
     def test_requires_symmetric_document(self, ex1_file, capsys):
         assert main(_args("evolve-sym", "--input", ex1_file)) == 1
 

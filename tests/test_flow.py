@@ -96,10 +96,19 @@ class TestIntegrate:
     @pytest.mark.parametrize("a0", ["ex1", "ex3"])
     @pytest.mark.parametrize("dt", [1e-20, 1e-13, 1e-300])
     def test_tiny_rk45_trial_step_starts_at_the_floor(self, request, a0, dt):
-        # a trial step below 1e-14 * t_max is raised to it, not refused
+        # a trial step below the floor, 1e-14 of the run's time scale, is
+        # raised to it, not refused
         report = verify_run(request.getfixturevalue(a0), flow.IntegratorConfig(dt=dt))
         assert report.overall, [c for c in report.checks if not c.passed]
         assert report.meta["status"] in {"converged", "horizon_reached"}
+
+    @pytest.mark.parametrize("a0, t_max", [([5.0, -6.0, -2.0], 1e12),
+                                           ([1e150, 1e150], 10.0)])
+    def test_horizon_far_beyond_the_time_scale_converges(self, a0, t_max):
+        # the step floor follows the run's time scale 1 / ||a0||^2, not t_max
+        traj = flow.integrate(a0, flow.IntegratorConfig(t_max=t_max))
+        assert traj.status == "converged"
+        assert traj.times[-1] < t_max
 
     @pytest.mark.parametrize("dt", [0.5, 10.0, 1e300])
     def test_overflowing_trial_step_is_rejected(self, ex1, dt):
@@ -275,13 +284,35 @@ class TestDetectConvergence:
 
 
 class TestIntegrateDense:
-    @pytest.mark.parametrize("method", ["rk45"])
-    def test_matches_componentwise_integrator(self, ex1, method):
+    @pytest.mark.parametrize("method, scale", [
+        ("rk45", 1.0), ("rk45", 1e-100), ("rk45", 1e100)],
+        ids=["rk45", "rk45-1e-100", "rk45-1e+100"])
+    def test_matches_componentwise_integrator(self, ex1, method, scale):
         cfg = flow.IntegratorConfig(method=method, t_max=1.0, eq_eps=0.0)
-        dense = flow.integrate_dense(jacobi.embed(ex1), cfg)
+        scaled_cfg = flow.IntegratorConfig(method=method, t_max=1.0 / scale**2,
+                                           eq_eps=0.0)
+        dense = flow.integrate_dense(scale * jacobi.embed(ex1), scaled_cfg)
         compact = flow.integrate(ex1, cfg)
-        got = np.diagonal(dense.final_state, 1)
+        got = np.diagonal(dense.final_state, 1) / scale
         assert np.abs(got - compact.final_state).max() <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    @pytest.mark.parametrize("case", ["ex1", "random"])
+    def test_scaled_matrix_repeats_the_unscaled_run(self, ex1, case, scale):
+        # the flow from s * H is s * H(s^2 t), and final_blocks has no
+        # absolute threshold
+        if case == "ex1":
+            H, t_max = jacobi.embed(ex1), 30.0
+        else:
+            H = np.random.default_rng(3).normal(size=(5, 5))
+            H, t_max = 0.5 * (H + H.T), 2.0
+        plain = flow.integrate_dense(H, flow.IntegratorConfig(t_max=t_max))
+        scaled = flow.integrate_dense(scale * H, flow.IntegratorConfig(
+            t_max=t_max / scale**2))
+        assert scaled.status == plain.status != "stationary_input"
+        assert scaled.final_blocks == plain.final_blocks
+        dev = np.abs(scaled.final_state / scale - plain.final_state).max()
+        assert dev <= 1e-9 * np.abs(plain.final_state).max()
 
     def test_rk4_is_fourth_order_against_a_dense_reference(self, ex1):
         # rk4 on the log chart and rk4 on the matrix truncate differently, so
@@ -302,6 +333,12 @@ class TestIntegrateDense:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationFailure):
             flow.integrate_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_asymmetric_tiny_matrix_rejected(self):
+        # a 200 % defect is no rounding error, whatever the matrix's scale
+        H = 1e-100 * np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValidationFailure, match="not symmetric"):
+            flow.integrate_dense(H)
 
     def test_random_symmetric_invariants(self):
         rng = np.random.default_rng(9)

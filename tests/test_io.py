@@ -54,6 +54,11 @@ class TestParseInput:
         with pytest.raises(ValidationError):
             kio.parse_input('{"symmetric":[[0,1],[2,0]]}')
 
+    def test_asymmetric_tiny_matrix_rejected(self):
+        # a 200 % defect is no rounding error, whatever the matrix's scale
+        with pytest.raises(ValidationError, match="asymmetric"):
+            kio.parse_input('{"symmetric":[[0,1e-100,0],[3e-100,0,1e-100],[0,1e-100,0]]}')
+
     def test_dimension_echo_must_match(self):
         with pytest.raises(ValidationError):
             kio.parse_input('{"n":3,"symmetric":[[0,1],[1,0]]}')

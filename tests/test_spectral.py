@@ -249,15 +249,21 @@ class TestQuadratureNodes:
     def test_flow_and_direct_agree(self):
         a = [1.0, 1.0]
         direct = spectral.quadrature_nodes(a, method="direct")
-        via_flow = spectral.quadrature_nodes(a, method="flow", tol=1e-6)
+        via_flow = spectral.quadrature_nodes(a, method="flow")
         np.testing.assert_allclose(direct, [-math.sqrt(2), 0, math.sqrt(2)],
                                    atol=1e-9)
         assert np.abs(direct - via_flow).max() <= 1e-6
 
     def test_flow_and_direct_agree_even_n(self, ex1):
         direct = spectral.quadrature_nodes(ex1, method="direct")
-        via_flow = spectral.quadrature_nodes(ex1, method="flow", tol=1e-6)
+        via_flow = spectral.quadrature_nodes(ex1, method="flow")
         assert np.abs(direct - via_flow).max() <= 1e-6
+
+    def test_direct_nodes_scale_with_the_input(self, ex1):
+        # no absolute tolerance: nodes of size 1e-60 keep their digits
+        np.testing.assert_allclose(spectral.quadrature_nodes(5e-60 * ex1),
+                                   5e-60 * spectral.quadrature_nodes(ex1),
+                                   rtol=1e-9, atol=0)
 
     def test_flow_short_of_equilibrium_raises(self, ex1):
         # at t=0.01 the state is far from the limit (+/-7.96, +/-1.26)
