@@ -19,7 +19,6 @@ from .errors import (
     PairingViolation,
     ParseError,
     StepUnderflow,
-    StructureViolation,
     ValidationError,
     ValidationFailure,
     ZeroEntry,
@@ -28,7 +27,6 @@ from .flow import (
     DenseTrajectory,
     FlowTrajectory,
     IntegratorConfig,
-    detect_convergence,
     integrate,
     integrate_dense,
 )
@@ -36,7 +34,6 @@ from .jacobi import (
     commutator,
     embed,
     equilibrium_residual,
-    extract_offdiag,
     lyapunov_f,
     lyapunov_f_traceform,
     map_K,
@@ -74,7 +71,6 @@ __all__ = [
     "lane",
     # jacobi
     "embed",
-    "extract_offdiag",
     "map_N",
     "map_K",
     "commutator",
@@ -97,7 +93,6 @@ __all__ = [
     "DenseTrajectory",
     "integrate",
     "integrate_dense",
-    "detect_convergence",
     # verify
     "VerificationReport",
     "verify_run",
@@ -111,7 +106,6 @@ __all__ = [
     # errors
     "KvmflowError",
     "DimensionMismatch",
-    "StructureViolation",
     "NonConvergence",
     "PairingViolation",
     "DegenerateSpectrum",

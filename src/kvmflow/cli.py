@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 parse/validation error (message on stderr),
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -170,18 +170,14 @@ def _require_offdiag(doc: MatrixInputDocument) -> np.ndarray:
 
 
 def _cfg_from_args(args) -> IntegratorConfig:
-    kw = {}
-    for name in ("method", "dt", "t_max", "eq_eps", "abs_tol", "rel_tol",
-                 "record_stride"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kw[name] = value
-    return IntegratorConfig(**kw)
+    """The config of the options given; an unset option keeps its default."""
+    kw = {f.name: getattr(args, f.name, None) for f in fields(IntegratorConfig)}
+    return IntegratorConfig(**{k: v for k, v in kw.items() if v is not None})
 
 
-def _emit(args, doc: MatrixInputDocument, **fields) -> None:
+def _emit(args, doc: MatrixInputDocument, **values) -> None:
     """Write the summary of doc's run to --out-summary, or to stdout."""
-    summary = build_summary(label=doc.label, input=document_to_dict(doc), **fields)
+    summary = build_summary(label=doc.label, input=document_to_dict(doc), **values)
     write_summary(summary, args.out_summary or sys.stdout)
 
 
@@ -207,8 +203,7 @@ def _cmd_evolve(args) -> int:
     if args.strict:
         predicted, note = _try_prediction(a, spec)
     _emit(args, doc, notes=note, status=traj.status, final_offdiag=traj.final_state,
-          spectrum=spec.values, predicted_limit=predicted,
-          config=asdict(traj.config))
+          spectrum=spec.values, predicted_limit=predicted, config=traj.config)
     return 0
 
 
@@ -227,8 +222,7 @@ def _cmd_verify(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
     report = verify_run(a, _cfg_from_args(args), strict=args.strict)
-    _emit(args, doc, checks=report.to_dict()["checks"], overall=report.overall,
-          **report.meta)
+    _emit(args, doc, checks=report.checks, overall=report.overall, **report.meta)
     return 0 if report.overall else 2
 
 
@@ -254,24 +248,24 @@ def _cmd_equilibria(args) -> int:
         "include_signs": args.include_signs,
         "count_formula": eqset.count_formula,
         "count_with_signs": eqset.count_with_signs,
-        "points": [[float(x) for x in p] for p in eqset.points],
+        "points": eqset.points,
     })
     return 0
 
 
 def _cmd_evolve_sym(args) -> int:
-    doc = parse_input(Path(args.input).read_bytes())
+    doc = _load_document(args)
     if doc.symmetric is None:
         raise KvmflowError("evolve-sym needs a 'symmetric' input document")
     traj = integrate_dense(doc.symmetric, _cfg_from_args(args))
     if args.out_csv is not None:
         write_dense_diagnostics_csv(traj, args.out_csv)
     _emit(args, doc, mode="experimental-symmetric", notes=_EXPERIMENTAL_NOTE,
-          status=traj.status, config=asdict(traj.config), extras={
-              "final_matrix": [[float(x) for x in row] for row in traj.final_state],
+          status=traj.status, config=traj.config, extras={
+              "final_matrix": traj.final_state,
               "final_blocks": traj.final_blocks,
-              "spec_drift_max": float(traj.spec_drift.max()),
-              "lyapunov_final": float(traj.f_values[-1]),
+              "spec_drift_max": traj.spec_drift.max(),
+              "lyapunov_final": traj.f_values[-1],
           })
     return 0
 

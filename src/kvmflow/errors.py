@@ -9,10 +9,6 @@ class DimensionMismatch(KvmflowError):
     """Matrix or vector dimensions are incompatible."""
 
 
-class StructureViolation(KvmflowError):
-    """A matrix left the zero-diagonal tridiagonal manifold beyond tolerance."""
-
-
 class NonConvergence(KvmflowError):
     """A bisection bracket failed to shrink, or a flow run diverged or stopped short."""
 

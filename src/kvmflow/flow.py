@@ -10,12 +10,13 @@ The field is homogeneous of degree 3, so the flow from c * b is c * b(c^2 t)
 for both state shapes. Both run through one driver, ``_run``, which owns the
 units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
 for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
-stationary trajectories, calls the kernel, turns a step underflow or a
-non-finite state into an error, measures spectral drift and maps times,
-states and diagnostics back. ``integrate`` steps v = log|a0 / c| (the
-log-magnitude chart, see ``kernels.integrate_offdiag_kernel``);
-``integrate_dense`` steps the matrix H0 / c. The callers supply what depends
-on the state's shape (kernel, eigensolver, per-row diagnostics). The kernels
+stationary trajectories, calls the kernel, turns a step underflow, a spent
+step budget (``kernels.MAX_STEPS``) or a non-finite state into an error,
+measures spectral drift and maps times, states and diagnostics back.
+``integrate`` steps v = log|a0 / c| (the log-magnitude chart, see
+``kernels.integrate_offdiag_kernel``); ``integrate_dense`` steps the matrix
+H0 / c. The callers supply what depends on the state's shape (kernel,
+eigensolver, per-row diagnostics). The kernels
 and the eigensolver are looked up by name on every call, so a wrapper
 installed on the module attribute sees each call.
 """
@@ -51,13 +52,12 @@ __all__ = [
     "DenseTrajectory",
     "integrate",
     "integrate_dense",
-    "detect_convergence",
 ]
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator settings.
+    """Integrator settings, checked when the config is made.
 
     dt is the fixed step for rk4 (None -> 1e-3) and the initial trial step
     for rk45 (None picks one from the initial slope). eq_eps is the
@@ -76,7 +76,7 @@ class IntegratorConfig:
     record_stride: int = 1
     max_rows: int = 10_000
 
-    def validated(self) -> "IntegratorConfig":
+    def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValidationFailure(
                 f"unknown method {self.method!r}; expected rk45 or rk4"
@@ -84,21 +84,16 @@ class IntegratorConfig:
         # written so that NaN fails every check
         if not 0 < self.t_max < np.inf:
             raise ValidationFailure("t_max must be positive and finite")
-        if self.dt is not None and not self.dt > 0:
-            raise ValidationFailure("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValidationFailure("dt must be positive and finite")
         if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
             raise ValidationFailure("abs_tol and rel_tol must be positive and finite")
-        if self.eq_eps is not None and not self.eq_eps >= 0:
-            raise ValidationFailure("eq_eps must be nonnegative")
+        if self.eq_eps is not None and not 0 <= self.eq_eps < np.inf:
+            raise ValidationFailure("eq_eps must be nonnegative and finite")
         if self.record_stride < 1:
             raise ValidationFailure("record_stride must be at least 1")
         if self.max_rows < 2:
             raise ValidationFailure("max_rows must be at least 2")
-        return self
-
-
-# an rk4 run of more steps than this is refused before it starts
-_MAX_RK4_STEPS = 10**6
 
 _STATUS_NAMES = {
     kernels.STATUS_CONVERGED: "converged",
@@ -193,10 +188,10 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     spectrum = reference()
     dt = _RK4_DT if cfg.dt is None and cfg.method == "rk4" else cfg.dt
     h0 = None if dt is None else c2 * dt  # None: the kernel picks one
-    if cfg.method == "rk4" and tau_max / h0 > _MAX_RK4_STEPS:
+    if cfg.method == "rk4" and tau_max / h0 > kernels.MAX_STEPS:
         raise ValidationFailure(
             f"rk4 run of t_max/dt = {tau_max / h0:.3e} steps exceeds "
-            f"{_MAX_RK4_STEPS}; raise dt or lower t_max"
+            f"{kernels.MAX_STEPS}; raise dt or lower t_max"
         )
     # on a unit state the field is O(1), so tau = 1 is the run's time scale
     dt_min = 1e-14 * min(tau_max, 1.0)
@@ -208,6 +203,11 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
             raise StepUnderflow(
                 "adaptive step fell below 1e-14 of the run's time scale; "
                 "loosen tolerances"
+            )
+        if status == kernels.STATUS_BUDGET:
+            raise NonConvergence(
+                f"adaptive run took {kernels.MAX_STEPS} steps before t_max; "
+                "lower t_max"
             )
         states = rows(states[:count].copy())
     if not np.all(np.isfinite(states)):
@@ -239,7 +239,7 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     With c = ||a0|| and s = sign(a0), the kernel steps v = log|a0 / c| in
     tau = c^2 t and the unit rows are s exp(v); ``_run`` maps the units.
     """
-    cfg = (cfg or IntegratorConfig()).validated()
+    cfg = cfg or IntegratorConfig()
     a0 = as_offdiag(a0)
     n = a0.size + 1
     c = scaled_norm(a0) or 1.0  # any unit serves the zero vector, a fixed point
@@ -299,7 +299,7 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     and Lyapunov monotonicity are guaranteed; the block-diagonal limit is
     reported via final_blocks, not asserted.
     """
-    cfg = (cfg or IntegratorConfig()).validated()
+    cfg = cfg or IntegratorConfig()
     H0 = np.asarray(H0, dtype=np.float64)
     if H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
         raise ValidationFailure(f"expected a square matrix, got shape {H0.shape}")
@@ -330,12 +330,3 @@ def _dense_f(states: np.ndarray) -> np.ndarray:
     hsq = np.sum(states * states, axis=(1, 2))
     return -0.25 * (hsq - 2.0 * hn_cross + nsq) + 0.25 * nsq
 
-
-def detect_convergence(traj, eq_eps: float, window: int = 1) -> bool:
-    """True iff the last ``window`` samples all have k_norm <= eq_eps."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    k = np.asarray(traj.k_norms)
-    if k.size < window:
-        return False
-    return bool(np.all(k[-window:] <= eq_eps))

@@ -2,11 +2,13 @@
 
 Reals are written with 17 significant digits, which round-trips binary64
 exactly; summary keys have a fixed order so identical runs produce
-byte-identical files.
+byte-identical files. Summaries are strict JSON (RFC 8259): a value with no
+finite number is written as null.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,28 +180,36 @@ _SUMMARY_KEYS = (
 
 
 def _jsonable(v):
+    """Plain JSON value of v, the one converter every summary value goes through.
+
+    A dataclass instance becomes an object in field order; an array, list or
+    tuple a list; a numpy bool, integer or float a Python one; and a float
+    with no finite value None (null).
+    """
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
+        return _jsonable(v.tolist())
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
+    if is_dataclass(v) and not isinstance(v, type):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
     return v
 
 
-def build_summary(*, extras: dict | None = None, **fields) -> dict:
+def build_summary(*, extras: dict | None = None, **values) -> dict:
     """Summary mapping with the keys of _SUMMARY_KEYS in order (null for
     absent values), then extras; a field outside _SUMMARY_KEYS is a TypeError."""
-    unknown = set(fields).difference(_SUMMARY_KEYS)
+    unknown = set(values).difference(_SUMMARY_KEYS)
     if unknown:
         raise TypeError(f"unknown summary field(s): {sorted(unknown)}")
-    out = {k: _jsonable(fields.get(k)) for k in _SUMMARY_KEYS}
+    out = {k: _jsonable(values.get(k)) for k in _SUMMARY_KEYS}
     for k, v in (extras or {}).items():
         out[k] = _jsonable(v)
     return out
@@ -211,7 +221,7 @@ def write_summary(summary: dict, sink) -> None:
         raise TypeError(f"cannot summarize object of type {type(summary).__name__}")
     fh, owned = _open_sink(sink)
     try:
-        fh.write(json.dumps(_jsonable(summary), indent=2))
+        fh.write(json.dumps(_jsonable(summary), indent=2, allow_nan=False))
         fh.write("\n")
     finally:
         if owned:

@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, StructureViolation, ValidationFailure
+from .errors import DimensionMismatch, ValidationFailure
 
 __all__ = [
     "as_offdiag",
     "embed",
-    "extract_offdiag",
     "map_N",
     "map_K",
     "commutator",
@@ -42,35 +41,6 @@ def embed(a) -> np.ndarray:
     """Dense n x n symmetric matrix with zero diagonal and super/sub-diagonal a."""
     a = as_offdiag(a)
     return np.diag(a, 1) + np.diag(a, -1)
-
-
-def extract_offdiag(H, strict_tol: float | None = None) -> np.ndarray:
-    """Read back the super-diagonal of a zero-diagonal tridiagonal matrix.
-
-    Raises StructureViolation if any diagonal or out-of-band entry exceeds
-    ``strict_tol`` (default ``1e-12 * max(1, ||H||_F)``): the flow left the
-    Jacobi manifold, which signals an integrator bug, not a user error.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
-    n = H.shape[0]
-    if strict_tol is None:
-        strict_tol = 1e-12 * max(1.0, float(np.linalg.norm(H)))
-
-    band = np.diag(np.diagonal(H, 1), 1) + np.diag(np.diagonal(H, -1), -1)
-    off_band = np.abs(H - band).max() if n else 0.0
-    if off_band > strict_tol:
-        raise StructureViolation(
-            f"entry of magnitude {off_band:.3e} outside the zero-diagonal "
-            f"tridiagonal band (strict_tol={strict_tol:.3e})"
-        )
-    asym = np.abs(np.diagonal(H, 1) - np.diagonal(H, -1)).max() if n > 1 else 0.0
-    if asym > strict_tol:
-        raise StructureViolation(
-            f"super/sub-diagonal asymmetry {asym:.3e} exceeds strict_tol={strict_tol:.3e}"
-        )
-    return np.diagonal(H, 1).copy()
 
 
 def map_N(A) -> np.ndarray:

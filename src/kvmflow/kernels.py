@@ -28,6 +28,12 @@ def lane() -> str:
 STATUS_CONVERGED = 0
 STATUS_HORIZON = 1
 STATUS_UNDERFLOW = 2
+STATUS_BUDGET = 3
+
+# the most steps one run may take: an rk4 run of more is refused before it
+# starts, an adaptive run stops with STATUS_BUDGET once its accepted plus
+# rejected steps reach it; read at call time
+MAX_STEPS = 10**6
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1.0 / 5.0
@@ -100,13 +106,15 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     time from the step index, k * h_init, so no rounding accumulates; a step
     that ends within 1e-14 * t_max of t_max ends exactly on it. An adaptive
     run starts from h_init, or from a step set by y0 and its slope when
-    h_init is None, and never below dt_min.
+    h_init is None, and never below dt_min; it stops with STATUS_BUDGET once
+    it has taken MAX_STEPS steps, accepted or rejected.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
     fills, every other retained row is dropped and the stride doubles, so the
     sample count never exceeds max_rows while t=0 stays in place. Every exit
-    but an underflow records the final state as the last row.
+    but an underflow or a spent budget records the final state as the last
+    row.
     """
     times = np.empty(max_rows)
     states = np.empty((max_rows,) + y0.shape)
@@ -142,6 +150,9 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
         else:
             if not h >= dt_min:  # a NaN step is an underflow
                 status = STATUS_UNDERFLOW
+                break
+            if naccept + nreject >= MAX_STEPS:
+                status = STATUS_BUDGET
                 break
             if h > t_max - t:
                 h = t_max - t

@@ -156,14 +156,14 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
     return _sturm_eigenvalues(np.zeros(states.shape[1] + 1), states, tol, guess)
 
 
-def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum:
+def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     """All eigenvalues of the symmetric tridiagonal matrix (diag, offdiag).
 
     Sturm-sequence bisection on the matrix divided by its largest entry, so
     the brackets and tolerances are scale-free; the values are scaled back.
-    Each eigenvalue is within ``tol`` of exact (default ``1e-12 * (m +
-    ||T||_F)``, m the largest entry). A matrix whose squared Frobenius norm
-    overflows raises ValidationFailure.
+    Each eigenvalue is within ``1e-12 * (m + ||T||_F)`` of exact, m the
+    largest entry. A matrix whose squared Frobenius norm overflows raises
+    ValidationFailure.
     """
     d = np.asarray(diag, dtype=np.float64).reshape(-1)
     e = np.asarray(offdiag, dtype=np.float64).reshape(-1)
@@ -185,8 +185,7 @@ def eigenvalues_tridiagonal(diag, offdiag, tol: float | None = None) -> Spectrum
             f"matrix is out of range: Frobenius norm {norm:.3e} squares to "
             "more than the largest float"
         )
-    tol = default_eig_tol(scale) if tol is None else tol / unit
-    values = _sturm_eigenvalues(d, e[None, :], tol)[0] * unit
+    values = _sturm_eigenvalues(d, e[None, :], default_eig_tol(scale))[0] * unit
     return make_spectrum(values, pair_tol=unit * default_pair_tol(scale))
 
 

@@ -7,13 +7,12 @@ never an exception.
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationFailure
 from .flow import IntegratorConfig, integrate
-from .io import _jsonable
 from .jacobi import (
     as_offdiag,
     commutator,
@@ -62,21 +61,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "measured": float(c.measured),
-                    "threshold": float(c.threshold),
-                }
-                for c in self.checks
-            ],
-            "overall": bool(self.overall),
-            "meta": _jsonable(self.meta),
-        }
 
 
 # Scale-free verification thresholds, each used as coeff * scale.
@@ -146,7 +130,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     meta = {
         "status": traj.status,
         "final_offdiag": traj.final_state,
-        "config": asdict(traj.config),
+        "config": traj.config,
     }
 
     if traj.status == "stationary_input":

@@ -143,6 +143,29 @@ class TestVerify:
         assert main(_args("verify", "--input", FIXTURES / "ex3.json", "--dt", "0.1")) == 0
 
 
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_verify_without_a_magnitude_gap_writes_null(self, capsys):
+        # n = 3 has one live slot, so the sorted-magnitudes check has no gap
+        assert main(_args("verify", "--offdiag=1,2")) == 0
+        summary = _strict_loads(capsys.readouterr().out)
+        (gap,) = [c for c in summary["checks"]
+                  if c["name"] == "sorted_magnitudes_min_gap"]
+        assert gap["measured"] is None and gap["passed"] is True
+
+    def test_spectrum_of_a_1x1_matrix_writes_null(self, capsys):
+        assert main(_args("spectrum", "--offdiag=")) == 0
+        summary = _strict_loads(capsys.readouterr().out)
+        assert summary["spectrum"] == [0.0]
+        assert summary["gap_min"] is None
+
+
 class TestSpectrum:
     def test_offdiag_input(self, capsys):
         assert main(_args("spectrum", "--offdiag=5,-6,-2")) == 0
@@ -248,9 +271,12 @@ class TestErrorPaths:
         ["predict", "--offdiag=1e200,1e200,1e200"],
         ["verify", "--offdiag=5,-6,-2", "--abs-tol", "inf"],
         ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "1e-9"],
+        ["verify", "--offdiag=5,-6,-2", "--eq-eps", "inf"],
+        ["verify", "--offdiag=5,-6,-2", "--dt", "inf"],
     ], ids=["verify-overflow", "verify-overflow-eq-eps", "evolve-rk4-diverges",
             "evolve-sym-rk4-diverges", "equilibria-too-many", "spectrum-overflow",
-            "predict-overflow", "abs-tol-inf", "evolve-rk4-too-many-steps"])
+            "predict-overflow", "abs-tol-inf", "evolve-rk4-too-many-steps",
+            "eq-eps-inf", "dt-inf"])
     def test_out_of_range_run_is_one_line_error(self, tokens, tmp_path, capsys):
         if tokens[0] == "evolve-sym":
             H = np.random.default_rng(8).normal(size=(8, 8))

@@ -35,10 +35,12 @@ class TestConfig:
         dict(eq_eps=float("nan")),
         dict(abs_tol=float("inf")),
         dict(rel_tol=float("inf")),
+        dict(dt=float("inf")),
+        dict(eq_eps=float("inf")),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationFailure):
-            flow.IntegratorConfig(**bad).validated()
+            flow.IntegratorConfig(**bad)
 
 
 class TestIntegrate:
@@ -253,36 +255,6 @@ class TestScaleInvariance:
         assert scaled.overall == plain.overall
 
 
-class TestDetectConvergence:
-    def _traj(self, k_norms):
-        m = len(k_norms)
-        return flow.FlowTrajectory(
-            times=np.arange(m, dtype=float),
-            states=np.zeros((m, 2)),
-            f_values=np.zeros(m),
-            k_norms=np.array(k_norms, dtype=float),
-            spec_drift=np.zeros(m),
-            status="horizon_reached",
-            config=flow.IntegratorConfig(),
-            eq_eps=1e-10,
-        )
-
-    def test_all_zero(self):
-        assert flow.detect_convergence(self._traj([0.0, 0.0, 0.0]), 1e-10, 3)
-
-    def test_window_two(self):
-        traj = self._traj([1e-3, 1e-12, 1e-12])
-        assert flow.detect_convergence(traj, 1e-10, 2)
-
-    def test_window_three(self):
-        traj = self._traj([1e-3, 1e-12, 1e-12])
-        assert not flow.detect_convergence(traj, 1e-10, 3)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            flow.detect_convergence(self._traj([0.0]), 1e-10, 0)
-
-
 class TestIntegrateDense:
     @pytest.mark.parametrize("method, scale", [
         ("rk45", 1.0), ("rk45", 1e-100), ("rk45", 1e100)],
@@ -375,6 +347,28 @@ class TestIntegrateDense:
         H = np.zeros((5, 5))
         H[0, 1] = H[1, 0] = 2.0
         assert flow.block_structure(H, 1e-9) == [2, 1, 1, 1]
+
+
+class TestStepBudget:
+    """kernels.MAX_STEPS bounds the work of every run; it is read at call time."""
+
+    def test_dense_run_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "MAX_STEPS", 100)
+        H = np.random.default_rng(3).normal(size=(5, 5))
+        with pytest.raises(NonConvergence, match="took 100 steps before t_max"):
+            flow.integrate_dense(0.5 * (H + H.T), flow.IntegratorConfig(t_max=200.0))
+
+    def test_offdiag_run_stops_at_the_budget(self, monkeypatch, ex1):
+        # ex1 takes 133 steps to converge
+        monkeypatch.setattr(kernels, "MAX_STEPS", 100)
+        with pytest.raises(NonConvergence, match="took 100 steps before t_max"):
+            flow.integrate(ex1, flow.IntegratorConfig(t_max=200.0))
+
+    def test_rk4_run_over_the_budget_is_refused(self, monkeypatch, ex1):
+        monkeypatch.setattr(kernels, "MAX_STEPS", 100)
+        cfg = flow.IntegratorConfig(method="rk4", dt=1e-3, t_max=200.0)
+        with pytest.raises(ValidationFailure, match="exceeds 100"):
+            flow.integrate(ex1, cfg)
 
 
 def _counting(monkeypatch, module, name):

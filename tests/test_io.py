@@ -1,3 +1,4 @@
+import dataclasses
 import io as stdio
 import json
 
@@ -140,6 +141,18 @@ class TestWriteSummary:
         sink = stdio.StringIO()
         kio.write_summary({"x": np.float64(1.5), "y": np.arange(3)}, sink)
         assert json.loads(sink.getvalue()) == {"x": 1.5, "y": [0, 1, 2]}
+
+    def test_non_finite_float_is_null(self):
+        assert kio.build_summary(extras={"x": float("inf")})["x"] is None
+        sink = stdio.StringIO()
+        kio.write_summary({"x": [np.nan, -np.inf, 1.0]}, sink)
+        assert sink.getvalue() == '{\n  "x": [\n    null,\n    null,\n    1.0\n  ]\n}\n'
+
+    def test_dataclass_is_an_object_in_field_order(self):
+        cfg = flow.IntegratorConfig(dt=0.5)
+        summary = kio.build_summary(config=cfg)
+        assert list(summary["config"]) == [f.name for f in dataclasses.fields(cfg)]
+        assert summary["config"]["dt"] == 0.5
 
     def test_unknown_object_rejected(self):
         with pytest.raises(TypeError):

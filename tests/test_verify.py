@@ -6,6 +6,7 @@ import pytest
 from kvmflow import flow, spectral, verify
 from kvmflow.errors import ValidationFailure
 from kvmflow.flow import IntegratorConfig
+from kvmflow.io import build_summary
 
 
 class TestVerifyRun:
@@ -87,7 +88,8 @@ class TestVerifyRun:
         assert report.overall
 
     def test_report_dict_is_plain_json_types(self, ex1):
-        d = verify.verify_run(ex1).to_dict()
+        report = verify.verify_run(ex1)
+        d = build_summary(checks=report.checks, overall=report.overall, **report.meta)
         assert d["overall"] is True
         for c in d["checks"]:
             assert isinstance(c["measured"], float)
