@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 parse/validation error (message on stderr),
 """
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -155,6 +156,8 @@ def _load_document(args) -> MatrixInputDocument:
                 entries.append(float(tok))
             except ValueError:
                 raise ValidationError(f"--offdiag entry {tok.strip()!r} is not a number") from None
+            if not math.isfinite(entries[-1]):
+                raise ValidationError(f"--offdiag entry {tok.strip()!r} is not finite")
         return MatrixInputDocument(n=len(entries) + 1,
                                    offdiag=np.array(entries, dtype=np.float64))
     return parse_input(Path(args.input).read_bytes())

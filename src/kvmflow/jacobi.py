@@ -103,17 +103,18 @@ def log_chart_rhs(k: int):
     field becomes dv_i/dtau = e_{i-1} - e_{i+1} with e = exp(2 v) and
     e_0 = e_n = 0: no sign, no scale. The flow of a = c b is c b(c^2 t),
     since the field is homogeneous of degree 3. rhs writes e into one padded
-    buffer allocated here, so the ends need no branch; each call allocates
-    only its result. An entry at v = -inf (a zero entry) has e = 0.
+    buffer allocated here, so the ends need no branch. rhs(v, out) writes the
+    field to out; without out it returns a new array. An entry at v = -inf
+    (a zero entry) has e = 0.
     """
     e = np.zeros(k + 2)
     inner = e[1:-1]
     before, after = e[:-2], e[2:]
 
-    def rhs(v: np.ndarray) -> np.ndarray:
+    def rhs(v: np.ndarray, out=None) -> np.ndarray:
         np.multiply(v, 2.0, out=inner)
         np.exp(inner, out=inner)
-        return before - after
+        return np.subtract(before, after, out=out)
 
     return rhs
 
@@ -133,10 +134,10 @@ def _bracket_K(H: np.ndarray) -> np.ndarray:
     return H @ N - N @ H
 
 
-def _rhs_dense(H: np.ndarray) -> np.ndarray:
-    """Unchecked rhs_matrix for a float64 square matrix."""
+def _rhs_dense(H: np.ndarray, out=None) -> np.ndarray:
+    """Unchecked rhs_matrix for a float64 square matrix, written to out if given."""
     K = _bracket_K(H)
-    return H @ K - K @ H
+    return np.subtract(H @ K, K @ H, out=out)
 
 
 def lyapunov_f(H) -> float:

@@ -10,8 +10,12 @@ arguments and works on a state of any shape:
 * ``integrate_dense_kernel`` steps a full symmetric matrix, normalised by
   the caller, with the nested-commutator field [H, [H, N(H)]].
 
-Everything is plain numpy. Sums that decide step acceptance and stopping run
-left to right, so results do not depend on numpy's pairwise summation.
+Everything is plain numpy. A step keeps y and its stages k1, k2, ... as the
+rows of one buffer, and each stage argument, the new state and the error
+estimate is one ``np.dot`` of a row of the tableau with those rows; BLAS adds
+its terms in its own order. The sums that decide step acceptance and
+stopping, the error norm and the residual, run left to right, so they do not
+depend on numpy's pairwise summation.
 """
 
 import numpy as np
@@ -35,27 +39,26 @@ STATUS_BUDGET = 3
 # rejected steps reach it; read at call time
 MAX_STEPS = 10**6
 
-# Dormand-Prince 5(4) tableau
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+# Dormand-Prince 5(4) on the stage buffer's rows (y, k1, ..., k7): one row
+# per argument of k2 ... k6, then y_new (the argument of k7), then the error
+# estimate; a row times h, but for its 1 on y, is a sum over its prefix of rows
+_DP = np.array([
+    [1, 1 / 5, 0, 0, 0, 0, 0, 0],
+    [1, 3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [1, 44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [1, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [1, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [1, 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [0, 71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
+# classic RK4 on the rows (y, k1, ..., k5): the arguments of k2 ... k4, then
+# y_new (the argument of k5, the next step's k1)
+_RK4 = np.array([
+    [1, 1 / 2, 0, 0, 0, 0],
+    [1, 0, 1 / 2, 0, 0, 0],
+    [1, 0, 0, 1, 0, 0],
+    [1, 1 / 6, 1 / 3, 1 / 3, 1 / 6, 0],
+])
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -109,6 +112,15 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     h_init is None, and never below dt_min; it stops with STATUS_BUDGET once
     it has taken MAX_STEPS steps, accepted or rejected.
 
+    The state y and the stages k1 ... k_last are the rows of one buffer Y,
+    flattened. Each step scales the tableau (_DP or _RK4) by h, all but its
+    column on y, and each stage argument and y_new is one np.dot of a tableau
+    row with the prefix of Y it reads; the error estimate is one np.dot over
+    the k rows alone. On the log chart a zero entry is y = -inf and
+    0 * (-inf) is NaN, so no row may have a zero on y, and the error row
+    leaves y out. Its zero on k2 is harmless: the k rows of an accepted step
+    are finite, and a non-finite one gives a NaN error and a rejection.
+
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
     fills, every other retained row is dropped and the stride doubles, so the
@@ -116,16 +128,27 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     but an underflow or a spent budget records the final state as the last
     row.
     """
+    shape = y0.shape
     times = np.empty(max_rows)
-    states = np.empty((max_rows,) + y0.shape)
+    states = np.empty((max_rows,) + shape)
     times[0] = 0.0
     states[0] = y0
     count = 1
     stride = stride0
 
+    M = _RK4 if fixed_step else _DP
+    C = M.copy()  # M with every column but y's times h
+    last = M.shape[1] - 1
+    Y = np.empty((last + 1, y0.size))  # rows y, k1, ..., k_last
+    args = np.empty((last - 1, y0.size))  # stage arguments; y_new is the last
+    Y[0] = y0.reshape(-1)
+    y, k1, y_new = Y[0].reshape(shape), Y[1].reshape(shape), args[-1]
+    stages = [(C[s, :s + 2], Y[:s + 2], args[s], args[s].reshape(shape),
+               Y[s + 2].reshape(shape)) for s in range(last - 1)]
+    err_est = np.empty(y0.size)
+
     eq2 = eq_eps * eq_eps
     t = 0.0
-    y = y0.copy()
     h = h_init
     status = STATUS_HORIZON
     naccept = 0
@@ -133,7 +156,7 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     err_prev = 1.0e-4
     just_rejected = False
 
-    k1 = rhs(y)
+    rhs(y, out=k1)
     if not fixed_step:
         if h is None:
             # a zero entry is v = -inf on the log chart
@@ -162,34 +185,22 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
         if fixed_step:
             h = t_new - t
 
+        np.multiply(M[:, 1:], h, out=C[:, 1:])
+        for coef, rows, arg, arg_in, k_out in stages:
+            np.dot(coef, rows, out=arg)
+            rhs(arg_in, out=k_out)
         err = 0.0
-        if fixed_step:
-            half = 0.5 * h
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k_last = rhs(y_new)
-            accept = True
-        else:
-            k2 = rhs(y + h * (_A21 * k1))
-            k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
-            k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k_last = rhs(y_new)
-            err_est = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k_last)
-
-            if y.size:
-                r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-                err = np.sqrt(_sum_in_order(r * r) / y.size)
-            accept = err <= 1.0
+        if not fixed_step and y.size:
+            # the error row leaves out y: 0 * (-inf) would be NaN
+            np.dot(C[-1, 1:], Y[1:], out=err_est)
+            r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
+            err = np.sqrt(_sum_in_order(r * r) / y.size)
+        accept = err <= 1.0
 
         if accept:
             t = t_new
-            y = y_new
-            k1 = k_last
+            Y[0] = y_new
+            Y[1] = Y[last]
             naccept += 1
 
             r2 = resid2(y)

@@ -53,3 +53,23 @@ def ex2():
 @pytest.fixture
 def ex3():
     return EX3.copy()
+
+
+def count_steps(mp):
+    """Wrap kernels.integrate_offdiag_kernel through the MonkeyPatch mp.
+
+    Returns the list to which each kernel call appends its (accepted,
+    rejected) step counts.
+    """
+    from kvmflow import kernels
+
+    steps = []
+    kernel = kernels.integrate_offdiag_kernel
+
+    def counted(*args):
+        out = kernel(*args)
+        steps.append((out[4], out[5]))
+        return out
+
+    mp.setattr(kernels, "integrate_offdiag_kernel", counted)
+    return steps

@@ -1,9 +1,14 @@
-"""Independent test oracles: characteristic polynomials solved in closed form.
+"""Independent test oracles: closed-form eigenvalues and textbook steps.
 
-Degrees up to 4 are solved with the quadratic formula, the trigonometric
-cubic, and Ferrari's quartic (real-root specialization, valid for symmetric
-matrices), followed by a couple of Newton polish steps on the exact
-polynomial. None of this touches the package's Sturm eigensolver.
+Characteristic polynomials of degree up to 4 are solved with the quadratic
+formula, the trigonometric cubic, and Ferrari's quartic (real-root
+specialization, valid for symmetric matrices), followed by a couple of
+Newton polish steps on the exact polynomial. None of this touches the
+package's Sturm eigensolver.
+
+One Dormand-Prince 5(4) step (Dormand & Prince 1980) and one classic RK4
+step are written out stage by stage with scalar coefficients, as textbooks
+print them, independent of the package's stage buffer and tableau matrices.
 """
 
 import numpy as np
@@ -101,3 +106,40 @@ def closed_form_eigenvalues(diag, offdiag, polish=3):
         step = np.where(dfx != 0.0, fx / np.where(dfx != 0.0, dfx, 1.0), 0.0)
         roots = roots - step
     return np.sort(roots)
+
+
+# Dormand-Prince 5(4) tableau
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0)
+_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0,
+    -1.0 / 40.0)
+
+
+def dopri_step(rhs, y, h):
+    """One Dormand-Prince 5(4) step of dy/dt = rhs(y): (y_new, error estimate)."""
+    k1 = rhs(y)
+    k2 = rhs(y + h * (_A21 * k1))
+    k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
+    k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = rhs(y_new)
+    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    return y_new, err
+
+
+def rk4_step(rhs, y, h):
+    """One classic fourth-order Runge-Kutta step of dy/dt = rhs(y)."""
+    half = 0.5 * h
+    k1 = rhs(y)
+    k2 = rhs(y + half * k1)
+    k3 = rhs(y + half * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

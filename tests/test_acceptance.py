@@ -14,7 +14,7 @@ import pytest
 from kvmflow import flow, jacobi, spectral, verify
 from kvmflow.verify import FINAL_RESIDUAL, trajectory_checks
 
-from conftest import EX1, EX2, EX3, EX1_LIMIT_2DP, EX2_LIMIT_2DP, EX3_LIMIT_2DP
+from conftest import EX1, EX2, EX3, EX1_LIMIT_2DP, EX2_LIMIT_2DP, EX3_LIMIT_2DP, count_steps
 from oracles import closed_form_eigenvalues
 
 
@@ -55,35 +55,39 @@ def example_runs():
 def oracle_runs():
     """100 seeded draws per n in 3..12; entries uniform in [-10,10] with
     |a| >= 0.5; spectra validated distinct with a quantitative margin on the
-    squared magnitudes so the convergence horizon stays bounded."""
+    squared magnitudes so the convergence horizon stays bounded. Each run
+    keeps its kernel's (accepted, rejected) step counts."""
     rng = np.random.default_rng(20260810)
     results = []
-    for n in range(3, 13):
-        accepted = 0
-        while accepted < 100:
-            a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-            spec = spectral.eigenvalues_tridiagonal(np.zeros(n), a0)
-            sq = spec.positive_magnitudes ** 2
-            gaps = np.diff(sq)
-            if n % 2 == 1:
-                gaps = np.concatenate([[sq[0]], gaps])
-            if gaps.min() < 0.35:
-                continue
-            accepted += 1
-            cfg = flow.IntegratorConfig(t_max=150.0,
-                                        eq_eps=1e-9 * (1 + np.sum(a0 * a0)),
-                                        max_rows=160)
-            traj = flow.integrate(a0, cfg)
-            pred = spectral.predict_limit(a0, spec)
-            dev = float(np.abs(traj.final_state - pred).max())
-            bound = 1e-6 * (1 + float(np.linalg.norm(a0)))
-            results.append({
-                "n": n,
-                "status": traj.status,
-                "limit_dev": dev,
-                "limit_bound": bound,
-                "checks": trajectory_checks(traj, a0),
-            })
+    with pytest.MonkeyPatch.context() as mp:
+        steps = count_steps(mp)
+        for n in range(3, 13):
+            accepted = 0
+            while accepted < 100:
+                a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+                spec = spectral.eigenvalues_tridiagonal(np.zeros(n), a0)
+                sq = spec.positive_magnitudes ** 2
+                gaps = np.diff(sq)
+                if n % 2 == 1:
+                    gaps = np.concatenate([[sq[0]], gaps])
+                if gaps.min() < 0.35:
+                    continue
+                accepted += 1
+                cfg = flow.IntegratorConfig(t_max=150.0,
+                                            eq_eps=1e-9 * (1 + np.sum(a0 * a0)),
+                                            max_rows=160)
+                traj = flow.integrate(a0, cfg)
+                pred = spectral.predict_limit(a0, spec)
+                dev = float(np.abs(traj.final_state - pred).max())
+                bound = 1e-6 * (1 + float(np.linalg.norm(a0)))
+                results.append({
+                    "n": n,
+                    "status": traj.status,
+                    "limit_dev": dev,
+                    "limit_bound": bound,
+                    "checks": trajectory_checks(traj, a0),
+                    "steps": steps[-1],
+                })
     return results
 
 
@@ -126,6 +130,13 @@ def test_criterion_4_limit_prediction_oracle(oracle_runs):
         assert not misses, f"{len(misses)} runs missed the predicted limit"
         worst = max(r["limit_dev"] / r["limit_bound"] for r in oracle_runs)
         print(f"       worst deviation: {worst:.3f} of the 1e-6*(1+||a0||) bound")
+
+
+def test_criterion_4_step_counts(oracle_runs):
+    # the total of the scalar stage sums the fused stages replaced: the same
+    # controller decisions on all 1000 runs
+    accepted, rejected = np.sum([r["steps"] for r in oracle_runs], axis=0)
+    assert (accepted, rejected) == (238343, 1002)
 
 
 def test_criterion_5_invariant_suite(example_runs, oracle_runs):

@@ -292,6 +292,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "kvmflow: error: --offdiag entry 'x' is not a number\n"
 
+    @pytest.mark.parametrize("offdiag,token", [("nan,1", "nan"), ("1,-inf", "-inf")])
+    @pytest.mark.parametrize("cmd", ["spectrum", "predict", "verify", "evolve", "equilibria"])
+    def test_non_finite_inline_entry_is_one_line_error(self, capsys, cmd, offdiag, token):
+        assert main(_args(cmd, "--offdiag=" + offdiag)) == 1
+        err = capsys.readouterr().err
+        assert err == f"kvmflow: error: --offdiag entry '{token}' is not finite\n"
+
 
 class TestDegenerateSpectrum:
     """The library and the CLI reject a degenerate spectrum with one error."""

@@ -7,6 +7,8 @@ from kvmflow import flow, jacobi, kernels, spectral
 from kvmflow.errors import NonConvergence, StepUnderflow, ValidationFailure
 from kvmflow.verify import trajectory_checks, verify_run
 
+from conftest import EX1, EX2, EX3, count_steps
+
 
 def _random_valid_state(rng, n):
     while True:
@@ -369,6 +371,18 @@ class TestStepBudget:
         cfg = flow.IntegratorConfig(method="rk4", dt=1e-3, t_max=200.0)
         with pytest.raises(ValidationFailure, match="exceeds 100"):
             flow.integrate(ex1, cfg)
+
+
+class TestStepCounts:
+    """The default config takes the same steps as the scalar stage sums did:
+    fusing the stage arithmetic changed no decision of the controller."""
+
+    @pytest.mark.parametrize("a0,counts", [(EX1, (133, 1)), (EX2, (277, 1)),
+                                           (EX3, (1167, 1))])
+    def test_examples_take_the_pinned_steps(self, monkeypatch, a0, counts):
+        steps = count_steps(monkeypatch)
+        flow.integrate(a0)
+        assert steps == [counts]
 
 
 def _counting(monkeypatch, module, name):

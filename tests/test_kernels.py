@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
 
+from oracles import dopri_step, rk4_step
+
 
 class TestLaneSelection:
     def test_lane_reports_active_path(self):
@@ -184,6 +186,45 @@ class TestLogChart:
         # the left block [a_1] is alone: it does not move
         assert np.all(states[:count, 0] == v0[0])
         assert kernels._resid2_log(np.array([0.0, -np.inf, -np.inf])) == 0.0
+
+
+class TestOneStep:
+    """The first step of the fused stage arithmetic against textbook steps."""
+
+    @staticmethod
+    def _start(kind):
+        rng = np.random.default_rng(17)
+        if kind == "dense":
+            H = rng.uniform(-1.0, 1.0, (5, 5))
+            H = H + H.T
+            H /= np.linalg.norm(H) / np.sqrt(2.0)
+            return H, kernels.integrate_dense_kernel, jacobi.rhs_matrix
+        a = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+        if kind == "log_zero":
+            a[2] = 0.0
+        return _log_chart(a), kernels.integrate_offdiag_kernel, jacobi.log_chart_rhs(6)
+
+    @pytest.mark.parametrize("kind", ["log", "log_zero", "dense"])
+    @pytest.mark.parametrize("fixed_step", [False, True])
+    def test_first_step_matches_the_textbook_step(self, kind, fixed_step):
+        y0, kernel, rhs = self._start(kind)
+        h, tol = 1e-2, 1e-6
+        times, states, count, status, naccept, nreject = kernel(
+            y0, h, h, fixed_step, tol, tol, 0.0, 1e-14, 1, 4)
+        # the one trial step is taken: a NaN or too large error norm would
+        # have rejected it
+        assert (count, status, naccept, nreject) == (2, kernels.STATUS_HORIZON, 1, 0)
+        assert times[1] == h
+        if fixed_step:
+            want = rk4_step(rhs, y0, h)
+        else:
+            want, err_est = dopri_step(rhs, y0, h)
+            r = err_est / (tol + tol * np.maximum(np.abs(y0), np.abs(want)))
+            assert np.sqrt(np.mean(r * r)) <= 1.0
+        got, live = states[1], np.isfinite(want)
+        # a zero entry stays exactly at -inf
+        assert np.array_equal(np.isfinite(got), live) and np.all(got[~live] == -np.inf)
+        assert np.abs(got[live] - want[live]).max() <= 1e-14 * np.abs(want[live]).max()
 
 
 class TestRecording:
