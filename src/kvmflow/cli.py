@@ -71,8 +71,6 @@ def _add_input_options(p, offdiag_inline=True):
 
 
 def _add_integrator_options(p):
-    p.add_argument("--method", choices=["rk45", "rk4"])
-    p.add_argument("--dt", type=float)
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--eq-eps", type=float, dest="eq_eps")
     p.add_argument("--abs-tol", type=float, dest="abs_tol")

@@ -57,18 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator settings, checked when the config is made.
+    """Settings of the adaptive Dormand-Prince integrator, checked when made.
 
-    dt is the fixed step for rk4 (None -> 1e-3) and the initial trial step
-    for rk45 (None picks one from the initial slope). eq_eps is the
-    equilibrium residual that stops the run early (None -> 1e-10 * c^2, c
-    the run's unit). For the off-diagonal flow abs_tol and rel_tol bound the
-    error in log|a_i|, which makes them relative accuracies on each entry;
-    for the dense flow they bound the error in H / c.
+    The integrator picks its own steps, the first one from the initial state
+    and its slope. eq_eps is the equilibrium residual that stops the run
+    early (None -> 1e-10 * c^2, c the run's unit). For the off-diagonal flow
+    abs_tol and rel_tol bound the error in log|a_i|, which makes them
+    relative accuracies on each entry; for the dense flow they bound the
+    error in H / c.
     """
 
-    method: str = "rk45"
-    dt: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     t_max: float = 10.0
@@ -77,15 +75,9 @@ class IntegratorConfig:
     max_rows: int = 10_000
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValidationFailure(
-                f"unknown method {self.method!r}; expected rk45 or rk4"
-            )
         # written so that NaN fails every check
         if not 0 < self.t_max < np.inf:
             raise ValidationFailure("t_max must be positive and finite")
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValidationFailure("dt must be positive and finite")
         if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
             raise ValidationFailure("abs_tol and rel_tol must be positive and finite")
         if self.eq_eps is not None and not 0 <= self.eq_eps < np.inf:
@@ -137,8 +129,6 @@ class DenseTrajectory(FlowTrajectory):
 
 # the default eq_eps at unit norm; it is 1e-10 * c^2 in the input's units
 _EQ_EPS = 1e-10
-# the rk4 step when dt is None, in units of t
-_RK4_DT = 1e-3
 # smallest normal float: c^2 and the normalised horizon must reach it
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -147,7 +137,7 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     """Integrate x0 / c in tau = c^2 t; return the trajectory fields in x0's units.
 
     c is the input's unit and y0 the kernel state of x0 / c. Only here are
-    t_max, dt and eq_eps mapped into tau and the residual of x0 / c, and
+    t_max and eq_eps mapped into tau and the residual of x0 / c, and
     times, states (row 0 is x0 itself), Lyapunov values and residuals
     (times c^2) and drift (times c) mapped back. An input whose c^2, n c^2
     or c^2 t_max is not a finite normal float is rejected.
@@ -186,19 +176,12 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
                     status="stationary_input")
 
     spectrum = reference()
-    dt = _RK4_DT if cfg.dt is None and cfg.method == "rk4" else cfg.dt
-    h0 = None if dt is None else c2 * dt  # None: the kernel picks one
-    if cfg.method == "rk4" and tau_max / h0 > kernels.MAX_STEPS:
-        raise ValidationFailure(
-            f"rk4 run of t_max/dt = {tau_max / h0:.3e} steps exceeds "
-            f"{kernels.MAX_STEPS}; raise dt or lower t_max"
-        )
     # on a unit state the field is O(1), so tau = 1 is the run's time scale
     dt_min = 1e-14 * min(tau_max, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, count, status, _, _ = kernel(
-            y0, tau_max, h0, cfg.method == "rk4", cfg.abs_tol, cfg.rel_tol,
-            eq_unit, dt_min, cfg.record_stride, cfg.max_rows)
+            y0, tau_max, cfg.abs_tol, cfg.rel_tol, eq_unit, dt_min,
+            cfg.record_stride, cfg.max_rows)
         if status == kernels.STATUS_UNDERFLOW:
             raise StepUnderflow(
                 "adaptive step fell below 1e-14 of the run's time scale; "
@@ -211,9 +194,7 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
             )
         states = rows(states[:count].copy())
     if not np.all(np.isfinite(states)):
-        raise NonConvergence(
-            f"{cfg.method} run diverged to a non-finite state; reduce dt"
-        )
+        raise NonConvergence("run diverged to a non-finite state; tighten tolerances")
 
     f_values, k_norms, drift = measure(states, spectrum.values / c)
     drift[0] = 0.0

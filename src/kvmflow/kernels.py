@@ -1,7 +1,7 @@
 """Hot numeric kernels: the flow stepper and the batched Sturm eigensolver.
 
-One Dormand-Prince 5(4) / fixed-step RK4 stepper integrates both forms of the
-flow. It takes the right-hand side and the squared equilibrium residual as
+One adaptive Dormand-Prince 5(4) stepper integrates both forms of the flow.
+It takes the right-hand side and the squared equilibrium residual as
 arguments and works on a state of any shape:
 
 * ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
@@ -34,9 +34,8 @@ STATUS_HORIZON = 1
 STATUS_UNDERFLOW = 2
 STATUS_BUDGET = 3
 
-# the most steps one run may take: an rk4 run of more is refused before it
-# starts, an adaptive run stops with STATUS_BUDGET once its accepted plus
-# rejected steps reach it; read at call time
+# the most steps one run may take: a run stops with STATUS_BUDGET once its
+# accepted plus rejected steps reach it; read at call time
 MAX_STEPS = 10**6
 
 # Dormand-Prince 5(4) on the stage buffer's rows (y, k1, ..., k7): one row
@@ -50,14 +49,6 @@ _DP = np.array([
     [1, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
     [1, 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
     [0, 71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-])
-# classic RK4 on the rows (y, k1, ..., k5): the arguments of k2 ... k4, then
-# y_new (the argument of k5, the next step's k1)
-_RK4 = np.array([
-    [1, 1 / 2, 0, 0, 0, 0],
-    [1, 0, 1 / 2, 0, 0, 0],
-    [1, 0, 0, 1, 0, 0],
-    [1, 1 / 6, 1 / 3, 1 / 3, 1 / 6, 0],
 ])
 
 _SAFETY = 0.9
@@ -101,20 +92,19 @@ def _halve_rows(times, states, count) -> int:
     return half_n
 
 
-def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
-               eq_eps, dt_min, stride0, max_rows):
+def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
+               stride0, max_rows):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
-    Stops at t_max, or once resid2(y) <= eq_eps^2. A fixed-step run takes its
-    time from the step index, k * h_init, so no rounding accumulates; a step
-    that ends within 1e-14 * t_max of t_max ends exactly on it. An adaptive
-    run starts from h_init, or from a step set by y0 and its slope when
-    h_init is None, and never below dt_min; it stops with STATUS_BUDGET once
-    it has taken MAX_STEPS steps, accepted or rejected.
+    Stops at t_max, or once resid2(y) <= eq_eps^2; a step that ends within
+    1e-14 * t_max of t_max ends exactly on it. The first trial step is set by
+    y0 and its slope (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a step
+    below dt_min is an underflow. The run stops with STATUS_BUDGET once it
+    has taken MAX_STEPS steps, accepted or rejected.
 
-    The state y and the stages k1 ... k_last are the rows of one buffer Y,
-    flattened. Each step scales the tableau (_DP or _RK4) by h, all but its
-    column on y, and each stage argument and y_new is one np.dot of a tableau
+    The state y and the stages k1 ... k7 are the rows of one buffer Y,
+    flattened. Each step scales the tableau _DP by h, all but its column on
+    y, and each stage argument and y_new is one np.dot of a tableau
     row with the prefix of Y it reads; the error estimate is one np.dot over
     the k rows alone. On the log chart a zero entry is y = -inf and
     0 * (-inf) is NaN, so no row may have a zero on y, and the error row
@@ -136,9 +126,8 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     count = 1
     stride = stride0
 
-    M = _RK4 if fixed_step else _DP
-    C = M.copy()  # M with every column but y's times h
-    last = M.shape[1] - 1
+    C = _DP.copy()  # _DP with every column but y's times h
+    last = _DP.shape[1] - 1
     Y = np.empty((last + 1, y0.size))  # rows y, k1, ..., k_last
     args = np.empty((last - 1, y0.size))  # stage arguments; y_new is the last
     Y[0] = y0.reshape(-1)
@@ -149,7 +138,6 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
 
     eq2 = eq_eps * eq_eps
     t = 0.0
-    h = h_init
     status = STATUS_HORIZON
     naccept = 0
     nreject = 0
@@ -157,40 +145,31 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
     just_rejected = False
 
     rhs(y, out=k1)
-    if not fixed_step:
-        if h is None:
-            # a zero entry is v = -inf on the log chart
-            y_inf = np.abs(y[np.isfinite(y)]).max(initial=0.0)
-            h = min(0.1 * (1.0 + y_inf) / (1.0 + np.abs(k1).max(initial=0.0)),
-                    1e-3 * t_max)
-        # a trial step below the floor would be refused before it could grow
-        h = max(h, dt_min)
+    # a zero entry is v = -inf on the log chart
+    y_inf = np.abs(y[np.isfinite(y)]).max(initial=0.0)
+    h = min(0.1 * (1.0 + y_inf) / (1.0 + np.abs(k1).max(initial=0.0)),
+            1e-3 * t_max)
     t_edge = t_max * (1.0 - 1.0e-14)
 
     while t < t_edge:
-        if fixed_step:
-            t_new = (naccept + 1) * h_init
-        else:
-            if not h >= dt_min:  # a NaN step is an underflow
-                status = STATUS_UNDERFLOW
-                break
-            if naccept + nreject >= MAX_STEPS:
-                status = STATUS_BUDGET
-                break
-            if h > t_max - t:
-                h = t_max - t
-            t_new = t + h
+        if not h >= dt_min:  # a NaN step is an underflow
+            status = STATUS_UNDERFLOW
+            break
+        if naccept + nreject >= MAX_STEPS:
+            status = STATUS_BUDGET
+            break
+        if h > t_max - t:
+            h = t_max - t
+        t_new = t + h
         if t_new >= t_edge:
             t_new = t_max
-        if fixed_step:
-            h = t_new - t
 
-        np.multiply(M[:, 1:], h, out=C[:, 1:])
+        np.multiply(_DP[:, 1:], h, out=C[:, 1:])
         for coef, rows, arg, arg_in, k_out in stages:
             np.dot(coef, rows, out=arg)
             rhs(arg_in, out=k_out)
         err = 0.0
-        if not fixed_step and y.size:
+        if y.size:
             # the error row leaves out y: 0 * (-inf) would be NaN
             np.dot(C[-1, 1:], Y[1:], out=err_est)
             r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
@@ -219,54 +198,52 @@ def _integrate(y0, rhs, resid2, t_max, h_init, fixed_step, abs_tol, rel_tol,
         else:
             nreject += 1
 
-        if not fixed_step:
-            if err == 0.0:
-                fac = _FAC_MAX
-            else:
-                fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            # written so that a NaN error estimate (an overflowing trial step,
-            # already rejected above) shrinks h by _FAC_MIN
-            fac = min(fac, _FAC_MAX) if fac >= _FAC_MIN else _FAC_MIN
-            if accept:
-                if just_rejected:
-                    fac = min(fac, 1.0)
-                err_prev = max(err, 1.0e-4)
-                just_rejected = False
-            else:
-                just_rejected = True
+        if err == 0.0:
+            fac = _FAC_MAX
+        else:
+            fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+        # written so that a NaN error estimate (an overflowing trial step,
+        # already rejected above) shrinks h by _FAC_MIN
+        fac = min(fac, _FAC_MAX) if fac >= _FAC_MIN else _FAC_MIN
+        if accept:
+            if just_rejected:
                 fac = min(fac, 1.0)
-            h = h * fac
+            err_prev = max(err, 1.0e-4)
+            just_rejected = False
+        else:
+            just_rejected = True
+            fac = min(fac, 1.0)
+        h = h * fac
 
     return times, states, count, status, naccept, nreject
 
 
-def integrate_offdiag_kernel(v0, t_max, h_init, fixed_step, abs_tol, rel_tol,
-                             eq_eps, dt_min, stride0, max_rows):
+def integrate_offdiag_kernel(v0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
+                             stride0, max_rows):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
     The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
     stepped in normalised time tau = ||a0||^2 t with the field of
-    :func:`jacobi.log_chart_rhs`; t_max, h_init, dt_min and eq_eps are in
+    :func:`jacobi.log_chart_rhs`; t_max, dt_min and eq_eps are in
     those units, and eq_eps bounds the residual of exp(v). A zero entry is
     v = -inf: it stays there and adds 0 to the field, the residual and the
     error norm. abs_tol and rel_tol bound the error in v, which is the
     relative error of each entry. See :func:`_integrate` for the return value.
     """
-    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, h_init,
-                      fixed_step, abs_tol, rel_tol, eq_eps, dt_min, stride0,
-                      max_rows)
+    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, abs_tol,
+                      rel_tol, eq_eps, dt_min, stride0, max_rows)
 
 
-def integrate_dense_kernel(H0, t_max, h_init, fixed_step, abs_tol, rel_tol,
-                           eq_eps, dt_min, stride0, max_rows):
+def integrate_dense_kernel(H0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
+                           stride0, max_rows):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
     coordinates; the residual is the Frobenius norm of [H, N(H)]. The caller
     passes H0 / c and times in tau = c^2 t, so both are unit-sized.
     """
-    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, h_init, fixed_step,
-                      abs_tol, rel_tol, eq_eps, dt_min, stride0, max_rows)
+    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, abs_tol, rel_tol,
+                      eq_eps, dt_min, stride0, max_rows)
 
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)

@@ -19,7 +19,6 @@ def warm_kernels():
 
     a = np.array([1.0, 2.0])
     flow.integrate(a, flow.IntegratorConfig(t_max=1e-3, eq_eps=0.0))
-    flow.integrate(a, flow.IntegratorConfig(t_max=1e-3, method="rk4", dt=1e-4, eq_eps=0.0))
     flow.integrate_dense(jacobi.embed(a), flow.IntegratorConfig(t_max=1e-3, eq_eps=0.0))
 
 

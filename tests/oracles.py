@@ -133,13 +133,3 @@ def dopri_step(rhs, y, h):
     k7 = rhs(y_new)
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
     return y_new, err
-
-
-def rk4_step(rhs, y, h):
-    """One classic fourth-order Runge-Kutta step of dy/dt = rhs(y)."""
-    half = 0.5 * h
-    k1 = rhs(y)
-    k2 = rhs(y + half * k1)
-    k3 = rhs(y + half * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -68,14 +68,13 @@ class TestEvolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_fixed_step_run_ends_exactly_on_the_horizon(self, tmp_path, capsys):
-        # rk4 time comes from the step index: no sliver step after 1 - 5.5e-14
+    def test_run_ends_exactly_on_the_horizon(self, tmp_path, capsys):
+        # a step that ends within 1e-14 of the horizon ends on it, and the
+        # last recorded time is set to t_max itself
         csv_path = tmp_path / "s.csv"
-        assert main(_args("evolve", "--offdiag=5,-6,-2", "--method", "rk4",
-                          "--dt", "5e-4", "--t-max", "1", "--eq-eps", "0",
-                          "--out-csv", csv_path)) == 0
+        assert main(_args("evolve", "--offdiag=5,-6,-2", "--t-max", "1",
+                          "--eq-eps", "0", "--out-csv", csv_path)) == 0
         rows = csv_path.read_text().splitlines()[1:]
-        assert len(rows) == 2001
         assert float(rows[-1].split(",")[0]) == 1.0
 
 
@@ -136,11 +135,6 @@ class TestVerify:
     @pytest.mark.parametrize("name", ["ex1.json", "ex2.json", "ex3.json"])
     def test_shipped_fixtures_verify_clean(self, name):
         assert main(_args("verify", "--input", FIXTURES / name)) == 0
-
-    def test_overflowing_first_step_is_shrunk(self, capsys):
-        # a trial step of 0.1 overflows on ex3; it must be rejected and
-        # shrunk, not reported as a step underflow
-        assert main(_args("verify", "--input", FIXTURES / "ex3.json", "--dt", "0.1")) == 0
 
 
 def _strict_loads(text):
@@ -260,29 +254,32 @@ class TestErrorPaths:
         assert err.startswith("usage: ") and "unrecognized arguments: --out-csv" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("tokens, flag", [
+        (["evolve", "--offdiag=5,-6,-2", "--method", "rk4"], "--method"),
+        (["verify", "--offdiag=5,-6,-2", "--method", "rk45"], "--method"),
+        (["verify", "--offdiag=5,-6,-2", "--dt", "1e-3"], "--dt"),
+        (["evolve-sym", "--dt", "0.5"], "--dt"),
+    ], ids=["evolve-method", "verify-method", "verify-dt", "evolve-sym-dt"])
+    def test_removed_step_options_are_usage_errors(self, tokens, flag, sym_file,
+                                                   capsys):
+        if tokens[0] == "evolve-sym":
+            tokens = tokens + ["--input", sym_file]
+        assert main(_args(*tokens)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag}" in err
+
     @pytest.mark.filterwarnings("error")  # a numpy warning would add lines
     @pytest.mark.parametrize("tokens", [
         ["verify", "--offdiag=1e200,1e200,1e200"],
         ["verify", "--offdiag=1e200,1e200,1e200", "--eq-eps", "1"],
-        ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "0.5"],
-        ["evolve-sym", "--method", "rk4", "--dt", "0.5", "--t-max", "5"],
         ["equilibria", "--input", FIXTURES / "ex3.json"],
         ["spectrum", "--offdiag=1e200,1e200,1e200"],
         ["predict", "--offdiag=1e200,1e200,1e200"],
         ["verify", "--offdiag=5,-6,-2", "--abs-tol", "inf"],
-        ["evolve", "--offdiag=5,-6,-2", "--method", "rk4", "--dt", "1e-9"],
         ["verify", "--offdiag=5,-6,-2", "--eq-eps", "inf"],
-        ["verify", "--offdiag=5,-6,-2", "--dt", "inf"],
-    ], ids=["verify-overflow", "verify-overflow-eq-eps", "evolve-rk4-diverges",
-            "evolve-sym-rk4-diverges", "equilibria-too-many", "spectrum-overflow",
-            "predict-overflow", "abs-tol-inf", "evolve-rk4-too-many-steps",
-            "eq-eps-inf", "dt-inf"])
-    def test_out_of_range_run_is_one_line_error(self, tokens, tmp_path, capsys):
-        if tokens[0] == "evolve-sym":
-            H = np.random.default_rng(8).normal(size=(8, 8))
-            path = tmp_path / "sym8.json"
-            path.write_text(json.dumps({"symmetric": (0.5 * (H + H.T)).tolist()}))
-            tokens = tokens + ["--input", path]
+    ], ids=["verify-overflow", "verify-overflow-eq-eps", "equilibria-too-many",
+            "spectrum-overflow", "predict-overflow", "abs-tol-inf", "eq-eps-inf"])
+    def test_out_of_range_run_is_one_line_error(self, tokens, capsys):
         assert main(_args(*tokens)) == 1
         err = capsys.readouterr().err
         assert err.startswith("kvmflow: error: ") and err.count("\n") == 1

@@ -22,23 +22,23 @@ def _random_valid_state(rng, n):
 
 class TestConfig:
     @pytest.mark.parametrize("bad", [
-        dict(method="euler"),
         dict(t_max=0.0),
-        dict(dt=-1e-3),
         dict(abs_tol=0.0),
         dict(eq_eps=-1.0),
         dict(record_stride=0),
         dict(max_rows=1),
-        dict(method="adaptive_rk45"),
-        dict(method="fixed_rk4"),
         dict(t_max=float("nan")),
         dict(t_max=float("inf")),
-        dict(dt=float("nan")),
         dict(eq_eps=float("nan")),
         dict(abs_tol=float("inf")),
         dict(rel_tol=float("inf")),
-        dict(dt=float("inf")),
         dict(eq_eps=float("inf")),
+        dict(t_max=-1.0),
+        dict(rel_tol=0.0),
+        dict(abs_tol=float("nan")),
+        dict(rel_tol=float("nan")),
+        dict(record_stride=-3),
+        dict(max_rows=0),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationFailure):
@@ -97,15 +97,6 @@ class TestIntegrate:
         with pytest.raises(StepUnderflow):
             flow.integrate(ex1, cfg)
 
-    @pytest.mark.parametrize("a0", ["ex1", "ex3"])
-    @pytest.mark.parametrize("dt", [1e-20, 1e-13, 1e-300])
-    def test_tiny_rk45_trial_step_starts_at_the_floor(self, request, a0, dt):
-        # a trial step below the floor, 1e-14 of the run's time scale, is
-        # raised to it, not refused
-        report = verify_run(request.getfixturevalue(a0), flow.IntegratorConfig(dt=dt))
-        assert report.overall, [c for c in report.checks if not c.passed]
-        assert report.meta["status"] in {"converged", "horizon_reached"}
-
     @pytest.mark.parametrize("a0, t_max", [([5.0, -6.0, -2.0], 1e12),
                                            ([1e150, 1e150], 10.0)])
     def test_horizon_far_beyond_the_time_scale_converges(self, a0, t_max):
@@ -113,14 +104,6 @@ class TestIntegrate:
         traj = flow.integrate(a0, flow.IntegratorConfig(t_max=t_max))
         assert traj.status == "converged"
         assert traj.times[-1] < t_max
-
-    @pytest.mark.parametrize("dt", [0.5, 10.0, 1e300])
-    def test_overflowing_trial_step_is_rejected(self, ex1, dt):
-        # the first trial step overflows, its error estimate is NaN, and the
-        # step must shrink instead of becoming NaN
-        report = verify_run(ex1, flow.IntegratorConfig(dt=dt))
-        assert report.overall, [c for c in report.checks if not c.passed]
-        assert report.meta["status"] == "converged"
 
     @pytest.mark.parametrize("a0", [[1e200, 1e200, 1e200]])
     def test_non_finite_initial_state_rejected(self, a0):
@@ -152,11 +135,6 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.final_state / factor, unscaled.final_state,
                                    rtol=0, atol=1e-9 * np.linalg.norm(ex1))
 
-    def test_diverging_fixed_step_raises(self, ex1):
-        cfg = flow.IntegratorConfig(method="rk4", dt=0.5)
-        with pytest.raises(NonConvergence, match="diverged"):
-            flow.integrate(ex1, cfg)
-
     def test_times_strictly_increasing_from_zero(self, ex2):
         traj = flow.integrate(ex2, flow.IntegratorConfig(t_max=1.0))
         assert traj.times[0] == 0.0
@@ -168,14 +146,14 @@ class TestIntegrate:
         traj = flow.integrate(ex2, cfg)
         assert traj.times.size <= 50
         assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert traj.times[-1] == 1.0
 
     def test_record_stride_thins_rows(self, ex2):
         dense_rows = flow.integrate(ex2, flow.IntegratorConfig(t_max=0.5, eq_eps=0.0))
         sparse = flow.integrate(
             ex2, flow.IntegratorConfig(t_max=0.5, eq_eps=0.0, record_stride=10))
         assert sparse.times.size < dense_rows.times.size
-        assert sparse.times[-1] == pytest.approx(0.5, abs=1e-12)
+        assert sparse.times[-1] == 0.5
 
     def test_status_converged_waits_for_residual(self, ex1):
         traj = flow.integrate(ex1, flow.IntegratorConfig(t_max=100.0))
@@ -217,14 +195,6 @@ class TestInvariants:
             assert np.abs(traj.final_state - pred).max() <= 1e-6 * (
                 1 + np.linalg.norm(a0))
 
-    def test_fixed_step_and_adaptive_agree_at_t1(self, ex1):
-        rk4 = flow.integrate(ex1, flow.IntegratorConfig(
-            method="rk4", dt=1e-4, t_max=1.0, eq_eps=0.0))
-        rk45 = flow.integrate(ex1, flow.IntegratorConfig(t_max=1.0, eq_eps=0.0))
-        assert rk4.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert rk45.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(rk4.final_state - rk45.final_state).max() <= 1e-6
-
 
 @st.composite
 def _oracle_input(draw):
@@ -258,13 +228,10 @@ class TestScaleInvariance:
 
 
 class TestIntegrateDense:
-    @pytest.mark.parametrize("method, scale", [
-        ("rk45", 1.0), ("rk45", 1e-100), ("rk45", 1e100)],
-        ids=["rk45", "rk45-1e-100", "rk45-1e+100"])
-    def test_matches_componentwise_integrator(self, ex1, method, scale):
-        cfg = flow.IntegratorConfig(method=method, t_max=1.0, eq_eps=0.0)
-        scaled_cfg = flow.IntegratorConfig(method=method, t_max=1.0 / scale**2,
-                                           eq_eps=0.0)
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_matches_componentwise_integrator(self, ex1, scale):
+        cfg = flow.IntegratorConfig(t_max=1.0, eq_eps=0.0)
+        scaled_cfg = flow.IntegratorConfig(t_max=1.0 / scale**2, eq_eps=0.0)
         dense = flow.integrate_dense(scale * jacobi.embed(ex1), scaled_cfg)
         compact = flow.integrate(ex1, cfg)
         got = np.diagonal(dense.final_state, 1) / scale
@@ -287,18 +254,6 @@ class TestIntegrateDense:
         assert scaled.final_blocks == plain.final_blocks
         dev = np.abs(scaled.final_state / scale - plain.final_state).max()
         assert dev <= 1e-9 * np.abs(plain.final_state).max()
-
-    def test_rk4_is_fourth_order_against_a_dense_reference(self, ex1):
-        # rk4 on the log chart and rk4 on the matrix truncate differently, so
-        # the compact rk4 run is measured against a tight dense rk45 run
-        tight = flow.IntegratorConfig(t_max=1.0, eq_eps=0.0, abs_tol=1e-14, rel_tol=1e-14)
-        ref = np.diagonal(flow.integrate_dense(jacobi.embed(ex1), tight).final_state, 1)
-        errors = []
-        for dt in (1e-3, 5e-4):
-            cfg = flow.IntegratorConfig(method="rk4", dt=dt, t_max=1.0, eq_eps=0.0)
-            errors.append(np.abs(flow.integrate(ex1, cfg).final_state - ref).max())
-        assert errors[0] / errors[1] >= 12.0  # 16 for a fourth-order method
-        assert errors[1] <= 5e-8
 
     def test_diagonal_matrix_is_stationary(self):
         traj = flow.integrate_dense(np.diag([3.0, -1.0, 2.0]))
@@ -334,12 +289,6 @@ class TestIntegrateDense:
         with pytest.raises(ValidationFailure, match="out of range"):
             flow.integrate_dense(H)
 
-    def test_diverging_fixed_step_raises(self):
-        H = np.random.default_rng(8).normal(size=(8, 8))
-        cfg = flow.IntegratorConfig(method="rk4", dt=0.5, t_max=5.0)
-        with pytest.raises(NonConvergence, match="diverged"):
-            flow.integrate_dense(0.5 * (H + H.T), cfg)
-
     def test_is_a_flow_trajectory(self, ex1):
         traj = flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
         assert isinstance(traj, flow.FlowTrajectory)
@@ -365,12 +314,6 @@ class TestStepBudget:
         monkeypatch.setattr(kernels, "MAX_STEPS", 100)
         with pytest.raises(NonConvergence, match="took 100 steps before t_max"):
             flow.integrate(ex1, flow.IntegratorConfig(t_max=200.0))
-
-    def test_rk4_run_over_the_budget_is_refused(self, monkeypatch, ex1):
-        monkeypatch.setattr(kernels, "MAX_STEPS", 100)
-        cfg = flow.IntegratorConfig(method="rk4", dt=1e-3, t_max=200.0)
-        with pytest.raises(ValidationFailure, match="exceeds 100"):
-            flow.integrate(ex1, cfg)
 
 
 class TestStepCounts:

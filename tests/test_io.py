@@ -149,10 +149,10 @@ class TestWriteSummary:
         assert sink.getvalue() == '{\n  "x": [\n    null,\n    null,\n    1.0\n  ]\n}\n'
 
     def test_dataclass_is_an_object_in_field_order(self):
-        cfg = flow.IntegratorConfig(dt=0.5)
+        cfg = flow.IntegratorConfig(t_max=2.0)
         summary = kio.build_summary(config=cfg)
         assert list(summary["config"]) == [f.name for f in dataclasses.fields(cfg)]
-        assert summary["config"]["dt"] == 0.5
+        assert summary["config"]["t_max"] == 2.0
 
     def test_unknown_object_rejected(self):
         with pytest.raises(TypeError):

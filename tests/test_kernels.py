@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
 
-from oracles import dopri_step, rk4_step
+from oracles import dopri_step
 
 
 class TestLaneSelection:
@@ -179,7 +179,7 @@ class TestLogChart:
         assert field[0] == 0.0
         np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)(v0[2:]))
         times, states, count, status, *_ = kernels.integrate_offdiag_kernel(
-            v0, 100.0, 1e-3, False, 1e-10, 1e-10, 1e-10, 1e-12, 1, 1000)
+            v0, 100.0, 1e-10, 1e-10, 1e-10, 1e-12, 1, 1000)
         assert status == kernels.STATUS_CONVERGED
         assert np.all(states[:count, 1] == -np.inf)
         assert np.all(np.isfinite(states[:count, [0, 2, 3]]))
@@ -189,7 +189,7 @@ class TestLogChart:
 
 
 class TestOneStep:
-    """The first step of the fused stage arithmetic against textbook steps."""
+    """The first step of the fused stage arithmetic against the textbook step."""
 
     @staticmethod
     def _start(kind):
@@ -205,22 +205,18 @@ class TestOneStep:
         return _log_chart(a), kernels.integrate_offdiag_kernel, jacobi.log_chart_rhs(6)
 
     @pytest.mark.parametrize("kind", ["log", "log_zero", "dense"])
-    @pytest.mark.parametrize("fixed_step", [False, True])
-    def test_first_step_matches_the_textbook_step(self, kind, fixed_step):
+    def test_first_step_matches_the_textbook_step(self, kind):
         y0, kernel, rhs = self._start(kind)
-        h, tol = 1e-2, 1e-6
+        tol = 1e-6
         times, states, count, status, naccept, nreject = kernel(
-            y0, h, h, fixed_step, tol, tol, 0.0, 1e-14, 1, 4)
-        # the one trial step is taken: a NaN or too large error norm would
-        # have rejected it
-        assert (count, status, naccept, nreject) == (2, kernels.STATUS_HORIZON, 1, 0)
-        assert times[1] == h
-        if fixed_step:
-            want = rk4_step(rhs, y0, h)
-        else:
-            want, err_est = dopri_step(rhs, y0, h)
-            r = err_est / (tol + tol * np.maximum(np.abs(y0), np.abs(want)))
-            assert np.sqrt(np.mean(r * r)) <= 1.0
+            y0, 1.0, tol, tol, 0.0, 1e-14, 1, 10_000)
+        assert status == kernels.STATUS_HORIZON and count == naccept + 1
+        # the first trial step, 1e-3 * t_max, is taken: a NaN or too large
+        # error norm would have rejected it
+        assert times[1] == 1e-3
+        want, err_est = dopri_step(rhs, y0, times[1])
+        r = err_est / (tol + tol * np.maximum(np.abs(y0), np.abs(want)))
+        assert np.sqrt(np.mean(r * r)) <= 1.0
         got, live = states[1], np.isfinite(want)
         # a zero entry stays exactly at -inf
         assert np.array_equal(np.isfinite(got), live) and np.all(got[~live] == -np.inf)
@@ -231,10 +227,10 @@ class TestRecording:
     def test_decimation_keeps_t0_and_final(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
         times, states, count, status, naccept, _ = kernels.integrate_offdiag_kernel(
-            v0, 1.0, 1e-3, True, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
+            v0, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
         assert count <= 32
         assert times[0] == 0.0
-        assert times[count - 1] == pytest.approx(1.0, abs=1e-12)
+        assert times[count - 1] == 1.0
         assert naccept > 32  # decimation actually happened
 
     def test_halving_keeps_even_rows(self):
@@ -249,14 +245,35 @@ class TestRecording:
     def test_underflow_status(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
         out = kernels.integrate_offdiag_kernel(
-            v0, 1.0, 1e-3, False, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
+            v0, 1.0, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nan_step_is_underflow(self):
-        # every stage overflows, so every error estimate is NaN: each trial
-        # step is rejected and shrunk until it falls below dt_min
+        # the slope overflows, so the start step set from it is itself NaN
+        # or 0: the run stops before its first step
         H = np.array([[0.0, 1e200, 0.0], [1e200, 0.0, 2e200], [0.0, 2e200, 0.0]])
         out = kernels.integrate_dense_kernel(
-            H, 1.0, 1e-3, False, 1e-10, 1e-10, 0.0, 1e-14, 1, 64)
+            H, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_stage_rejects_and_shrinks_the_step(self):
+        # an overflowing stage makes the error estimate non-finite: the trial
+        # step is rejected and shrunk by _FAC_MIN, and the run goes on
+        v0 = _log_chart([5.0, -6.0, -2.0])
+        field = jacobi.log_chart_rhs(3)
+        calls = []
+
+        def rhs(v, out):
+            field(v, out=out)
+            calls.append(None)
+            if len(calls) == 3:  # k3 of the first trial step
+                out[:] = np.inf
+            return out
+
+        times, states, count, status, naccept, nreject = kernels._integrate(
+            v0, rhs, kernels._resid2_log, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 1000)
+        assert status == kernels.STATUS_HORIZON and nreject >= 1
+        assert times[1] == 1e-3 * kernels._FAC_MIN
+        assert np.all(np.isfinite(states[:count]))
