@@ -16,6 +16,14 @@ estimate is one ``np.dot`` of a row of the tableau with those rows; BLAS adds
 its terms in its own order. The sums that decide step acceptance and
 stopping, the error norm and the residual, run left to right, so they do not
 depend on numpy's pairwise summation.
+
+``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
+each one pass over the LDL^T pivots for every entry at once. A cold solve is
+bisection by multisection: a sweep counts a grid of nested midpoints per
+bracket and takes several bisection steps, to bisection's bits. A solve
+near a known spectrum (the drift rows of a trajectory) takes one Newton
+step per eigenvalue from it and certifies each value with two Sturm counts
+at +/- tol; a row that does not certify is solved cold.
 """
 
 import numpy as np
@@ -248,9 +256,15 @@ def integrate_dense_kernel(H0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)
 _MAX_BISECT = 128
-# half-width of a warm bracket, relative to 1 + the row's Gershgorin bound;
-# the verifier's spectral drift bound has the same form
+# trust radius of a warm Newton step, relative to 1 + the row's Gershgorin
+# bound; the verifier's spectral drift bound has the same form
 _WARM_RADIUS = 1.0e-7
+# levels of midpoints per cold sweep: 2^j - 1 Sturm counts per bracket
+# cover j bisection steps in one pass over the pivots
+_MULTISECT_LEVELS = 6
+# a cold sweep counts at most this many points, or as many as the warm
+# certification of the same batch (2 per bracket) if that is more
+_MULTISECT_POINTS = 4096
 
 
 def _sturm_counter(diag, e2, pivmin, shape):
@@ -289,23 +303,122 @@ def _sturm_counter(diag, e2, pivmin, shape):
     return count
 
 
+def _newton_sweep(diag, e2, x):
+    """One Newton step x - det/det' on det(T - x I), for each entry of x.
+
+    x has shape (m, k), one row per off-diagonal row. det'/det is the sum of
+    u_i = q_i'/q_i over the LDL^T pivots q_i = d_i - x - t_i, with
+    t_i = e_{i-1}^2 / q_{i-1} and q_i' = t_i u_{i-1} - 1. A zero pivot gives
+    a non-finite step, which the caller's Sturm counts reject.
+    """
+    e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
+    with np.errstate(all="ignore"):
+        q = diag[0] - x
+        u = -1.0 / q
+        s = u.copy()
+        t = np.empty_like(x)
+        for i in range(e2T.shape[0]):
+            np.divide(e2T[i], q, out=t)
+            np.multiply(t, u, out=u)
+            u -= 1.0
+            np.subtract(diag[i + 1], x, out=q)
+            q -= t
+            u /= q
+            s += u
+        return x - 1.0 / s
+
+
+def _levels(m, k):
+    """Midpoint levels j of one cold sweep over m rows of k brackets."""
+    cap = max(_MULTISECT_POINTS, 2 * m * k)
+    j = _MULTISECT_LEVELS
+    while j > 1 and m * k * ((1 << j) - 1) > cap:
+        j -= 1
+    return j
+
+
+def _multisect(diag, e2, pivmin, lo, hi, need, tol):
+    """Bisect each bracket [lo, hi] of shape (m, k) onto its need-th eigenvalue.
+
+    Returns (midpoints, ok) bit for bit as plain bisection does: halve every
+    bracket, keeping the half whose Sturm counts hold the eigenvalue, until
+    the widest bracket of the batch is at most 2*tol wide or _MAX_BISECT
+    halvings are spent (ok=0 if still wider). One sweep counts a grid of
+    2^j - 1 nested midpoints per bracket, the midpoints of every bracket
+    bisection could reach in its next j steps, computed as bisection computes
+    them; then bisection's j decisions are read off the grid and the sweep
+    keeps the first level at which bisection would have stopped.
+    """
+    m, k = lo.shape
+    mk = m * k
+    j = _levels(m, k)
+    s = 1 << j
+    count = _sturm_counter(diag, e2, pivmin, (m, k * (s - 1)))
+    grid = np.empty((mk, s + 1))
+    grid_flat = grid.reshape(-1)
+    grid_base = np.arange(mk) * (s + 1)  # flat index of each bracket's lo
+    cnt_base = np.arange(mk) * (s - 1) - 1  # plus p: the count at grid point p
+    need = np.broadcast_to(need, (m, k)).reshape(-1)
+    halves = s >> np.arange(1, j + 1)  # bracket width in grid steps per level
+    path = np.empty((j, mk), dtype=np.intp)  # grid index of lo after each level
+    lo = lo.reshape(-1)
+    hi = hi.reshape(-1)
+    spent = 0
+    while spent < _MAX_BISECT and (hi - lo).max(initial=0.0) > 2.0 * tol:
+        grid[:, 0] = lo
+        grid[:, s] = hi
+        for half in halves:
+            mid = grid[:, half::2 * half]
+            np.add(grid[:, :-1:2 * half], grid[:, 2 * half::2 * half], out=mid)
+            mid *= 0.5
+        below = count(grid[:, 1:-1].reshape(m, -1)).reshape(mk, s - 1) < need[:, None]
+        if np.all(below[:, :-1] >= below[:, 1:]):
+            # a Sturm count computed in rounded arithmetic still rises with x
+            # (Kahan), so below is a prefix of each grid and bisection ends
+            # after its last point; otherwise follow bisection level by level
+            np.multiply(below.sum(axis=1) // halves[:, None], halves[:, None], out=path)
+        else:
+            below = below.reshape(-1)
+            a = np.zeros(mk, dtype=np.intp)
+            for level, half in enumerate(halves):
+                np.add(a, half * below[cnt_base + a + half], out=path[level])
+                a = path[level]
+        los = grid_flat[grid_base + path]
+        his = grid_flat[grid_base + path + halves[:, None]]
+        done = (his - los).max(axis=1) <= 2.0 * tol
+        levels = min(j, _MAX_BISECT - spent)
+        if done[:levels].any():
+            levels = int(np.argmax(done)) + 1
+        lo, hi = los[levels - 1], his[levels - 1]
+        spent += levels
+    ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
+    return (0.5 * (lo + hi)).reshape(m, k), ok
+
+
 def sturm_batch(diag, offdiags, tol, *, guess=None):
-    """Sturm-sequence bisection for a batch of symmetric tridiagonals.
+    """Sturm-sequence eigenvalues for a batch of symmetric tridiagonals.
 
     diag: (n,) shared diagonal; offdiags: (m, n-1) batch of off-diagonals.
     Returns (eigs (m, n) ascending per row, ok flag); ok=0 means some bracket
-    failed to shrink below 2*tol within _MAX_BISECT iterations.
+    failed to shrink below 2*tol within _MAX_BISECT bisection steps.
 
     A zero diagonal gives a (+/-)-symmetric spectrum: only the floor(n/2)
-    nonnegative eigenvalues are bisected, on [0, Gershgorin bound], and
+    nonnegative eigenvalues are solved for, on [0, Gershgorin bound], and
     mirrored; odd n gets an exact 0 in the middle. Otherwise all n
-    eigenvalues are bisected on the Gershgorin interval.
+    eigenvalues are solved for on the Gershgorin interval.
+
+    Without a guess each eigenvalue is bisected (Barth, Martin & Wilkinson,
+    Numer. Math. 9, 1967) by multisection (Lo, Philippe & Sameh, SIAM J.
+    Sci. Stat. Comput. 8, 1987): one pass of Sturm counts over a grid of
+    nested midpoints takes several bisection steps at once, and the result
+    is bisection's to the bit.
 
     guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
-    brackets each eigenvalue as guess +/- 1e-7 * (1 + Gershgorin bound)
-    instead. Two Sturm counts confirm each such bracket; a bracket that does
-    not hold its eigenvalue falls back to the cold one, so the result is
-    always a true bisection result.
+    starts one Newton step x = g - det/det' on det(T - x I) from each one.
+    Two Sturm counts, at x - tol and x + tol, certify x: the entry is kept
+    only if they hold its eigenvalue and |x - g| <= 1e-7 * (1 + Gershgorin
+    bound). A row with any entry not certified is bisected as without a
+    guess, so every value is within tol of its eigenvalue.
     """
     m, nm1 = offdiags.shape
     n = nm1 + 1
@@ -330,39 +443,28 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
         # positive eigenvalue in [0, hi0]
         k = n // 2
         need = np.arange(n - k + 1, n + 1)
-        lo = np.zeros((m, k))
+        lo0[:] = 0.0
     else:
         k = n
         need = np.arange(1, n + 1)
-        lo = np.repeat(lo0[:, None], n, axis=1)
-    hi = np.repeat(hi0[:, None], k, axis=1)
 
+    mid = np.empty((m, k))
+    cold = np.ones(m, dtype=bool)
     if guess is not None and k:
         g = np.broadcast_to(guess, (m, n))[:, need - 1]
-        r = (_WARM_RADIUS * (1.0 + bound))[:, None]
-        warm = np.concatenate([g - r, g + r], axis=1)
-        cnt = _sturm_counter(diag, e2, pivmin, warm.shape)(warm)
-        holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need)
-        lo = np.where(holds, warm[:, :k], lo)
-        hi = np.where(holds, warm[:, k:], hi)
+        x = _newton_sweep(diag, e2, g)
+        ends = np.concatenate([x - tol, x + tol], axis=1)
+        cnt = _sturm_counter(diag, e2, pivmin, ends.shape)(ends)
+        near = np.abs(x - g) <= (_WARM_RADIUS * (1.0 + bound))[:, None]
+        holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need) & near
+        cold = ~holds.all(axis=1)
+        mid[~cold] = x[~cold]
 
-    count = _sturm_counter(diag, e2, pivmin, (m, k))
-    x = np.empty((m, k))
-    width = np.empty((m, k))
-    take_hi = np.empty((m, k), dtype=bool)
-    for _ in range(_MAX_BISECT):
-        np.subtract(hi, lo, out=width)
-        if width.max(initial=0.0) <= 2.0 * tol:
-            break
-        np.add(lo, hi, out=x)
-        x *= 0.5
-        np.greater_equal(count(x), need, out=take_hi)
-        np.copyto(hi, x, where=take_hi)
-        np.logical_not(take_hi, out=take_hi)
-        np.copyto(lo, x, where=take_hi)
-
-    ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
-    mid = 0.5 * (lo + hi)
+    ok = 1
+    if cold.any():
+        lo = np.repeat(lo0[cold, None], k, axis=1)
+        hi = np.repeat(hi0[cold, None], k, axis=1)
+        mid[cold], ok = _multisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
     if not zero_diag:
         return mid, ok
     eigs = np.zeros((m, n))

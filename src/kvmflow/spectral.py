@@ -3,8 +3,9 @@
 The eigensolver is Sturm-sequence bisection with Gershgorin bracketing. For a
 zero diagonal it bisects the nonnegative half of the (+/-)-symmetric spectrum
 and mirrors it; a batch of rows near a known spectrum (the drift rows of a
-trajectory) can start from brackets around it. It never touches the flow, so
-it serves as an independent oracle for everything the integrator produces.
+trajectory) can take one Newton step from it, certified by Sturm counts. It
+never touches the flow, so it serves as an independent oracle for everything
+the integrator produces.
 """
 
 import itertools
@@ -149,8 +150,8 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
     """Eigenvalues for a batch of off-diagonal rows (m, n-1) -> (m, n).
 
     guess, approximate eigenvalues shared by all rows (such as the t=0
-    spectrum of a trajectory), warm-starts the bisection; see
-    :func:`kernels.sturm_batch`.
+    spectrum of a trajectory), starts one certified Newton step per
+    eigenvalue in place of bisection; see :func:`kernels.sturm_batch`.
     """
     states = np.ascontiguousarray(np.atleast_2d(states), dtype=np.float64)
     return _sturm_eigenvalues(np.zeros(states.shape[1] + 1), states, tol, guess)

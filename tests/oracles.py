@@ -6,9 +6,14 @@ specialization, valid for symmetric matrices), followed by a couple of
 Newton polish steps on the exact polynomial. None of this touches the
 package's Sturm eigensolver.
 
-One Dormand-Prince 5(4) step (Dormand & Prince 1980) and one classic RK4
-step are written out stage by stage with scalar coefficients, as textbooks
-print them, independent of the package's stage buffer and tableau matrices.
+One Dormand-Prince 5(4) step (Dormand & Prince 1980) is written out stage by
+stage with scalar coefficients, as textbooks print it, independent of the
+package's stage buffer and tableau matrices.
+
+``bisect_sturm`` is plain Sturm bisection, one midpoint per bracket per
+sweep, with the Gershgorin brackets, stopping rule and Sturm count the
+package's eigensolver had before it took several midpoints per sweep; its
+results are the bits the package must reproduce.
 """
 
 import numpy as np
@@ -133,3 +138,63 @@ def dopri_step(rhs, y, h):
     k7 = rhs(y_new)
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
     return y_new, err
+
+
+def _sturm_count(diag, e2, pivmin, x):
+    """Eigenvalues <= x per entry of x (m, k): negative LDL^T pivots, zeros
+    and pivots below pivmin forced to -pivmin (LAPACK convention)."""
+    def clamp(q):
+        return np.where(np.abs(q) < pivmin, -pivmin, q)
+
+    q = clamp(diag[0] - x)
+    cnt = (q <= 0.0).astype(np.int64)
+    for i in range(1, diag.size):
+        q = clamp((diag[i] - x) - e2[:, i - 1:i] / q)
+        cnt += q <= 0.0
+    return cnt
+
+
+def bisect_sturm(diag, offdiags, tol, perturb=None):
+    """Sturm bisection for a batch of tridiagonals (m, n-1) with diagonal (n,).
+
+    Returns (eigs (m, n), ok, halvings). Every bracket is halved until the
+    widest is at most 2 * tol wide, at most 128 times (ok=0 if still wider).
+    A zero diagonal bisects the floor(n/2) positive eigenvalues on
+    [0, bound] and mirrors them. perturb(x, counts), if given, replaces
+    every Sturm count.
+    """
+    m, nm1 = offdiags.shape
+    n = nm1 + 1
+    e2 = offdiags * offdiags
+    pivmin = 1.0e-292 * np.maximum(1.0, e2.max(axis=1, initial=0.0))[:, None]
+    rad = np.zeros((m, n))
+    rad[:, :-1] += np.abs(offdiags)
+    rad[:, 1:] += np.abs(offdiags)
+    lo0 = (diag[None, :] - rad).min(axis=1)
+    hi0 = (diag[None, :] + rad).max(axis=1)
+    bound = np.maximum(np.abs(lo0), np.abs(hi0))
+    pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
+    zero_diag = not np.any(diag)
+    k = n // 2 if zero_diag else n
+    need = np.arange(n - k + 1, n + 1)
+    lo = np.zeros((m, k)) if zero_diag else np.repeat((lo0 - pad)[:, None], k, axis=1)
+    hi = np.repeat((hi0 + pad)[:, None], k, axis=1)
+
+    halvings = 0
+    while halvings < 128 and (hi - lo).max(initial=0.0) > 2.0 * tol:
+        x = (lo + hi) * 0.5
+        cnt = _sturm_count(diag, e2, pivmin, x)
+        if perturb is not None:
+            cnt = perturb(x, cnt)
+        take_hi = cnt >= need
+        hi = np.where(take_hi, x, hi)
+        lo = np.where(take_hi, lo, x)
+        halvings += 1
+    ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
+    mid = 0.5 * (lo + hi)
+    if not zero_diag:
+        return mid, ok, halvings
+    eigs = np.zeros((m, n))
+    eigs[:, n - k:] = mid
+    eigs[:, :k] = -mid[:, ::-1]
+    return eigs, ok, halvings

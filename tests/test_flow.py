@@ -196,6 +196,52 @@ class TestInvariants:
                 1 + np.linalg.norm(a0))
 
 
+def _oracle_inputs(seed, count):
+    """n cycling 3..12, entries +-U[0.5, 10], squared magnitudes (and, for
+    odd n, the smallest one) at least 0.35 apart: the oracle workload's draw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = 3 + len(out) % 10
+        a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        sq = np.linalg.eigvalsh(jacobi.embed(a0))[n - n // 2:] ** 2
+        gaps = np.concatenate([sq[:1], np.diff(sq)]) if n % 2 else np.diff(sq)
+        if gaps.min() >= 0.35:
+            out.append(a0)
+    return out
+
+
+class TestSpectralDrift:
+    """spec_drift against LAPACK: the largest |eigvalsh(embed(row)) - spectrum|
+    of every recorded row, within 2 * tol * ||a0|| (tol the unit-row
+    eigensolver tolerance; row 0 reads 0 by definition)."""
+
+    @staticmethod
+    def _assert_drift_matches_eigvalsh(traj, a0):
+        tol = spectral.default_eig_tol(np.sqrt(2.0))
+        want = np.array([np.abs(np.linalg.eigvalsh(jacobi.embed(row)) - traj.spectrum.values).max()
+                         for row in traj.states])
+        assert traj.spec_drift[0] == 0.0
+        assert np.abs(traj.spec_drift - want).max() <= 2.0 * tol * np.linalg.norm(a0)
+
+    @pytest.mark.parametrize("a0,cfg", [
+        (EX1, dict(t_max=1.0, abs_tol=1e-10, rel_tol=1e-10)),
+        (EX2, dict(t_max=1.0, abs_tol=1e-10, rel_tol=1e-10)),
+        (EX3, dict()),
+    ])
+    def test_examples(self, a0, cfg):
+        traj = flow.integrate(a0, flow.IntegratorConfig(**cfg))
+        assert len(traj.times) > 100
+        self._assert_drift_matches_eigvalsh(traj, a0)
+
+    def test_oracle_inputs(self):
+        for a0 in _oracle_inputs(seed=1, count=50):
+            traj = flow.integrate(a0, flow.IntegratorConfig(
+                t_max=150.0, eq_eps=1e-9 * (1.0 + np.sum(a0 * a0)), max_rows=160))
+            assert traj.status == "converged"
+            self._assert_drift_matches_eigvalsh(traj, a0)
+
+
 @st.composite
 def _oracle_input(draw):
     """n in 3..8, entries +-U[0.5, 10], squared magnitudes (and, for odd n,

@@ -1,7 +1,8 @@
 """The numpy kernels: lane report, Sturm eigensolver, log chart, in-order sums, recording.
 
 The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``),
-cold and warm-started.
+cold and warm-started; its cold results are pinned bit for bit to plain
+one-midpoint bisection (``oracles.bisect_sturm``).
 The stepper's vectorised error norm and residuals must add their terms in the
 order of a scalar loop, so they are pinned bit for bit to loop references.
 """
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
 
-from oracles import dopri_step
+from oracles import bisect_sturm, dopri_step
 
 
 class TestLaneSelection:
@@ -52,6 +53,103 @@ class TestSturmBatch:
         np.testing.assert_array_equal(eigs[0], -eigs[0][::-1])
 
 
+def _count_sweeps(monkeypatch):
+    """Record the shape of every Sturm-count pass over the batch."""
+    passes = []
+    make_counter = kernels._sturm_counter
+
+    def counting(*args):
+        count = make_counter(*args)
+
+        def counted(x):
+            passes.append(x.shape)
+            return count(x)
+        return counted
+
+    monkeypatch.setattr(kernels, "_sturm_counter", counting)
+    return passes
+
+
+class TestSturmMultisection:
+    """Cold solves: several bisection steps per sweep, bisection's bits."""
+
+    @staticmethod
+    def _assert_bisection_bits(diag, offdiags, tol, monkeypatch):
+        want, want_ok, halvings = bisect_sturm(diag, offdiags, tol)
+        with monkeypatch.context() as mp:
+            passes = _count_sweeps(mp)
+            got, ok = kernels.sturm_batch(diag, offdiags, tol)
+        np.testing.assert_array_equal(got, want)
+        assert ok == want_ok
+        k = len(diag) if np.any(diag) else len(diag) // 2  # brackets per row
+        assert len(passes) <= -(-halvings // kernels._levels(offdiags.shape[0], k))
+
+    @pytest.mark.parametrize("zero_diag", [True, False])
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_matches_bisection_bit_for_bit(self, zero_diag, m, monkeypatch):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 8, 13, 29, 40):
+            for exponent in (-100.0, 0.0, 7.0, 100.0):
+                d = np.zeros(n) if zero_diag else rng.uniform(-1.0, 1.0, n) * 10.0 ** exponent
+                E = rng.uniform(-1.0, 1.0, (m, n - 1)) * 10.0 ** exponent
+                if n > 2:
+                    E[:, n // 2] = 0.0  # two blocks: repeated eigenvalues
+                norm = np.sqrt(np.sum(d * d) + 2.0 * np.sum(E * E, axis=1).max())
+                self._assert_bisection_bits(d, E, 1e-12 * (1.0 + norm), monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+               lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)),
+           st.floats(-100.0, 100.0), st.booleans())
+    def test_hypothesis_inputs_match_bisection_bit_for_bit(self, entries, exponent, zero_diag):
+        a = np.array(entries, dtype=np.float64) * 10.0 ** exponent
+        n = a.size + 1
+        d = np.zeros(n) if zero_diag else np.linspace(-1.0, 1.0, n) * 10.0 ** exponent
+        tol = 1e-12 * (1 + np.sqrt(np.sum(d * d) + 2.0 * np.sum(a * a)))
+        with pytest.MonkeyPatch.context() as mp:
+            self._assert_bisection_bits(d, a[None, :], tol, mp)
+
+    def test_unreachable_tolerance_spends_every_halving(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        for d in (np.zeros(9), rng.uniform(-1.0, 1.0, 9)):
+            E = rng.uniform(-1.0, 1.0, (2, 8))
+            want, want_ok, halvings = bisect_sturm(d, E, 1e-300)
+            assert (want_ok, halvings) == (0, 128)
+            self._assert_bisection_bits(d, E, 1e-300, monkeypatch)
+
+    def test_counts_that_are_not_monotone_are_followed_as_bisection_would(
+            self, monkeypatch):
+        # a count that jumps back and forth with x: multisection cannot read
+        # bisection's path off the grid at once and walks it level by level
+        def perturb(x, cnt):
+            return cnt + ((x.view(np.int64) >> 30) & 1)
+
+        make_counter = kernels._sturm_counter
+
+        def perturbed(*args):
+            count = make_counter(*args)
+            return lambda x: perturb(x, count(x))
+
+        monkeypatch.setattr(kernels, "_sturm_counter", perturbed)
+        rng = np.random.default_rng(33)
+        for d in (np.zeros(12), rng.uniform(-1.0, 1.0, 12)):
+            E = rng.uniform(-1.0, 1.0, (3, 11))
+            tol = 1e-12 * (1.0 + np.sqrt(np.sum(d * d) + 2.0 * np.sum(E * E, axis=1).max()))
+            want, want_ok, _ = bisect_sturm(d, E, tol, perturb)
+            got, ok = kernels.sturm_batch(d, E, tol)
+            np.testing.assert_array_equal(got, want)
+            assert ok == want_ok
+
+    def test_sweep_size_is_capped(self):
+        # one row of a paper matrix takes six steps per sweep; a drift batch
+        # counts no more points than its warm certification
+        assert kernels._levels(1, 14) == kernels._MULTISECT_LEVELS == 6
+        for m, k in ((1, 14), (1, 200), (5, 14), (50, 6), (1168, 14), (1, 5000)):
+            j = kernels._levels(m, k)
+            assert j >= 1
+            assert j == 1 or m * k * (2 ** j - 1) <= max(kernels._MULTISECT_POINTS, 2 * m * k)
+
+
 class TestSturmWarmStart:
     """Drift rows: a batch near a0, warm-started from a0's spectrum."""
 
@@ -71,32 +169,71 @@ class TestSturmWarmStart:
         assert ok
         return eigs
 
-    @staticmethod
-    def _count_sweeps(monkeypatch):
-        """Count the Sturm-count passes over the batch."""
-        passes = []
-        make_counter = kernels._sturm_counter
-
-        def counting(*args):
-            count = make_counter(*args)
-
-            def counted(x):
-                passes.append(x.shape)
-                return count(x)
-            return counted
-
-        monkeypatch.setattr(kernels, "_sturm_counter", counting)
-        return passes
-
     def test_warm_and_cold_agree(self, monkeypatch):
         rows, ref, tol = self._batch()
-        passes = self._count_sweeps(monkeypatch)
+        passes = _count_sweeps(monkeypatch)
         cold = self._solve(rows, tol)
         cold_passes = len(passes)
         warm = self._solve(rows, tol, guess=ref)
         assert np.abs(warm - cold).max() <= 2 * tol
-        # warm brackets start 2e-7 * (1 + bound) wide: half the sweeps or fewer
+        # one Newton step from the guess, certified by one count pass
         assert len(passes) - cold_passes < cold_passes // 2
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_certified_solve_is_one_newton_and_one_count_sweep(self, n, monkeypatch):
+        rows, ref, tol = self._batch(n=n)
+        passes = _count_sweeps(monkeypatch)
+        newton = []
+        sweep = kernels._newton_sweep
+
+        def counted_newton(diag, e2, x):
+            newton.append(x.shape)
+            return sweep(diag, e2, x)
+
+        monkeypatch.setattr(kernels, "_newton_sweep", counted_newton)
+        warm = self._solve(rows, tol, guess=ref)
+        k = n // 2
+        assert newton == [(len(rows), k)]
+        assert passes == [(len(rows), 2 * k)]
+        for row, e in zip(warm, rows):
+            assert np.abs(row - np.linalg.eigvalsh(jacobi.embed(e))).max() <= tol
+
+    def test_guess_beyond_the_trust_radius_gives_cold_result(self):
+        # eigenvalues +-a; from g = a (1 + 1e-6) one Newton step lands within
+        # tol of a, but it moved 1e-6 * a, past the radius 1e-7 * (1 + a)
+        a = np.array([[0.75]])
+        tol = 1e-12 * (1 + np.sqrt(2.0) * 0.75)
+        guess = np.array([-0.75, 0.75 * (1.0 + 1e-6)])
+        newton = kernels._newton_sweep(np.zeros(2), a * a, guess[None, 1:])
+        assert abs(newton[0, 0] - 0.75) <= tol
+        np.testing.assert_array_equal(self._solve(a, tol, guess=guess), self._solve(a, tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda n: st.lists(
+               st.one_of(st.floats(0.05, 1.0), st.floats(-1.0, -0.05), st.just(0.0)),
+               min_size=n - 1, max_size=n - 1)),
+           st.floats(-100.0, 100.0), st.floats(-14.0, -6.0), st.integers(1, 8),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_warm_values_are_eigenvalues_within_tol(self, entries, exponent, spread,
+                                                     m, seed, near_degenerate):
+        a0 = np.array(entries, dtype=np.float64)
+        if near_degenerate:
+            a0 = np.concatenate([a0, [1.0, 1e-9, 1.0]])  # a pair 1e-9 apart
+        a0 *= 10.0 ** exponent
+        n = a0.size + 1
+        rng = np.random.default_rng(seed)
+        # drift rows: a0 moved by a relative spread; zero entries stay zero
+        rows = a0 * (1.0 + 10.0 ** spread * rng.uniform(-1.0, 1.0, (m, n - 1)))
+        tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a0 * a0)))
+        ref, ok = kernels.sturm_batch(np.zeros(n), a0[None, :], tol)
+        assert ok
+        warm, ok = kernels.sturm_batch(np.zeros(n), rows, tol, guess=ref[0])
+        assert ok
+        for row, e in zip(warm, rows):
+            lapack = np.linalg.eigvalsh(jacobi.embed(e))
+            # LAPACK's own error, a few ulps of the norm, on top of tol
+            assert np.abs(row - lapack).max() <= tol + 1e-14 * np.abs(lapack).max(initial=0.0)
+            np.testing.assert_array_equal(row, -row[::-1])
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_every_bracket_failing_gives_cold_result(self, n):
