@@ -15,10 +15,11 @@ step budget (``kernels.MAX_STEPS``) or a non-finite state into an error,
 measures spectral drift and maps times, states and diagnostics back.
 ``integrate`` steps v = log|a0 / c| (the log-magnitude chart, see
 ``kernels.integrate_offdiag_kernel``); ``integrate_dense`` steps the matrix
-H0 / c. The callers supply what depends on the state's shape (kernel,
-eigensolver, per-row diagnostics). The kernels
-and the eigensolver are looked up by name on every call, so a wrapper
-installed on the module attribute sees each call.
+H0 / c. Both kernels step with the one adaptive DOP853 stepper,
+``kernels._integrate``. The callers supply what depends on the state's shape
+(kernel, eigensolver, per-row diagnostics). The kernels and the eigensolver
+are looked up by name on every call, so a wrapper installed on the module
+attribute sees each call.
 """
 
 import math
@@ -57,10 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings of the adaptive Dormand-Prince integrator, checked when made.
+    """Settings of the adaptive DOP853 integrator, checked when made.
 
-    The integrator picks its own steps, the first one from the initial state
-    and its slope. eq_eps is the equilibrium residual that stops the run
+    DOP853 is the Dormand-Prince 8(5,3) pair: an eighth-order step whose
+    error is estimated from embedded fifth- and third-order solutions. The
+    integrator picks its own steps, the first one from the initial state and
+    its slope. eq_eps is the equilibrium residual that stops the run
     early (None -> 1e-10 * c^2, c the run's unit). For the off-diagonal flow
     abs_tol and rel_tol bound the error in log|a_i|, which makes them
     relative accuracies on each entry; for the dense flow they bound the

@@ -1,8 +1,9 @@
 """Hot numeric kernels: the flow stepper and the batched Sturm eigensolver.
 
-One adaptive Dormand-Prince 5(4) stepper integrates both forms of the flow.
-It takes the right-hand side and the squared equilibrium residual as
-arguments and works on a state of any shape:
+One adaptive stepper, DOP853 (the Dormand-Prince 8(5,3) pair: twelve stages,
+an eighth-order step and fifth- and third-order error estimates), integrates
+both forms of the flow. It takes the right-hand side and the squared
+equilibrium residual as arguments and works on a state of any shape:
 
 * ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
   chart ``v = log|a / ||a0|| |`` in normalised time, where the field is
@@ -10,12 +11,13 @@ arguments and works on a state of any shape:
 * ``integrate_dense_kernel`` steps a full symmetric matrix, normalised by
   the caller, with the nested-commutator field [H, [H, N(H)]].
 
-Everything is plain numpy. A step keeps y and its stages k1, k2, ... as the
-rows of one buffer, and each stage argument, the new state and the error
-estimate is one ``np.dot`` of a row of the tableau with those rows; BLAS adds
-its terms in its own order. The sums that decide step acceptance and
-stopping, the error norm and the residual, run left to right, so they do not
-depend on numpy's pairwise summation.
+Everything is plain numpy. A step keeps y and its stages k1, ..., k13 as
+the rows of one buffer; each stage argument and the new state is one
+``np.dot`` of a row of the stage matrix with those rows, and the two error
+estimates are one ``np.dot`` of its last two rows; BLAS adds its terms in its
+own order. The sums that decide step acceptance and stopping, the error norm
+and the residual, run left to right, so they do not depend on numpy's
+pairwise summation.
 
 ``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
 each one pass over the LDL^T pivots for every entry at once. A cold solve is
@@ -25,6 +27,8 @@ near a known spectrum (the drift rows of a trajectory) takes one Newton
 step per eigenvalue from it and certifies each value with two Sturm counts
 at +/- tol; a row that does not certify is solved cold.
 """
+
+import math
 
 import numpy as np
 
@@ -46,25 +50,83 @@ STATUS_BUDGET = 3
 # accepted plus rejected steps reach it; read at call time
 MAX_STEPS = 10**6
 
-# Dormand-Prince 5(4) on the stage buffer's rows (y, k1, ..., k7): one row
-# per argument of k2 ... k6, then y_new (the argument of k7), then the error
-# estimate; a row times h, but for its 1 on y, is a sum over its prefix of rows
-_DP = np.array([
-    [1, 1 / 5, 0, 0, 0, 0, 0, 0],
-    [1, 3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-    [1, 44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-    [1, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-    [1, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-    [1, 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    [0, 71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-])
+# DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.5; the coefficients of their dop853). Stage i + 2 has the
+# argument y + h sum_j a_ij k_j; entry i holds its nonzero a_ij by j. Its
+# last entry is y_new, the argument of k13, whose weights b_j are eighth order.
+_DOP853_A = (
+    {1: 5.26001519587677318785587544488e-2},
+    {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2},
+    {1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2},
+    {1: 2.41365134159266685502369798665e-1, 3: -8.84549479328286085344864962717e-1,
+     4: 9.24834003261792003115737966543e-1},
+    {1: 3.7037037037037037037037037037e-2, 4: 1.70828608729473871279604482173e-1,
+     5: 1.25467687566822425016691814123e-1},
+    {1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+     5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2},
+    {1: 3.70920001185047927108779319836e-2, 4: 1.70383925712239993810214054705e-1,
+     5: 1.07262030446373284651809199168e-1, 6: -1.53194377486244017527936158236e-2,
+     7: 8.27378916381402288758473766002e-3},
+    {1: 6.24110958716075717114429577812e-1, 4: -3.36089262944694129406857109825,
+     5: -8.68219346841726006818189891453e-1, 6: 2.75920996994467083049415600797e1,
+     7: 2.01540675504778934086186788979e1, 8: -4.34898841810699588477366255144e1},
+    {1: 4.77662536438264365890433908527e-1, 4: -2.48811461997166764192642586468,
+     5: -5.90290826836842996371446475743e-1, 6: 2.12300514481811942347288949897e1,
+     7: 1.52792336328824235832596922938e1, 8: -3.32882109689848629194453265587e1,
+     9: -2.03312017085086261358222928593e-2},
+    {1: -9.3714243008598732571704021658e-1, 4: 5.18637242884406370830023853209,
+     5: 1.09143734899672957818500254654, 6: -8.14978701074692612513997267357,
+     7: -1.85200656599969598641566180701e1, 8: 2.27394870993505042818970056734e1,
+     9: 2.49360555267965238987089396762, 10: -3.0467644718982195003823669022},
+    {1: 2.27331014751653820792359768449, 4: -1.05344954667372501984066689879e1,
+     5: -2.00087205822486249909675718444, 6: -1.79589318631187989172765950534e1,
+     7: 2.79488845294199600508499808837e1, 8: -2.85899827713502369474065508674,
+     9: -8.87285693353062954433549289258, 10: 1.23605671757943030647266201528e1,
+     11: 6.43392746015763530355970484046e-1},
+    {1: 5.42937341165687622380535766363e-2, 6: 4.45031289275240888144113950566,
+     7: 1.89151789931450038304281599044, 8: -5.8012039600105847814672114227,
+     9: 3.1116436695781989440891606237e-1, 10: -1.52160949662516078556178806805e-1,
+     11: 2.01365400804030348374776537501e-1, 12: 4.47106157277725905176885569043e-2},
+)
+# error weights b - bhat of the embedded 5th-order solution
+_DOP853_E5 = {
+    1: 0.1312004499419488073250102996e-1, 6: -0.1225156446376204440720569753e+1,
+    7: -0.4957589496572501915214079952, 8: 0.1664377182454986536961530415e+1,
+    9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+    11: 0.8192320648511571246570742613e-1, 12: -0.2235530786388629525884427845e-1,
+}
+# error weights b - bhat of the embedded 3rd-order solution, whose weights
+# are 0.244..., 0.733... and 0.0220... on k1, k9 and k12
+_DOP853_E3 = dict(_DOP853_A[-1])
+_DOP853_E3[1] -= 0.244094488188976377952755905512
+_DOP853_E3[9] -= 0.733846688281611857341361741547
+_DOP853_E3[12] -= 0.220588235294117647058823529412e-1
+
+
+def _tableau():
+    """The stage matrix below: a 1 on y for each stage row, then its a_ij."""
+    rows = _DOP853_A + (_DOP853_E5, _DOP853_E3)
+    T = np.zeros((len(rows), len(_DOP853_A) + 2))
+    T[:len(_DOP853_A), 0] = 1.0
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            T[i, j] = a
+    return T
+
+
+# one row per argument of k2 ... k12, then y_new (the argument of k13), then
+# the 5th- and 3rd-order error estimates, over the stage buffer's rows
+# (y, k1, ..., k13); a row times h, but for its 1 on y, is a sum over its
+# prefix of rows
+_DOP853 = _tableau()
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-# PI controller exponents for a 4th-order error estimate
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# PI controller exponents for the combined error estimate, which scales like
+# h^8: n5 ~ h^12 over sqrt(n3) ~ h^4
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
 
 
 def _sum_in_order(x: np.ndarray) -> float:
@@ -110,14 +172,19 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     below dt_min is an underflow. The run stops with STATUS_BUDGET once it
     has taken MAX_STEPS steps, accepted or rejected.
 
-    The state y and the stages k1 ... k7 are the rows of one buffer Y,
-    flattened. Each step scales the tableau _DP by h, all but its column on
-    y, and each stage argument and y_new is one np.dot of a tableau
-    row with the prefix of Y it reads; the error estimate is one np.dot over
-    the k rows alone. On the log chart a zero entry is y = -inf and
-    0 * (-inf) is NaN, so no row may have a zero on y, and the error row
-    leaves y out. Its zero on k2 is harmless: the k rows of an accepted step
-    are finite, and a non-finite one gives a NaN error and a rejection.
+    The step is DOP853: twelve stages, the last field value k13 = f(y_new)
+    reused as the next step's k1 (FSAL). The state y and the stages
+    k1 ... k13 are the rows of one buffer Y, flattened. Each step scales the
+    stage matrix _DOP853 by h, all but its column on y, and each stage
+    argument and y_new is one np.dot of a row with the prefix of Y it reads.
+    The 5th- and 3rd-order error estimates are one np.dot over k1 ... k12
+    alone: on the log chart a zero entry is y = -inf and 0 * (-inf) is NaN,
+    so no row may have a zero on y, and the error rows leave y out. Zeros on
+    the k rows are harmless: the k rows of an accepted step are finite, and
+    a non-finite one gives a NaN error and a rejection. The error
+    norm is Hairer's combined one, err = n5 / sqrt((n5 + 0.01 n3) size) of
+    the sums of squares n5 and n3 of the scaled estimates, and the PI
+    controller takes the exponents 0.7/8 and 0.4/8.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. When the row buffer
@@ -134,15 +201,15 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     count = 1
     stride = stride0
 
-    C = _DP.copy()  # _DP with every column but y's times h
-    last = _DP.shape[1] - 1
+    C = _DOP853.copy()  # _DOP853 with every column but y's times h
+    last = C.shape[1] - 1
     Y = np.empty((last + 1, y0.size))  # rows y, k1, ..., k_last
     args = np.empty((last - 1, y0.size))  # stage arguments; y_new is the last
     Y[0] = y0.reshape(-1)
     y, k1, y_new = Y[0].reshape(shape), Y[1].reshape(shape), args[-1]
     stages = [(C[s, :s + 2], Y[:s + 2], args[s], args[s].reshape(shape),
                Y[s + 2].reshape(shape)) for s in range(last - 1)]
-    err_est = np.empty(y0.size)
+    err_est = np.empty((2, y0.size))  # the 5th- and 3rd-order estimates
 
     eq2 = eq_eps * eq_eps
     t = 0.0
@@ -172,16 +239,21 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
         if t_new >= t_edge:
             t_new = t_max
 
-        np.multiply(_DP[:, 1:], h, out=C[:, 1:])
+        np.multiply(_DOP853[:, 1:], h, out=C[:, 1:])
         for coef, rows, arg, arg_in, k_out in stages:
             np.dot(coef, rows, out=arg)
             rhs(arg_in, out=k_out)
         err = 0.0
         if y.size:
-            # the error row leaves out y: 0 * (-inf) would be NaN
-            np.dot(C[-1, 1:], Y[1:], out=err_est)
+            # the error rows leave out y: 0 * (-inf) would be NaN
+            np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
             r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
-            err = np.sqrt(_sum_in_order(r * r) / y.size)
+            r *= r
+            # in Python floats, so that an overflowing estimate gives a NaN
+            # error (inf / inf) without a warning
+            n5 = float(_sum_in_order(r[0]))
+            deno = n5 + 0.01 * float(_sum_in_order(r[1]))
+            err = n5 / math.sqrt((deno if deno > 0.0 else 1.0) * y.size)
         accept = err <= 1.0
 
         if accept:

@@ -1,4 +1,5 @@
-"""The numpy kernels: lane report, Sturm eigensolver, log chart, in-order sums, recording.
+"""The numpy kernels: lane report, Sturm eigensolver, log chart, in-order sums,
+the DOP853 tableau and step, recording.
 
 The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``),
 cold and warm-started; its cold results are pinned bit for bit to plain
@@ -7,6 +8,8 @@ The stepper's vectorised error norm and residuals must add their terms in the
 order of a scalar loop, so they are pinned bit for bit to loop references.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
 
-from oracles import bisect_sturm, dopri_step
+from oracles import bisect_sturm, dop853_step
 
 
 class TestLaneSelection:
@@ -325,6 +328,42 @@ class TestLogChart:
         assert kernels._resid2_log(np.array([0.0, -np.inf, -np.inf])) == 0.0
 
 
+class TestTableau:
+    """The order conditions of the stage matrix: a transcription typo in one
+    of its digits still converges, but at a lower order."""
+
+    # the nodes c_1 ... c_13 of DOP853 in closed form
+    _R6 = np.sqrt(6.0)
+    C = np.array([0.0, 2.0 * (6.0 - _R6) / 135.0, (6.0 - _R6) / 45.0, (6.0 - _R6) / 30.0,
+                  (6.0 + _R6) / 30.0, 1.0 / 3.0, 1.0 / 4.0, 4.0 / 13.0, 127.0 / 195.0,
+                  3.0 / 5.0, 6.0 / 7.0, 1.0, 1.0])
+
+    @staticmethod
+    def _quadrature(weights, c, q):
+        return math.fsum(weights * c ** (q - 1))
+
+    def test_nodes_are_the_row_sums(self):
+        # rows 0..11 are the arguments of k2 ... k13 (y_new) over y, k1, ..., k13
+        T = kernels._DOP853
+        assert T.shape == (14, 14)
+        for i in range(12):
+            assert T[i, 0] == 1.0 and not T[i, i + 2:].any()
+            assert abs(math.fsum(T[i, 1:]) - self.C[i + 1]) <= 1e-14
+
+    def test_weights_are_eighth_order(self):
+        b = kernels._DOP853[11, 1:13]
+        for q in range(1, 9):
+            assert abs(self._quadrature(b, self.C[:12], q) - 1.0 / q) <= 1e-14
+
+    def test_error_weights_sum_to_zero(self):
+        # the embedded solutions are exact up to their own orders, 5 and 3
+        T = kernels._DOP853
+        assert not T[12:, 0].any() and not T[12:, 13].any()
+        for row, order in ((T[12, 1:13], 5), (T[13, 1:13], 3)):
+            for q in range(1, order + 1):
+                assert abs(self._quadrature(row, self.C[:12], q)) <= 1e-14
+
+
 class TestOneStep:
     """The first step of the fused stage arithmetic against the textbook step."""
 
@@ -346,14 +385,17 @@ class TestOneStep:
         y0, kernel, rhs = self._start(kind)
         tol = 1e-6
         times, states, count, status, naccept, nreject = kernel(
-            y0, 1.0, tol, tol, 0.0, 1e-14, 1, 10_000)
+            y0, 100.0, tol, tol, 0.0, 1e-14, 1, 10_000)
         assert status == kernels.STATUS_HORIZON and count == naccept + 1
         # the first trial step, 1e-3 * t_max, is taken: a NaN or too large
-        # error norm would have rejected it
-        assert times[1] == 1e-3
-        want, err_est = dopri_step(rhs, y0, times[1])
-        r = err_est / (tol + tol * np.maximum(np.abs(y0), np.abs(want)))
-        assert np.sqrt(np.mean(r * r)) <= 1.0
+        # error norm would have rejected it. A step this long tells the
+        # tableaus apart: a 5(4) step misses the textbook one by ten times the
+        # rounding allowed below or more.
+        assert times[1] == 0.1
+        want, err5, err3 = dop853_step(rhs, y0, times[1])
+        scale = tol + tol * np.maximum(np.abs(y0), np.abs(want))
+        n5, n3 = np.sum((err5 / scale) ** 2), np.sum((err3 / scale) ** 2)
+        assert n5 / np.sqrt((n5 + 0.01 * n3) * y0.size) <= 1.0
         got, live = states[1], np.isfinite(want)
         # a zero entry stays exactly at -inf
         assert np.array_equal(np.isfinite(got), live) and np.all(got[~live] == -np.inf)
@@ -363,11 +405,12 @@ class TestOneStep:
 class TestRecording:
     def test_decimation_keeps_t0_and_final(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
+        t_max = 100.0  # long enough to take more steps than rows
         times, states, count, status, naccept, _ = kernels.integrate_offdiag_kernel(
-            v0, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
+            v0, t_max, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
         assert count <= 32
         assert times[0] == 0.0
-        assert times[count - 1] == 1.0
+        assert times[count - 1] == t_max
         assert naccept > 32  # decimation actually happened
 
     def test_halving_keeps_even_rows(self):
