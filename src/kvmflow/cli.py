@@ -73,9 +73,7 @@ def _add_input_options(p, offdiag_inline=True):
 def _add_integrator_options(p):
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--eq-eps", type=float, dest="eq_eps")
-    p.add_argument("--abs-tol", type=float, dest="abs_tol")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--record-stride", type=int, dest="record_stride")
+    p.add_argument("--tol", type=float)
 
 
 def _add_output_options(p, csv=False):

@@ -64,29 +64,25 @@ class IntegratorConfig:
     error is estimated from embedded fifth- and third-order solutions. The
     integrator picks its own steps, the first one from the initial state and
     its slope. eq_eps is the equilibrium residual that stops the run
-    early (None -> 1e-10 * c^2, c the run's unit). For the off-diagonal flow
-    abs_tol and rel_tol bound the error in log|a_i|, which makes them
-    relative accuracies on each entry; for the dense flow they bound the
-    error in H / c.
+    early (None -> 1e-10 * c^2, c the run's unit). tol bounds each step's
+    error on the scale tol * (1 + |y|), y = log|a_i| for the off-diagonal
+    flow (a relative accuracy on each entry) and H / c for the dense flow.
+    Past max_rows recorded rows, every other row is dropped.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     t_max: float = 10.0
     eq_eps: float | None = None
-    record_stride: int = 1
     max_rows: int = 10_000
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not 0 < self.t_max < np.inf:
             raise ValidationFailure("t_max must be positive and finite")
-        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
-            raise ValidationFailure("abs_tol and rel_tol must be positive and finite")
+        if not 0 < self.tol < np.inf:
+            raise ValidationFailure("tol must be positive and finite")
         if self.eq_eps is not None and not 0 <= self.eq_eps < np.inf:
             raise ValidationFailure("eq_eps must be nonnegative and finite")
-        if self.record_stride < 1:
-            raise ValidationFailure("record_stride must be at least 1")
         if self.max_rows < 2:
             raise ValidationFailure("max_rows must be at least 2")
 
@@ -163,11 +159,10 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     tau_max = c2 * cfg.t_max
     if not _TINY <= tau_max < math.inf:
         raise ValidationFailure(f"t_max * ||a0||^2 = {tau_max:.3e} is out of range")
-    if cfg.eq_eps is None:
-        eq_eps, eq_unit = _EQ_EPS * c2, _EQ_EPS
-    else:
-        eq_eps, eq_unit = cfg.eq_eps, cfg.eq_eps / c2
-    fields = dict(config=cfg, eq_eps=eq_eps)
+    eq_unit = _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps / c2
+    # the threshold the run applies, in x0's units: a unit residual k <=
+    # eq_unit stores as c2 * k <= c2 * eq_unit, since rounding is monotone
+    fields = dict(config=cfg, eq_eps=c2 * eq_unit)
 
     row0 = rows(y0[None].copy())
     f0, k0, drift0 = measure(row0, None)
@@ -183,8 +178,7 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     dt_min = 1e-14 * min(tau_max, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, count, status, _, _ = kernel(
-            y0, tau_max, cfg.abs_tol, cfg.rel_tol, eq_unit, dt_min,
-            cfg.record_stride, cfg.max_rows)
+            y0, tau_max, cfg.tol, eq_unit, dt_min, cfg.max_rows)
         if status == kernels.STATUS_UNDERFLOW:
             raise StepUnderflow(
                 "adaptive step fell below 1e-14 of the run's time scale; "

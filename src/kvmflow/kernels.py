@@ -162,8 +162,7 @@ def _halve_rows(times, states, count) -> int:
     return half_n
 
 
-def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
-               stride0, max_rows):
+def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
     Stops at t_max, or once resid2(y) <= eq_eps^2; a step that ends within
@@ -181,17 +180,18 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     alone: on the log chart a zero entry is y = -inf and 0 * (-inf) is NaN,
     so no row may have a zero on y, and the error rows leave y out. Zeros on
     the k rows are harmless: the k rows of an accepted step are finite, and
-    a non-finite one gives a NaN error and a rejection. The error
-    norm is Hairer's combined one, err = n5 / sqrt((n5 + 0.01 n3) size) of
-    the sums of squares n5 and n3 of the scaled estimates, and the PI
-    controller takes the exponents 0.7/8 and 0.4/8.
+    a non-finite one gives a NaN error and a rejection. The estimates are
+    scaled by tol * (1 + max(|y|, |y_new|)) (Hairer's atol = rtol = tol),
+    the error norm is Hairer's combined one, err = n5 / sqrt((n5 + 0.01 n3)
+    size) of the sums of squares n5 and n3 of the scaled estimates, and the
+    PI controller takes the exponents 0.7/8 and 0.4/8.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
-    Buffers are oversized; the caller slices to row_count. When the row buffer
-    fills, every other retained row is dropped and the stride doubles, so the
-    sample count never exceeds max_rows while t=0 stays in place. Every exit
-    but an underflow or a spent budget records the final state as the last
-    row.
+    Buffers are oversized; the caller slices to row_count. Every accepted
+    step is recorded until the row buffer fills; then every other retained
+    row is dropped and the stride doubles, so the sample count never
+    exceeds max_rows while t=0 stays in place. Every exit but an underflow
+    or a spent budget records the final state as the last row.
     """
     shape = y0.shape
     times = np.empty(max_rows)
@@ -199,7 +199,7 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     times[0] = 0.0
     states[0] = y0
     count = 1
-    stride = stride0
+    stride = 1
 
     C = _DOP853.copy()  # _DOP853 with every column but y's times h
     last = C.shape[1] - 1
@@ -247,7 +247,7 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
         if y.size:
             # the error rows leave out y: 0 * (-inf) would be NaN
             np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
-            r = err_est / (abs_tol + rel_tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
+            r = err_est / (tol + tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
             r *= r
             # in Python floats, so that an overflowing estimate gives a NaN
             # error (inf / inf) without a warning
@@ -298,8 +298,7 @@ def _integrate(y0, rhs, resid2, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     return times, states, count, status, naccept, nreject
 
 
-def integrate_offdiag_kernel(v0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
-                             stride0, max_rows):
+def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
     The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
@@ -307,23 +306,23 @@ def integrate_offdiag_kernel(v0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
     :func:`jacobi.log_chart_rhs`; t_max, dt_min and eq_eps are in
     those units, and eq_eps bounds the residual of exp(v). A zero entry is
     v = -inf: it stays there and adds 0 to the field, the residual and the
-    error norm. abs_tol and rel_tol bound the error in v, which is the
-    relative error of each entry. See :func:`_integrate` for the return value.
+    error norm. tol bounds the error in v, which is the relative error of
+    each entry. See :func:`_integrate` for the return value.
     """
-    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, abs_tol,
-                      rel_tol, eq_eps, dt_min, stride0, max_rows)
+    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, tol,
+                      eq_eps, dt_min, max_rows)
 
 
-def integrate_dense_kernel(H0, t_max, abs_tol, rel_tol, eq_eps, dt_min,
-                           stride0, max_rows):
+def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
     coordinates; the residual is the Frobenius norm of [H, N(H)]. The caller
-    passes H0 / c and times in tau = c^2 t, so both are unit-sized.
+    passes H0 / c and times in tau = c^2 t, so both are unit-sized, and tol
+    bounds the error in H0 / c.
     """
-    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, abs_tol, rel_tol,
-                      eq_eps, dt_min, stride0, max_rows)
+    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, tol, eq_eps,
+                      dt_min, max_rows)
 
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)

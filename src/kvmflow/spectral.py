@@ -335,33 +335,13 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
     )
 
 
-def quadrature_nodes(a, method: str = "direct", cfg=None) -> np.ndarray:
+def quadrature_nodes(a) -> np.ndarray:
     """Nodes of the n-point quadrature rule attached to recurrence coefficients a.
 
     The nodes are the eigenvalues of the zero-diagonal Jacobi matrix built
-    from a. method="direct" computes them with the Sturm eigensolver at its
-    default, scale-free tolerance; method="flow" integrates the sorting flow
-    and reads them off the limit as {+/- |entries|} (plus 0 for odd n), as
-    accurate as the run's cfg.
+    from a, computed with the Sturm eigensolver at its default, scale-free
+    tolerance. They are also the limit magnitudes of the sorting flow from
+    a (see predict_limit), which verify.verify_run checks on every run.
     """
     a = as_offdiag(a)
-    n = a.size + 1
-    if method == "direct":
-        return eigenvalues_tridiagonal(np.zeros(n), a).values
-    if method == "flow":
-        from .flow import IntegratorConfig, integrate
-
-        if cfg is None:
-            cfg = IntegratorConfig(t_max=100.0)
-        traj = integrate(a, cfg)
-        if traj.status == "horizon_reached":
-            raise NonConvergence(
-                f"flow did not reach equilibrium by t_max={traj.config.t_max}; "
-                "raise t_max"
-            )
-        mags = np.sort(np.abs(traj.final_state[limit_slots(n)]))
-        parts = [-mags[::-1], mags]
-        if n % 2 == 1:
-            parts.insert(1, np.zeros(1))
-        return np.concatenate(parts)
-    raise ValueError(f"unknown method {method!r}; expected 'direct' or 'flow'")
+    return eigenvalues_tridiagonal(np.zeros(a.size + 1), a).values

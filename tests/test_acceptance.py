@@ -44,9 +44,9 @@ def _timed_integrate(a0, cfg):
 def example_runs():
     runs = {}
     runs["example1"] = (EX1, *_timed_integrate(
-        EX1, flow.IntegratorConfig(t_max=1.0, abs_tol=1e-10, rel_tol=1e-10)))
+        EX1, flow.IntegratorConfig(t_max=1.0, tol=1e-10)))
     runs["example2"] = (EX2, *_timed_integrate(
-        EX2, flow.IntegratorConfig(t_max=1.0, abs_tol=1e-10, rel_tol=1e-10)))
+        EX2, flow.IntegratorConfig(t_max=1.0, tol=1e-10)))
     runs["example3"] = (EX3, *_timed_integrate(EX3, flow.IntegratorConfig()))
     return runs
 

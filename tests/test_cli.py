@@ -259,7 +259,19 @@ class TestErrorPaths:
         (["verify", "--offdiag=5,-6,-2", "--method", "rk45"], "--method"),
         (["verify", "--offdiag=5,-6,-2", "--dt", "1e-3"], "--dt"),
         (["evolve-sym", "--dt", "0.5"], "--dt"),
-    ], ids=["evolve-method", "verify-method", "verify-dt", "evolve-sym-dt"])
+        (["evolve", "--offdiag=5,-6,-2", "--abs-tol", "1e-8"], "--abs-tol"),
+        (["evolve", "--offdiag=5,-6,-2", "--rel-tol", "1e-8"], "--rel-tol"),
+        (["evolve", "--offdiag=5,-6,-2", "--record-stride", "5"], "--record-stride"),
+        (["verify", "--offdiag=5,-6,-2", "--abs-tol", "1e-8"], "--abs-tol"),
+        (["verify", "--offdiag=5,-6,-2", "--rel-tol", "1e-8"], "--rel-tol"),
+        (["verify", "--offdiag=5,-6,-2", "--record-stride", "5"], "--record-stride"),
+        (["evolve-sym", "--abs-tol", "1e-8"], "--abs-tol"),
+        (["evolve-sym", "--rel-tol", "1e-8"], "--rel-tol"),
+        (["evolve-sym", "--record-stride", "5"], "--record-stride"),
+    ], ids=["evolve-method", "verify-method", "verify-dt", "evolve-sym-dt",
+            "evolve-abs-tol", "evolve-rel-tol", "evolve-record-stride",
+            "verify-abs-tol", "verify-rel-tol", "verify-record-stride",
+            "evolve-sym-abs-tol", "evolve-sym-rel-tol", "evolve-sym-record-stride"])
     def test_removed_step_options_are_usage_errors(self, tokens, flag, sym_file,
                                                    capsys):
         if tokens[0] == "evolve-sym":
@@ -275,10 +287,10 @@ class TestErrorPaths:
         ["equilibria", "--input", FIXTURES / "ex3.json"],
         ["spectrum", "--offdiag=1e200,1e200,1e200"],
         ["predict", "--offdiag=1e200,1e200,1e200"],
-        ["verify", "--offdiag=5,-6,-2", "--abs-tol", "inf"],
+        ["verify", "--offdiag=5,-6,-2", "--tol", "inf"],
         ["verify", "--offdiag=5,-6,-2", "--eq-eps", "inf"],
     ], ids=["verify-overflow", "verify-overflow-eq-eps", "equilibria-too-many",
-            "spectrum-overflow", "predict-overflow", "abs-tol-inf", "eq-eps-inf"])
+            "spectrum-overflow", "predict-overflow", "tol-inf", "eq-eps-inf"])
     def test_out_of_range_run_is_one_line_error(self, tokens, capsys):
         assert main(_args(*tokens)) == 1
         err = capsys.readouterr().err

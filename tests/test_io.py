@@ -80,8 +80,7 @@ class TestParseInput:
 
 
 def _small_trajectory(ex1):
-    return flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1, eq_eps=0.0,
-                                                     record_stride=5))
+    return flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1, eq_eps=0.0))
 
 
 class TestTrajectoryCsv:

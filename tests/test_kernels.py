@@ -319,7 +319,7 @@ class TestLogChart:
         assert field[0] == 0.0
         np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)(v0[2:]))
         times, states, count, status, *_ = kernels.integrate_offdiag_kernel(
-            v0, 100.0, 1e-10, 1e-10, 1e-10, 1e-12, 1, 1000)
+            v0, 100.0, 1e-10, 1e-10, 1e-12, 1000)
         assert status == kernels.STATUS_CONVERGED
         assert np.all(states[:count, 1] == -np.inf)
         assert np.all(np.isfinite(states[:count, [0, 2, 3]]))
@@ -385,7 +385,7 @@ class TestOneStep:
         y0, kernel, rhs = self._start(kind)
         tol = 1e-6
         times, states, count, status, naccept, nreject = kernel(
-            y0, 100.0, tol, tol, 0.0, 1e-14, 1, 10_000)
+            y0, 100.0, tol, 0.0, 1e-14, 10_000)
         assert status == kernels.STATUS_HORIZON and count == naccept + 1
         # the first trial step, 1e-3 * t_max, is taken: a NaN or too large
         # error norm would have rejected it. A step this long tells the
@@ -407,7 +407,7 @@ class TestRecording:
         v0 = _log_chart([5.0, -6.0, -2.0])
         t_max = 100.0  # long enough to take more steps than rows
         times, states, count, status, naccept, _ = kernels.integrate_offdiag_kernel(
-            v0, t_max, 1e-10, 1e-10, 0.0, 1e-14, 1, 32)
+            v0, t_max, 1e-10, 0.0, 1e-14, 32)
         assert count <= 32
         assert times[0] == 0.0
         assert times[count - 1] == t_max
@@ -425,7 +425,7 @@ class TestRecording:
     def test_underflow_status(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
         out = kernels.integrate_offdiag_kernel(
-            v0, 1.0, 1e-300, 1e-300, 0.0, 1e-6, 1, 64)
+            v0, 1.0, 1e-300, 0.0, 1e-6, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -434,7 +434,7 @@ class TestRecording:
         # or 0: the run stops before its first step
         H = np.array([[0.0, 1e200, 0.0], [1e200, 0.0, 2e200], [0.0, 2e200, 0.0]])
         out = kernels.integrate_dense_kernel(
-            H, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 64)
+            H, 1.0, 1e-10, 0.0, 1e-14, 64)
         assert out[3] == kernels.STATUS_UNDERFLOW
 
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -453,7 +453,7 @@ class TestRecording:
             return out
 
         times, states, count, status, naccept, nreject = kernels._integrate(
-            v0, rhs, kernels._resid2_log, 1.0, 1e-10, 1e-10, 0.0, 1e-14, 1, 1000)
+            v0, rhs, kernels._resid2_log, 1.0, 1e-10, 0.0, 1e-14, 1000)
         assert status == kernels.STATUS_HORIZON and nreject >= 1
         assert times[1] == 1e-3 * kernels._FAC_MIN
         assert np.all(np.isfinite(states[:count]))

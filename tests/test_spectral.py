@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kvmflow import jacobi, spectral
+from kvmflow import flow, jacobi, spectral
 from kvmflow.errors import (
     DegenerateMagnitudes,
     DegenerateSpectrum,
     DimensionMismatch,
     EquilibriumInput,
-    NonConvergence,
     PairingViolation,
     ValidationFailure,
     ZeroEntry,
@@ -247,30 +246,17 @@ class TestQuadratureNodes:
                                    atol=1e-10)
 
     def test_flow_and_direct_agree(self):
+        # the three-point rule of [1, 1] in closed form; the flow's limit
+        # carries its positive node
         a = [1.0, 1.0]
-        direct = spectral.quadrature_nodes(a, method="direct")
-        via_flow = spectral.quadrature_nodes(a, method="flow")
-        np.testing.assert_allclose(direct, [-math.sqrt(2), 0, math.sqrt(2)],
+        nodes = spectral.quadrature_nodes(a)
+        np.testing.assert_allclose(nodes, [-math.sqrt(2), 0, math.sqrt(2)],
                                    atol=1e-9)
-        assert np.abs(direct - via_flow).max() <= 1e-6
-
-    def test_flow_and_direct_agree_even_n(self, ex1):
-        direct = spectral.quadrature_nodes(ex1, method="direct")
-        via_flow = spectral.quadrature_nodes(ex1, method="flow")
-        assert np.abs(direct - via_flow).max() <= 1e-6
+        limit = flow.integrate(a, IntegratorConfig(t_max=100.0)).final_state
+        assert np.abs(np.sort(np.abs(limit)) - [0.0, nodes[-1]]).max() <= 1e-6
 
     def test_direct_nodes_scale_with_the_input(self, ex1):
         # no absolute tolerance: nodes of size 1e-60 keep their digits
         np.testing.assert_allclose(spectral.quadrature_nodes(5e-60 * ex1),
                                    5e-60 * spectral.quadrature_nodes(ex1),
                                    rtol=1e-9, atol=0)
-
-    def test_flow_short_of_equilibrium_raises(self, ex1):
-        # at t=0.01 the state is far from the limit (+/-7.96, +/-1.26)
-        with pytest.raises(NonConvergence, match="t_max"):
-            spectral.quadrature_nodes(ex1, method="flow",
-                                      cfg=IntegratorConfig(t_max=0.01))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            spectral.quadrature_nodes([1.0], method="magic")
