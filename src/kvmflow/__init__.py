@@ -19,7 +19,6 @@ from .errors import (
     PairingViolation,
     ParseError,
     StepUnderflow,
-    ValidationError,
     ValidationFailure,
     ZeroEntry,
 )
@@ -54,7 +53,6 @@ from .spectral import (
     eigenvalues_tridiagonal,
     enumerate_equilibria,
     predict_limit,
-    quadrature_nodes,
     spectrum_zero_diag,
 )
 from .verify import (
@@ -86,7 +84,6 @@ __all__ = [
     "spectrum_zero_diag",
     "predict_limit",
     "enumerate_equilibria",
-    "quadrature_nodes",
     # flow
     "IntegratorConfig",
     "FlowTrajectory",
@@ -115,5 +112,4 @@ __all__ = [
     "ValidationFailure",
     "StepUnderflow",
     "ParseError",
-    "ValidationError",
 ]

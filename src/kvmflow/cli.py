@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 parse/validation error (message on stderr),
 """
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +18,7 @@ from .errors import (
     EquilibriumInput,
     KvmflowError,
     PairingViolation,
-    ValidationError,
+    ValidationFailure,
     ZeroEntry,
 )
 from .flow import IntegratorConfig, integrate, integrate_dense
@@ -32,6 +31,7 @@ from .io import (
     write_summary,
     write_trajectory_csv,
 )
+from .jacobi import as_offdiag
 from .spectral import (
     eigenvalues_tridiagonal,
     enumerate_equilibria,
@@ -151,11 +151,8 @@ def _load_document(args) -> MatrixInputDocument:
             try:
                 entries.append(float(tok))
             except ValueError:
-                raise ValidationError(f"--offdiag entry {tok.strip()!r} is not a number") from None
-            if not math.isfinite(entries[-1]):
-                raise ValidationError(f"--offdiag entry {tok.strip()!r} is not finite")
-        return MatrixInputDocument(n=len(entries) + 1,
-                                   offdiag=np.array(entries, dtype=np.float64))
+                raise ValidationFailure(f"--offdiag entry {tok.strip()!r} is not a number") from None
+        return MatrixInputDocument(n=len(entries) + 1, offdiag=as_offdiag(entries))
     return parse_input(Path(args.input).read_bytes())
 
 

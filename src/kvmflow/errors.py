@@ -30,7 +30,8 @@ class EquilibriumInput(KvmflowError):
 
 
 class ValidationFailure(KvmflowError):
-    """Initial condition fails flow validation (zero entry / degenerate spectrum)."""
+    """Input breaks a rule of the input contract (document schema, a finite
+    nonzero off-diagonal, a symmetric matrix, a distinct spectrum, ranges)."""
 
 
 class DegenerateSpectrum(ValidationFailure):
@@ -43,7 +44,3 @@ class StepUnderflow(KvmflowError):
 
 class ParseError(KvmflowError):
     """Input document is not valid JSON."""
-
-
-class ValidationError(KvmflowError):
-    """Input document violates the schema (dimensions, symmetry, types)."""

@@ -30,10 +30,10 @@ import numpy as np
 from . import kernels
 from .errors import NonConvergence, StepUnderflow, ValidationFailure
 from .jacobi import (
+    _bracket_K,
     as_offdiag,
-    commutator,
+    as_symmetric,
     lyapunov_f_offdiag,
-    map_N,
     residual_norms,
     scaled_norm,
     validate_initial_state,
@@ -85,11 +85,6 @@ class IntegratorConfig:
             raise ValidationFailure("eq_eps must be nonnegative and finite")
         if self.max_rows < 2:
             raise ValidationFailure("max_rows must be at least 2")
-
-_STATUS_NAMES = {
-    kernels.STATUS_CONVERGED: "converged",
-    kernels.STATUS_HORIZON: "horizon_reached",
-}
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     states[0] = x0
     return dict(fields, times=times, states=states, f_values=c2 * f_values,
                 k_norms=c2 * k_norms, spec_drift=c * drift,
-                status=_STATUS_NAMES[status], spectrum=spectrum)
+                status=status, spectrum=spectrum)
 
 
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
@@ -262,7 +257,7 @@ def block_structure(H: np.ndarray, threshold: float) -> list:
 
 def _dense_measure(states, ref):
     # one norm per row: a batched norm sums in another order and changes bits
-    k_norms = np.array([np.linalg.norm(commutator(H, map_N(H))) for H in states])
+    k_norms = np.array([np.linalg.norm(_bracket_K(H)) for H in states])
     if ref is None:
         drift = np.zeros(len(states))
     else:
@@ -278,16 +273,8 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     reported via final_blocks, not asserted.
     """
     cfg = cfg or IntegratorConfig()
-    H0 = np.asarray(H0, dtype=np.float64)
-    if H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
-        raise ValidationFailure(f"expected a square matrix, got shape {H0.shape}")
-    if not np.all(np.isfinite(H0)):
-        raise ValidationFailure("matrix entries must be finite")
-    sym_defect = float(np.abs(H0 - H0.T).max())
-    scale = float(np.abs(H0).max(initial=0.0))
-    if sym_defect > 1e-12 * scale:
-        raise ValidationFailure(f"matrix is not symmetric (defect {sym_defect:.3e})")
-    H0 = 0.5 * (H0 + H0.T)
+    H0 = as_symmetric(H0)
+    scale = float(np.abs(H0).max())
     # ||H0||_F / sqrt(2) is ||a0|| when H0 embeds a0; any unit serves H0 = 0
     c = scaled_norm(H0) / math.sqrt(2.0) or 1.0
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationFailure
+from .jacobi import as_offdiag, as_symmetric
 
 __all__ = [
     "MatrixInputDocument",
@@ -43,11 +44,8 @@ def _as_number_list(values, fieldname):
     out = []
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{fieldname}[{i}] is not a number: {v!r}")
-        f = float(v)
-        if not np.isfinite(f):
-            raise ValidationError(f"{fieldname}[{i}] is not finite")
-        out.append(f)
+            raise ValidationFailure(f"{fieldname}[{i}] is not a number: {v!r}")
+        out.append(float(v))
     return out
 
 
@@ -70,49 +68,44 @@ def parse_input(data) -> MatrixInputDocument:
         ) from exc
 
     if not isinstance(obj, dict):
-        raise ValidationError("top-level JSON value must be an object")
+        raise ValidationFailure("top-level JSON value must be an object")
     unknown = set(obj) - _ALLOWED_KEYS
     if unknown:
-        raise ValidationError(f"unknown field(s): {sorted(unknown)}")
+        raise ValidationFailure(f"unknown field(s): {sorted(unknown)}")
     if ("offdiag" in obj) == ("symmetric" in obj):
-        raise ValidationError("exactly one of 'offdiag' or 'symmetric' is required")
+        raise ValidationFailure("exactly one of 'offdiag' or 'symmetric' is required")
 
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
-        raise ValidationError("'label' must be a string")
+        raise ValidationFailure("'label' must be a string")
 
     if "offdiag" in obj:
         if "n" not in obj:
-            raise ValidationError("'n' is required with 'offdiag'")
+            raise ValidationFailure("'n' is required with 'offdiag'")
         n = obj["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"'n' must be a positive integer, got {n!r}")
+            raise ValidationFailure(f"'n' must be a positive integer, got {n!r}")
         if not isinstance(obj["offdiag"], list):
-            raise ValidationError("'offdiag' must be a list of numbers")
+            raise ValidationFailure("'offdiag' must be a list of numbers")
         entries = _as_number_list(obj["offdiag"], "offdiag")
         if len(entries) != n - 1:
-            raise ValidationError(
+            raise ValidationFailure(
                 f"'offdiag' must have length n-1 = {n - 1}, got {len(entries)}"
             )
-        return MatrixInputDocument(n=n, offdiag=np.array(entries, dtype=np.float64),
-                                   label=label)
+        return MatrixInputDocument(n=n, offdiag=as_offdiag(entries), label=label)
 
     rows = obj["symmetric"]
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValidationError("'symmetric' must be a non-empty list of rows")
+        raise ValidationFailure("'symmetric' must be a non-empty list of rows")
     n = len(rows)
     mat = []
     for i, row in enumerate(rows):
         if len(row) != n:
-            raise ValidationError(f"'symmetric' row {i} has length {len(row)}, expected {n}")
+            raise ValidationFailure(f"'symmetric' row {i} has length {len(row)}, expected {n}")
         mat.append(_as_number_list(row, f"symmetric[{i}]"))
-    H = np.array(mat, dtype=np.float64)
     if "n" in obj and obj["n"] != n:
-        raise ValidationError(f"'n'={obj['n']} does not match matrix dimension {n}")
-    defect = float(np.abs(H - H.T).max())
-    if defect > 1e-12 * float(np.abs(H).max()):
-        raise ValidationError(f"'symmetric' matrix is asymmetric (defect {defect:.3e})")
-    return MatrixInputDocument(n=n, symmetric=0.5 * (H + H.T), label=label)
+        raise ValidationFailure(f"'n'={obj['n']} does not match matrix dimension {n}")
+    return MatrixInputDocument(n=n, symmetric=as_symmetric(mat), label=label)
 
 
 def document_to_dict(doc: MatrixInputDocument) -> dict:

@@ -13,6 +13,7 @@ from .errors import DimensionMismatch, ValidationFailure
 
 __all__ = [
     "as_offdiag",
+    "as_symmetric",
     "embed",
     "map_N",
     "map_K",
@@ -30,11 +31,34 @@ __all__ = [
 
 
 def as_offdiag(a) -> np.ndarray:
-    """Coerce to a finite float64 off-diagonal vector (length n-1, n >= 1)."""
+    """Coerce to a finite float64 off-diagonal vector (length n-1, n >= 1).
+
+    The one finiteness check of an off-diagonal input; its ValidationFailure
+    names the first entry that is not finite.
+    """
     arr = np.asarray(a, dtype=np.float64).reshape(-1)
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValidationFailure("off-diagonal entries must be finite")
+        idx = int(np.flatnonzero(~np.isfinite(arr))[0]) + 1
+        raise ValidationFailure(f"off-diagonal entry a_{idx} is not finite")
     return arr
+
+
+def as_symmetric(H) -> np.ndarray:
+    """Coerce to a finite float64 symmetric matrix: 0.5 (H + H^T).
+
+    The one check of a dense input: H must be square and nonempty, have
+    finite entries and an asymmetry max|H - H^T| of at most 1e-12 * max|H|.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
+        raise ValidationFailure(f"expected a nonempty square matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        i, j = np.argwhere(~np.isfinite(H))[0] + 1
+        raise ValidationFailure(f"matrix entry ({i}, {j}) is not finite")
+    defect = float(np.abs(H - H.T).max())
+    if defect > 1e-12 * float(np.abs(H).max()):
+        raise ValidationFailure(f"matrix is not symmetric (defect {defect:.3e})")
+    return 0.5 * (H + H.T)
 
 
 def embed(a) -> np.ndarray:
@@ -166,11 +190,7 @@ def lyapunov_f_offdiag(states: np.ndarray) -> np.ndarray:
 
 def equilibrium_residual(a) -> float:
     """Frobenius norm of map_K(a); exactly zero iff a is a flow equilibrium."""
-    a = as_offdiag(a)
-    if a.size < 2:
-        return 0.0
-    prods = a[:-1] * a[1:]
-    return float(np.sqrt(2.0 * np.sum(prods * prods)))
+    return float(residual_norms(as_offdiag(a))[0])
 
 
 def residual_norms(states: np.ndarray) -> np.ndarray:

@@ -40,11 +40,11 @@ def lane() -> str:
     return "numpy"
 
 
-# trajectory status codes shared with flow.py
-STATUS_CONVERGED = 0
-STATUS_HORIZON = 1
-STATUS_UNDERFLOW = 2
-STATUS_BUDGET = 3
+# how a run stopped; flow.py reports the first two as a trajectory's status
+STATUS_CONVERGED = "converged"
+STATUS_HORIZON = "horizon_reached"
+STATUS_UNDERFLOW = "step_underflow"
+STATUS_BUDGET = "step_budget"
 
 # the most steps one run may take: a run stops with STATUS_BUDGET once its
 # accepted plus rejected steps reach it; read at call time

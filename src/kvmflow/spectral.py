@@ -37,7 +37,6 @@ __all__ = [
     "predict_limit",
     "limit_slots",
     "enumerate_equilibria",
-    "quadrature_nodes",
     "default_eig_tol",
     "default_pair_tol",
     "default_gap_tol",
@@ -167,7 +166,7 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     ValidationFailure.
     """
     d = np.asarray(diag, dtype=np.float64).reshape(-1)
-    e = np.asarray(offdiag, dtype=np.float64).reshape(-1)
+    e = as_offdiag(offdiag)
     if e.size != max(d.size - 1, 0):
         raise DimensionMismatch(
             f"offdiag length {e.size} does not match diag length {d.size}"
@@ -333,15 +332,3 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
         count_formula=count_formula,
         count_with_signs=count_formula * 2**m,
     )
-
-
-def quadrature_nodes(a) -> np.ndarray:
-    """Nodes of the n-point quadrature rule attached to recurrence coefficients a.
-
-    The nodes are the eigenvalues of the zero-diagonal Jacobi matrix built
-    from a, computed with the Sturm eigensolver at its default, scale-free
-    tolerance. They are also the limit magnitudes of the sorting flow from
-    a (see predict_limit), which verify.verify_run checks on every run.
-    """
-    a = as_offdiag(a)
-    return eigenvalues_tridiagonal(np.zeros(a.size + 1), a).values

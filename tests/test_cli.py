@@ -218,7 +218,7 @@ class TestEvolveSym:
         path.write_text('{"symmetric": [[0, 1e-100, 0], [3e-100, 0, 1e-100], '
                         '[0, 1e-100, 0]]}')
         assert main(_args("spectrum", "--input", path)) == 1
-        assert "asymmetric" in capsys.readouterr().err
+        assert "not symmetric" in capsys.readouterr().err
 
     def test_requires_symmetric_document(self, ex1_file, capsys):
         assert main(_args("evolve-sym", "--input", ex1_file)) == 1
@@ -306,7 +306,27 @@ class TestErrorPaths:
     def test_non_finite_inline_entry_is_one_line_error(self, capsys, cmd, offdiag, token):
         assert main(_args(cmd, "--offdiag=" + offdiag)) == 1
         err = capsys.readouterr().err
-        assert err == f"kvmflow: error: --offdiag entry '{token}' is not finite\n"
+        idx = offdiag.split(",").index(token) + 1
+        assert err == f"kvmflow: error: off-diagonal entry a_{idx} is not finite\n"
+
+    def test_prediction_on_a_zero_entry_is_one_line_error(self, capsys):
+        assert main(_args("predict", "--offdiag=1,0,2,3")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kvmflow: error: prediction unavailable: a_2 is zero; ")
+        assert err.count("\n") == 1
+
+    def test_strict_takes_a_boolean(self, capsys):
+        assert main(_args("evolve", "--offdiag=5,-6,-2", "--strict", "maybe")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "expected true/false, got 'maybe'" in err
+        assert main(_args("evolve", "--offdiag=5,-6,-2", "--t-max", "1",
+                          "--strict", "true")) == 0
+        assert json.loads(capsys.readouterr().out)["predicted_limit"] is not None
+
+    def test_horizon_overflow_is_one_line_error(self, capsys):
+        assert main(_args("verify", "--offdiag=1e10,2e10,3e10", "--t-max", "1e300")) == 1
+        err = capsys.readouterr().err
+        assert err == "kvmflow: error: t_max * ||a0||^2 = inf is out of range\n"
 
 
 class TestDegenerateSpectrum:
@@ -338,3 +358,63 @@ class TestDegenerateSpectrum:
         if entry in ("verify", "predict"):
             assert main([entry, "--offdiag=1,1e-9,1"]) == 1
             assert capsys.readouterr().err == f"kvmflow: error: {self.MESSAGE}\n"
+
+
+_OFFDIAG_COMMANDS = ["spectrum", "predict", "verify", "evolve", "equilibria"]
+# rule -> (message, inline --offdiag value or None, JSON document, library input)
+_INPUT_RULES = {
+    "offdiag-first": ("off-diagonal entry a_1 is not finite", "inf,1",
+                      '{"n": 3, "offdiag": [1e999, 1]}', [np.inf, 1.0]),
+    "offdiag-last": ("off-diagonal entry a_2 is not finite", "1,-inf",
+                     '{"n": 3, "offdiag": [1, -1e999]}', [1.0, -np.inf]),
+    "asymmetric": ("matrix is not symmetric (defect 1.000e+00)", None,
+                   '{"symmetric": [[0, 1], [2, 0]]}', [[0.0, 1.0], [2.0, 0.0]]),
+    "matrix-non-finite": ("matrix entry (1, 2) is not finite", None,
+                          '{"symmetric": [[0, 1e999], [1, 0]]}', [[0.0, np.inf], [1.0, 0.0]]),
+}
+
+
+def _input_rule_cases():
+    for rule, (_, inline, _, _) in _INPUT_RULES.items():
+        if inline is not None:
+            entries = ([f"inline:{c}" for c in _OFFDIAG_COMMANDS]
+                       + [f"json:{c}" for c in _OFFDIAG_COMMANDS]
+                       + ["parse_input", "integrate", "spectrum_zero_diag"])
+        else:
+            entries = ["json:evolve-sym", "json:spectrum", "parse_input", "integrate_dense"]
+        for entry in entries:
+            yield pytest.param(rule, entry, id=f"{rule}-{entry.replace(':', '-')}")
+
+
+class TestInputRules:
+    """Each input rule is checked once: every entry raises ValidationFailure
+    with the same message, and the CLI prints it as one line and exits 1."""
+
+    @pytest.mark.parametrize("rule, entry", list(_input_rule_cases()))
+    def test_same_class_and_message(self, rule, entry, tmp_path, capsys):
+        from kvmflow import cli, flow, io, spectral
+        from kvmflow.errors import ValidationFailure
+
+        message, inline, document, value = _INPUT_RULES[rule]
+        kind, _, command = entry.partition(":")
+        if kind == "inline":
+            tokens = [command, "--offdiag=" + inline]
+        elif kind == "json":
+            path = tmp_path / "doc.json"
+            path.write_text(document)
+            tokens = [command, "--input", str(path)]
+        library = {"parse_input": lambda: io.parse_input(document),
+                   "integrate": lambda: flow.integrate(value),
+                   "spectrum_zero_diag": lambda: spectral.spectrum_zero_diag(value),
+                   "integrate_dense": lambda: flow.integrate_dense(value)}
+        with pytest.raises(ValidationFailure) as got:
+            if command:
+                args = cli.build_parser().parse_args(tokens)
+                args.func(args)
+            else:
+                library[entry]()
+        assert type(got.value) is ValidationFailure
+        assert str(got.value) == message
+        if command:
+            assert main(tokens) == 1
+            assert capsys.readouterr().err == f"kvmflow: error: {message}\n"

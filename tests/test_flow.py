@@ -302,6 +302,12 @@ class TestIntegrateDense:
         with pytest.raises(ValidationFailure):
             flow.integrate_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("H", [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0))],
+                             ids=["2x3", "vector", "empty"])
+    def test_non_square_rejected(self, H):
+        with pytest.raises(ValidationFailure, match=r"^expected a nonempty square matrix"):
+            flow.integrate_dense(H)
+
     def test_asymmetric_tiny_matrix_rejected(self):
         # a 200 % defect is no rounding error, whatever the matrix's scale
         H = 1e-100 * np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kvmflow import flow
 from kvmflow import io as kio
-from kvmflow.errors import ParseError, ValidationError
+from kvmflow.errors import ParseError, ValidationFailure
 
 
 class TestParseInput:
@@ -20,7 +20,7 @@ class TestParseInput:
         np.testing.assert_array_equal(doc.offdiag, [5.0, -6.0, -2.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":3,"offdiag":[1]}')
 
     def test_symmetric_document(self):
@@ -34,13 +34,13 @@ class TestParseInput:
             kio.parse_input('{"n": 4,')
 
     def test_exactly_one_matrix_field(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":2,"offdiag":[1],"symmetric":[[0]]}')
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":2}')
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":2,"offdiag":[1],"extra":true}')
 
     def test_nonfinite_rejected(self):
@@ -48,21 +48,46 @@ class TestParseInput:
             kio.parse_input('{"n":2,"offdiag":[NaN]}')
 
     def test_non_number_entry_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":2,"offdiag":[true]}')
 
     def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"symmetric":[[0,1],[2,0]]}')
 
     def test_asymmetric_tiny_matrix_rejected(self):
         # a 200 % defect is no rounding error, whatever the matrix's scale
-        with pytest.raises(ValidationError, match="asymmetric"):
+        with pytest.raises(ValidationFailure, match="not symmetric"):
             kio.parse_input('{"symmetric":[[0,1e-100,0],[3e-100,0,1e-100],[0,1e-100,0]]}')
 
     def test_dimension_echo_must_match(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationFailure):
             kio.parse_input('{"n":3,"symmetric":[[0,1],[1,0]]}')
+
+    @pytest.mark.parametrize("data, cls, message", [
+        (b'{"n":2,"offdiag":[1]}\xff', ParseError, "input is not UTF-8"),
+        ("[1, 2]", ValidationFailure, "top-level JSON value must be an object"),
+        ('{"label":3,"n":2,"offdiag":[1]}', ValidationFailure, "'label' must be a string"),
+        ('{"offdiag":[1]}', ValidationFailure, "'n' is required with 'offdiag'"),
+        ('{"n":0,"offdiag":[]}', ValidationFailure, "'n' must be a positive integer, got 0"),
+        ('{"n":true,"offdiag":[]}', ValidationFailure,
+         "'n' must be a positive integer, got True"),
+        ('{"n":2.0,"offdiag":[1]}', ValidationFailure,
+         "'n' must be a positive integer, got 2.0"),
+        ('{"n":2,"offdiag":1}', ValidationFailure, "'offdiag' must be a list of numbers"),
+        ('{"symmetric":1}', ValidationFailure,
+         "'symmetric' must be a non-empty list of rows"),
+        ('{"symmetric":[]}', ValidationFailure,
+         "'symmetric' must be a non-empty list of rows"),
+        ('{"symmetric":[[0,1],[1]]}', ValidationFailure,
+         "'symmetric' row 1 has length 1, expected 2"),
+    ], ids=["not-utf8", "top-level-list", "label-not-string", "n-missing", "n-zero",
+            "n-bool", "n-float", "offdiag-not-list", "symmetric-not-list",
+            "symmetric-empty", "ragged-row"])
+    def test_malformed_document_rejected(self, data, cls, message):
+        with pytest.raises(cls) as got:
+            kio.parse_input(data)
+        assert str(got.value).startswith(message)
 
     def test_label_round_trip(self):
         doc = kio.parse_input('{"label":"run-1","n":2,"offdiag":[3]}')

@@ -46,6 +46,26 @@ class TestEigenvaluesTridiagonal:
         with pytest.raises(DimensionMismatch):
             spectral.eigenvalues_tridiagonal([1.0, 2.0], [1.0, 2.0])
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            spectral.eigenvalues_tridiagonal([], [])
+
+    def test_values_scale_with_the_input(self, ex1):
+        # no absolute tolerance: eigenvalues of size 1e-60 keep their digits
+        d = np.zeros(4)
+        np.testing.assert_allclose(
+            spectral.eigenvalues_tridiagonal(d, 5e-60 * ex1).values,
+            5e-60 * spectral.eigenvalues_tridiagonal(d, ex1).values, rtol=1e-9, atol=0)
+
+    def test_flow_limit_carries_the_largest_eigenvalue(self):
+        # the spectrum of [1, 1] in closed form; the flow's limit carries its
+        # positive eigenvalue
+        a = [1.0, 1.0]
+        values = spectral.eigenvalues_tridiagonal(np.zeros(3), a).values
+        np.testing.assert_allclose(values, [-math.sqrt(2), 0, math.sqrt(2)], atol=1e-9)
+        limit = flow.integrate(a, IntegratorConfig(t_max=100.0)).final_state
+        assert np.abs(np.sort(np.abs(limit)) - [0.0, values[-1]]).max() <= 1e-6
+
     def test_matches_closed_form_small(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -119,7 +139,7 @@ class TestSpectrumZeroDiag:
         with pytest.raises(ValidationFailure, match="out of range"):
             spectral.batch_eigenvalues_zero_diag(np.full((2, 3), 1e200), 1e-3)
         with pytest.raises(ValidationFailure, match="out of range"):
-            spectral.quadrature_nodes([1e200, 1e200])
+            spectral.eigenvalues_tridiagonal(np.zeros(3), [1e200, 1e200])
 
 
 class TestPredictLimit:
@@ -234,29 +254,3 @@ class TestEnumerateEquilibria:
         with pytest.raises(DegenerateMagnitudes):
             spectral.enumerate_equilibria(self._spec([-1.0, -1.0 + 1e-12,
                                                       1.0 - 1e-12, 1.0]))
-
-
-class TestQuadratureNodes:
-    def test_example1_two_decimals(self, ex1):
-        nodes = spectral.quadrature_nodes(ex1)
-        np.testing.assert_allclose(nodes, [-7.96, -1.26, 1.26, 7.96], atol=0.005)
-
-    def test_single_coefficient(self):
-        np.testing.assert_allclose(spectral.quadrature_nodes([1.0]), [-1.0, 1.0],
-                                   atol=1e-10)
-
-    def test_flow_and_direct_agree(self):
-        # the three-point rule of [1, 1] in closed form; the flow's limit
-        # carries its positive node
-        a = [1.0, 1.0]
-        nodes = spectral.quadrature_nodes(a)
-        np.testing.assert_allclose(nodes, [-math.sqrt(2), 0, math.sqrt(2)],
-                                   atol=1e-9)
-        limit = flow.integrate(a, IntegratorConfig(t_max=100.0)).final_state
-        assert np.abs(np.sort(np.abs(limit)) - [0.0, nodes[-1]]).max() <= 1e-6
-
-    def test_direct_nodes_scale_with_the_input(self, ex1):
-        # no absolute tolerance: nodes of size 1e-60 keep their digits
-        np.testing.assert_allclose(spectral.quadrature_nodes(5e-60 * ex1),
-                                   5e-60 * spectral.quadrature_nodes(ex1),
-                                   rtol=1e-9, atol=0)
