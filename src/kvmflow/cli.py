@@ -144,10 +144,11 @@ def main(argv=None) -> int:
 
 def _load_document(args) -> MatrixInputDocument:
     if getattr(args, "offdiag", None) is not None:
+        # no tokens is the empty off-diagonal (n = 1), like the JSON []; an
+        # empty token between or after commas is not a number
+        tokens = args.offdiag.split(",") if args.offdiag.strip() else []
         entries = []
-        for tok in args.offdiag.split(","):
-            if not tok.strip():
-                continue
+        for tok in tokens:
             try:
                 entries.append(float(tok))
             except ValueError:

@@ -13,13 +13,14 @@ for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
 stationary trajectories, calls the kernel, turns a step underflow, a spent
 step budget (``kernels.MAX_STEPS``) or a non-finite state into an error,
 measures spectral drift and maps times, states and diagnostics back.
-``integrate`` steps v = log|a0 / c| (the log-magnitude chart, see
-``kernels.integrate_offdiag_kernel``); ``integrate_dense`` steps the matrix
-H0 / c. Both kernels step with the one adaptive DOP853 stepper,
-``kernels._integrate``. The callers supply what depends on the state's shape
-(kernel, eigensolver, per-row diagnostics). The kernels and the eigensolver
-are looked up by name on every call, so a wrapper installed on the module
-attribute sees each call.
+``integrate`` hands ``kernels.integrate_offdiag_kernel`` v = log|a0 / c|
+(the log-magnitude chart) in tau; the kernel steps log b^2 = 2 v in 2 tau,
+the Volterra lattice, and returns v and tau, to the bit those of stepping v.
+``integrate_dense`` steps the matrix H0 / c. Both kernels step with the one
+adaptive DOP853 stepper, ``kernels._integrate``. The callers supply what
+depends on the state's shape (kernel, eigensolver, per-row diagnostics). The
+kernels and the eigensolver are looked up by name on every call, so a
+wrapper installed on the module attribute sees each call.
 """
 
 import math
@@ -65,8 +66,10 @@ class IntegratorConfig:
     integrator picks its own steps, the first one from the initial state and
     its slope. eq_eps is the equilibrium residual that stops the run
     early (None -> 1e-10 * c^2, c the run's unit). tol bounds each step's
-    error on the scale tol * (1 + |y|), y = log|a_i| for the off-diagonal
-    flow (a relative accuracy on each entry) and H / c for the dense flow.
+    error on the scale tol * (1 + |y|), y = log|a_i / c| for the
+    off-diagonal flow (a relative accuracy on each entry) and H / c for the
+    dense flow. The off-diagonal kernel steps log(a_i / c)^2 = 2 y on the
+    scale tol * (2 + |2 y|), the same bound to the bit.
     Past max_rows recorded rows, every other row is dropped.
     """
 

@@ -13,6 +13,7 @@ from .errors import DimensionMismatch, ValidationFailure
 
 __all__ = [
     "as_offdiag",
+    "as_diagonal",
     "as_symmetric",
     "embed",
     "map_N",
@@ -30,17 +31,27 @@ __all__ = [
 ]
 
 
+def _as_finite(x, entry: str) -> np.ndarray:
+    """Coerce to a finite float64 vector; name the first bad entry entry_i."""
+    arr = np.asarray(x, dtype=np.float64).reshape(-1)
+    if arr.size and not np.all(np.isfinite(arr)):
+        idx = int(np.flatnonzero(~np.isfinite(arr))[0]) + 1
+        raise ValidationFailure(f"{entry}_{idx} is not finite")
+    return arr
+
+
 def as_offdiag(a) -> np.ndarray:
     """Coerce to a finite float64 off-diagonal vector (length n-1, n >= 1).
 
     The one finiteness check of an off-diagonal input; its ValidationFailure
     names the first entry that is not finite.
     """
-    arr = np.asarray(a, dtype=np.float64).reshape(-1)
-    if arr.size and not np.all(np.isfinite(arr)):
-        idx = int(np.flatnonzero(~np.isfinite(arr))[0]) + 1
-        raise ValidationFailure(f"off-diagonal entry a_{idx} is not finite")
-    return arr
+    return _as_finite(a, "off-diagonal entry a")
+
+
+def as_diagonal(d) -> np.ndarray:
+    """Coerce to a finite float64 diagonal vector: as_offdiag for entries d_i."""
+    return _as_finite(d, "diagonal entry d")
 
 
 def as_symmetric(H) -> np.ndarray:
@@ -120,27 +131,40 @@ def rhs_componentwise(a) -> np.ndarray:
     return a * (sq[:-2] - sq[2:])
 
 
+def _sum_in_order(x: np.ndarray) -> float:
+    """Sum of all entries, added left to right in C order."""
+    return np.add.accumulate(x.reshape(-1))[-1] if x.size else 0.0
+
+
 def log_chart_rhs(k: int):
-    """Return rhs(v), the flow's field on the log-magnitude chart, for k entries.
+    """Return (rhs, resid2), the flow's field on the log chart, for k entries.
 
-    With c = ||a0||, v_i = log|a_i / c| and tau = c^2 t, the componentwise
-    field becomes dv_i/dtau = e_{i-1} - e_{i+1} with e = exp(2 v) and
-    e_0 = e_n = 0: no sign, no scale. The flow of a = c b is c b(c^2 t),
-    since the field is homogeneous of degree 3. rhs writes e into one padded
-    buffer allocated here, so the ends need no branch. rhs(v, out) writes the
-    field to out; without out it returns a new array. An entry at v = -inf
-    (a zero entry) has e = 0.
+    With c = ||a0||, w_i = log(a_i^2 / c^2) = 2 log|a_i / c| and s = 2 c^2 t,
+    the componentwise field becomes dw_i/ds = u_{i-1} - u_{i+1} with
+    u = exp(w) = (a / c)^2 and u_0 = u_n = 0: the Volterra lattice, with no
+    sign and no scale. The flow of a = c b is c b(c^2 t), since the field is
+    homogeneous of degree 3. rhs writes u into one padded buffer allocated
+    here, so the ends need no branch: one exp and one subtraction.
+    rhs(w, out) writes the field to out; without out it returns a new array.
+    An entry at w = -inf (a zero entry) has u = 0.
+
+    resid2() is the squared equilibrium residual ||K||_F^2 = 2 sum u_i u_{i+1}
+    of the state of the last rhs call, read off its u and summed left to
+    right.
     """
-    e = np.zeros(k + 2)
-    inner = e[1:-1]
-    before, after = e[:-2], e[2:]
+    u = np.zeros(k + 2)
+    inner = u[1:-1]
+    before, after = u[:-2], u[2:]
+    prods = np.empty(max(k - 1, 0))
 
-    def rhs(v: np.ndarray, out=None) -> np.ndarray:
-        np.multiply(v, 2.0, out=inner)
-        np.exp(inner, out=inner)
+    def rhs(w: np.ndarray, out=None) -> np.ndarray:
+        np.exp(w, out=inner)
         return np.subtract(before, after, out=out)
 
-    return rhs
+    def resid2() -> float:
+        return 2.0 * _sum_in_order(np.multiply(inner[:-1], inner[1:], out=prods))
+
+    return rhs, resid2
 
 
 def rhs_matrix(H) -> np.ndarray:
@@ -149,7 +173,7 @@ def rhs_matrix(H) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
     as_offdiag(np.diagonal(H, 1))  # the entries N reads must be finite
-    return _rhs_dense(H)
+    return _dense_field()[0](H)
 
 
 def _bracket_K(H: np.ndarray) -> np.ndarray:
@@ -158,10 +182,24 @@ def _bracket_K(H: np.ndarray) -> np.ndarray:
     return H @ N - N @ H
 
 
-def _rhs_dense(H: np.ndarray, out=None) -> np.ndarray:
-    """Unchecked rhs_matrix for a float64 square matrix, written to out if given."""
-    K = _bracket_K(H)
-    return np.subtract(H @ K, K @ H, out=out)
+def _dense_field():
+    """Return (rhs, resid2), the dense double-bracket field for the stepper.
+
+    rhs(H, out) is the unchecked rhs_matrix, written to out if given; it
+    keeps the inner bracket K = [H, N(H)] it builds. resid2() is the squared
+    Frobenius norm of the last K, summed left to right in C order.
+    """
+    K = np.zeros(0)
+
+    def rhs(H: np.ndarray, out=None) -> np.ndarray:
+        nonlocal K
+        K = _bracket_K(H)
+        return np.subtract(H @ K, K @ H, out=out)
+
+    def resid2() -> float:
+        return _sum_in_order(K * K)
+
+    return rhs, resid2
 
 
 def lyapunov_f(H) -> float:

@@ -6,8 +6,12 @@ both forms of the flow. It takes the right-hand side and the squared
 equilibrium residual as arguments and works on a state of any shape:
 
 * ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
-  chart ``v = log|a / ||a0|| |`` in normalised time, where the field is
-  smooth, scale-free and leaves every sign where it started;
+  chart, where the field is smooth, scale-free and leaves every sign where
+  it started. It takes and returns ``v = log|a / ||a0|| |`` in normalised
+  time tau, and steps ``w = 2 v = log b^2`` in ``s = 2 tau``: the Volterra
+  lattice, one exp and one subtraction per evaluation. Doubling is exact,
+  so the steps are those of stepping v, to the bit, and tol is still a
+  relative accuracy per entry;
 * ``integrate_dense_kernel`` steps a full symmetric matrix, normalised by
   the caller, with the nested-commutator field [H, [H, N(H)]].
 
@@ -17,7 +21,9 @@ the rows of one buffer; each stage argument and the new state is one
 estimates are one ``np.dot`` of its last two rows; BLAS adds its terms in its
 own order. The sums that decide step acceptance and stopping, the error norm
 and the residual, run left to right, so they do not depend on numpy's
-pairwise summation.
+pairwise summation. Each field hands the stepper the residual of its last
+evaluation, the FSAL stage at the new state, so the stop test computes no
+field twice.
 
 ``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
 each one pass over the LDL^T pivots for every entry at once. A cold solve is
@@ -32,7 +38,7 @@ import math
 
 import numpy as np
 
-from .jacobi import _bracket_K, _rhs_dense, log_chart_rhs
+from .jacobi import _dense_field, log_chart_rhs
 
 
 def lane() -> str:
@@ -129,31 +135,6 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 
-def _sum_in_order(x: np.ndarray) -> float:
-    """Sum of all entries, added left to right in C order."""
-    return np.add.accumulate(x.reshape(-1))[-1] if x.size else 0.0
-
-
-def _resid2_offdiag(a: np.ndarray) -> float:
-    """Squared equilibrium residual ||K||_F^2 = 2 sum (a_i a_{i+1})^2."""
-    p = a[:-1] * a[1:]
-    return 2.0 * _sum_in_order(p * p)
-
-
-def _resid2_log(v: np.ndarray) -> float:
-    """Squared residual 2 sum exp(2 (v_i + v_{i+1})) of the unit rows exp(v).
-
-    Signs drop out of the squares; an entry at v = -inf adds exactly 0.
-    """
-    return _resid2_offdiag(np.exp(v))
-
-
-def _resid2_dense(H: np.ndarray) -> float:
-    """Squared Frobenius norm of the inner bracket [H, N(H)]."""
-    K = _bracket_K(H)
-    return _sum_in_order(K * K)
-
-
 def _halve_rows(times, states, count) -> int:
     """Keep t=0 and every other retained row after it; return the new count."""
     half_n = (count + 1) // 2
@@ -162,17 +143,21 @@ def _halve_rows(times, states, count) -> int:
     return half_n
 
 
-def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
+def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
-    Stops at t_max, or once resid2(y) <= eq_eps^2; a step that ends within
-    1e-14 * t_max of t_max ends exactly on it. The first trial step is set by
-    y0 and its slope (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a step
-    below dt_min is an underflow. The run stops with STATUS_BUDGET once it
-    has taken MAX_STEPS steps, accepted or rejected.
+    rhs(y, out) writes the field at y to out; resid2() returns the squared
+    equilibrium residual of the state of the last rhs call. Stops at t_max,
+    or once an accepted state has resid2() <= eq_eps^2; a step that ends
+    within 1e-14 * t_max of t_max ends exactly on it. The first trial step,
+    0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set by y0 and its slope
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a step below dt_min is
+    an underflow. The run stops with STATUS_BUDGET once it has taken
+    MAX_STEPS steps, accepted or rejected.
 
     The step is DOP853: twelve stages, the last field value k13 = f(y_new)
-    reused as the next step's k1 (FSAL). The state y and the stages
+    reused as the next step's k1 (FSAL). k13 is a step's last rhs call, so
+    resid2() after it is the residual at y_new. The state y and the stages
     k1 ... k13 are the rows of one buffer Y, flattened. Each step scales the
     stage matrix _DOP853 by h, all but its column on y, and each stage
     argument and y_new is one np.dot of a row with the prefix of Y it reads.
@@ -181,10 +166,18 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
     so no row may have a zero on y, and the error rows leave y out. Zeros on
     the k rows are harmless: the k rows of an accepted step are finite, and
     a non-finite one gives a NaN error and a rejection. The estimates are
-    scaled by tol * (1 + max(|y|, |y_new|)) (Hairer's atol = rtol = tol),
-    the error norm is Hairer's combined one, err = n5 / sqrt((n5 + 0.01 n3)
-    size) of the sums of squares n5 and n3 of the scaled estimates, and the
-    PI controller takes the exponents 0.7/8 and 0.4/8.
+    scaled by tol * (unit + max(|y|, |y_new|)) (Hairer's atol = unit * tol,
+    rtol = tol), the error norm is Hairer's combined one,
+    err = n5 / sqrt((n5 + 0.01 n3) size) of the sums of squares n5 and n3 of
+    the scaled estimates, each summed left to right, and the PI controller
+    takes the exponents 0.7/8 and 0.4/8.
+
+    unit is the size of a unit entry in the state's coordinates: 1, or 2 on
+    the log chart, which steps w = 2 v. Doubling is exact in binary floating
+    point, so a run of 2 y0 with unit 2, t_max and dt_min times 2 and the
+    field g(w) = f(w / 2) is the run of y0 under f to the bit: every state,
+    stage argument, step and error estimate is twice the other's, the field
+    values and the scaled error estimates are the same.
 
     Returns (times_buf, states_buf, row_count, status, naccept, nreject).
     Buffers are oversized; the caller slices to row_count. Every accepted
@@ -210,6 +203,10 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
     stages = [(C[s, :s + 2], Y[:s + 2], args[s], args[s].reshape(shape),
                Y[s + 2].reshape(shape)) for s in range(last - 1)]
     err_est = np.empty((2, y0.size))  # the 5th- and 3rd-order estimates
+    scale = np.empty(y0.size)  # the error scale of each entry
+    abs_y = np.abs(Y[0])
+    abs_new = np.empty(y0.size)  # |y_new|, |y| of the next step if accepted
+    tol_unit = tol * unit
 
     eq2 = eq_eps * eq_eps
     t = 0.0
@@ -220,9 +217,9 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
     just_rejected = False
 
     rhs(y, out=k1)
-    # a zero entry is v = -inf on the log chart
+    # a zero entry is y = -inf on the log chart
     y_inf = np.abs(y[np.isfinite(y)]).max(initial=0.0)
-    h = min(0.1 * (1.0 + y_inf) / (1.0 + np.abs(k1).max(initial=0.0)),
+    h = min(0.1 * (unit + y_inf) / (1.0 + np.abs(k1).max(initial=0.0)),
             1e-3 * t_max)
     t_edge = t_max * (1.0 - 1.0e-14)
 
@@ -247,12 +244,17 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
         if y.size:
             # the error rows leave out y: 0 * (-inf) would be NaN
             np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
-            r = err_est / (tol + tol * np.maximum(np.abs(Y[0]), np.abs(y_new)))
-            r *= r
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            np.multiply(scale, tol, out=scale)
+            np.add(scale, tol_unit, out=scale)
+            np.divide(err_est, scale, out=err_est)
+            np.multiply(err_est, err_est, out=err_est)
+            np.add.accumulate(err_est, axis=1, out=err_est)
             # in Python floats, so that an overflowing estimate gives a NaN
             # error (inf / inf) without a warning
-            n5 = float(_sum_in_order(r[0]))
-            deno = n5 + 0.01 * float(_sum_in_order(r[1]))
+            n5 = float(err_est[0, -1])
+            deno = n5 + 0.01 * float(err_est[1, -1])
             err = n5 / math.sqrt((deno if deno > 0.0 else 1.0) * y.size)
         accept = err <= 1.0
 
@@ -260,9 +262,10 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows):
             t = t_new
             Y[0] = y_new
             Y[1] = Y[last]
+            abs_y, abs_new = abs_new, abs_y
             naccept += 1
 
-            r2 = resid2(y)
+            r2 = resid2()
             done = r2 <= eq2 or t >= t_edge
             if naccept % stride == 0 or done:
                 if count == max_rows:
@@ -302,15 +305,24 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
     The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
-    stepped in normalised time tau = ||a0||^2 t with the field of
-    :func:`jacobi.log_chart_rhs`; t_max, dt_min and eq_eps are in
+    in normalised time tau = ||a0||^2 t; t_max, dt_min and eq_eps are in
     those units, and eq_eps bounds the residual of exp(v). A zero entry is
     v = -inf: it stays there and adds 0 to the field, the residual and the
     error norm. tol bounds the error in v, which is the relative error of
     each entry. See :func:`_integrate` for the return value.
+
+    Inside, the run steps w = 2 v = log b^2 in s = 2 tau with the field of
+    :func:`jacobi.log_chart_rhs` and unit 2 (see :func:`_integrate`), and
+    halves the recorded times and states: the trajectory is the one of
+    stepping v in tau to the bit, and tol keeps its meaning, while a field
+    evaluation is one exp and one subtraction.
     """
-    return _integrate(v0, log_chart_rhs(v0.size), _resid2_log, t_max, tol,
-                      eq_eps, dt_min, max_rows)
+    out = _integrate(2.0 * v0, *log_chart_rhs(v0.size), 2.0 * t_max, tol,
+                     eq_eps, 2.0 * dt_min, max_rows, unit=2.0)
+    times, states, count = out[:3]
+    times[:count] *= 0.5
+    states[:count] *= 0.5
+    return out
 
 
 def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
@@ -321,8 +333,8 @@ def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
     passes H0 / c and times in tau = c^2 t, so both are unit-sized, and tol
     bounds the error in H0 / c.
     """
-    return _integrate(H0, _rhs_dense, _resid2_dense, t_max, tol, eq_eps,
-                      dt_min, max_rows)
+    return _integrate(H0, *_dense_field(), t_max, tol, eq_eps, dt_min,
+                      max_rows, unit=1.0)
 
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)

@@ -25,7 +25,7 @@ from .errors import (
     ValidationFailure,
     ZeroEntry,
 )
-from .jacobi import as_offdiag, scaled_norm
+from .jacobi import as_diagonal, as_offdiag, scaled_norm
 
 __all__ = [
     "Spectrum",
@@ -162,10 +162,10 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     Sturm-sequence bisection on the matrix divided by its largest entry, so
     the brackets and tolerances are scale-free; the values are scaled back.
     Each eigenvalue is within ``1e-12 * (m + ||T||_F)`` of exact, m the
-    largest entry. A matrix whose squared Frobenius norm overflows raises
-    ValidationFailure.
+    largest entry. A non-finite entry, or a matrix whose squared Frobenius
+    norm overflows, raises ValidationFailure.
     """
-    d = np.asarray(diag, dtype=np.float64).reshape(-1)
+    d = as_diagonal(diag)
     e = as_offdiag(offdiag)
     if e.size != max(d.size - 1, 0):
         raise DimensionMismatch(

@@ -390,6 +390,28 @@ class TestInputRules:
     """Each input rule is checked once: every entry raises ValidationFailure
     with the same message, and the CLI prints it as one line and exits 1."""
 
+    @pytest.mark.parametrize("offdiag", ["5,,-6,-2", "5,-6,-2,", ",5,-6,-2", "5, ,-6"])
+    @pytest.mark.parametrize("command", _OFFDIAG_COMMANDS)
+    def test_empty_inline_token_is_an_error(self, command, offdiag, capsys):
+        # the JSON [5,,-6,-2] is a syntax error: no entry is dropped silently
+        from kvmflow import cli
+        from kvmflow.errors import ValidationFailure
+
+        args = cli.build_parser().parse_args([command, "--offdiag=" + offdiag])
+        with pytest.raises(ValidationFailure, match="^--offdiag entry '' is not a number$"):
+            args.func(args)
+        assert main([command, "--offdiag=" + offdiag]) == 1
+        assert capsys.readouterr().err == "kvmflow: error: --offdiag entry '' is not a number\n"
+
+    def test_no_inline_tokens_is_the_empty_offdiag(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 1, "offdiag": []}')
+        outputs = []
+        for source in (["--offdiag="], ["--input", str(path)]):
+            assert main(["spectrum", *source]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("rule, entry", list(_input_rule_cases()))
     def test_same_class_and_message(self, rule, entry, tmp_path, capsys):
         from kvmflow import cli, flow, io, spectral

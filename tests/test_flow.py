@@ -372,6 +372,36 @@ class TestStepCounts:
         flow.integrate(a0)
         assert steps == [counts]
 
+    # (recorded rows, final time, final state) of the default run, as
+    # float.hex: a change of any rounding in the stepper moves them
+    PINNED = {
+        "ex1": (40, "0x1.153c089757c79p-1", [
+            "0x1.41739b378ea72p+0", "-0x1.ef28b1742ff38p-44", "-0x1.fdb01d6420febp+2"]),
+        "ex2": (78, "0x1.ad26068324475p+1", [
+            "-0x1.b69384253620ep-3", "0x1.f60473482f966p-35", "0x1.5b496f63afb88p+1",
+            "-0x1.0196197fa898fp-485", "-0x1.4f8403899e1a1p+3", "-0x1.8c00e02433d8cp-209",
+            "0x1.8aed287de532ep+3", "0x1.950755e313fbbp-260", "0x1.cbace1a7f0b99p+3"]),
+        "ex3": (257, "0x1.4000000000000p+3", [
+            "-0x1.850201f82826bp-115", "0x1.6740f7e989d7fp+1", "-0x1.96a9d6316e706p-21",
+            "0x1.7d3eaee003a19p+1", "-0x1.d22ca8a4a8493p-108", "0x1.0ad958fdc99d8p+2",
+            "-0x1.9b1c7a340ec67p-67", "0x1.2a4388b38a22ep+2", "-0x1.9631d2d8df825p-26",
+            "0x1.35781f2e069bfp+2", "0x1.68ca29d53185ep-222", "-0x1.90802414f79fep+2",
+            "0x1.fa1f13a805551p-664", "0x1.29366df7e5435p+3", "0x1.164eabfdf6eb5p-444",
+            "-0x1.5aff47b329fa6p+3", "-0x1.5c142763873b4p-234", "0x1.711c408ae3763p+3",
+            "-0x1.070bbd1758976p-85", "0x1.7a75232fbfd67p+3", "0x1.2ec3983f3d192p-235",
+            "0x1.8f3b867fdd68dp+3", "0x0.0p+0", "0x1.11baca9eec9afp+4",
+            "-0x1.69bc1076eb59dp-455", "0x1.1fb18409eb7f8p+4", "-0x1.7dc9296ec0460p-459",
+            "-0x1.2d8a92c1e1895p+4"]),
+    }
+
+    @pytest.mark.parametrize("name,a0", [("ex1", EX1), ("ex2", EX2), ("ex3", EX3)])
+    def test_examples_end_on_the_pinned_bits(self, name, a0):
+        rows, t_end, final = self.PINNED[name]
+        traj = flow.integrate(a0)
+        assert len(traj.times) == len(traj.states) == rows
+        assert traj.times[-1].hex() == t_end
+        assert [x.hex() for x in traj.final_state] == final
+
 
 class TestAccuracy:
     """At the default tolerances the state at a fixed horizon lies near the

@@ -261,28 +261,78 @@ def _loop_sum(values):
     return s
 
 
+def _log_chart_resid2(w):
+    """2 sum u_i u_{i+1} with u = exp(w), from scratch in a scalar loop."""
+    u = np.exp(w)
+    return 2.0 * _loop_sum([u[i] * u[i + 1] for i in range(len(w) - 1)])
+
+
+def _dense_resid2(H):
+    """Sum of K_ij^2 over K = [H, N(H)], from scratch in a scalar loop."""
+    K = jacobi._bracket_K(H)
+    n = len(H)
+    return _loop_sum([K[i, j] * K[i, j] for i in range(n) for j in range(n)])
+
+
 class TestSumsInLoopOrder:
+    """Each field's resid2() is the residual of its last rhs call, summed in
+    the order of a scalar loop."""
+
     def test_sum_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
         for size in (0, 1, 2, 7, 8, 9, 28, 64, 200):
             x = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-8, 8, size)
-            assert kernels._sum_in_order(x) == _loop_sum(x)
+            assert jacobi._sum_in_order(x) == _loop_sum(x)
 
     def test_offdiag_residual_matches_scalar_loop(self):
         rng = np.random.default_rng(12)
         for k in (0, 1, 2, 5, 28):
-            a = rng.uniform(-10, 10, k)
-            loop = 2.0 * _loop_sum([(a[i] * a[i + 1]) ** 2 for i in range(k - 1)])
-            assert kernels._resid2_offdiag(a) == loop
+            rhs, resid2 = jacobi.log_chart_rhs(k)
+            w = 2.0 * np.log(rng.uniform(0.01, 1.0, k))
+            rhs(w)
+            assert resid2() == _log_chart_resid2(w)
 
     def test_dense_residual_matches_scalar_loop(self):
         rng = np.random.default_rng(13)
         for n in (1, 3, 8):
             H = rng.normal(size=(n, n))
             H = 0.5 * (H + H.T)
-            K = jacobi.commutator(H, jacobi.map_N(H))
-            loop = _loop_sum([K[i, j] * K[i, j] for i in range(n) for j in range(n)])
-            assert kernels._resid2_dense(H) == loop
+            rhs, resid2 = jacobi._dense_field()
+            rhs(H)
+            assert resid2() == _dense_resid2(H)
+
+    @pytest.mark.parametrize("kind", ["log", "dense"])
+    def test_stop_residual_is_that_of_each_accepted_state(self, kind, monkeypatch):
+        # the stepper reads resid2() after a step's last field call, the FSAL
+        # stage k13 = f(y_new): it must be the residual of the state recorded
+        rng = np.random.default_rng(14)
+        seen = []
+
+        def recording(field):
+            def wrapped(*args):
+                rhs, resid2 = field(*args)
+
+                def read():
+                    seen.append(resid2())
+                    return seen[-1]
+                return rhs, read
+            return wrapped
+
+        if kind == "log":
+            monkeypatch.setattr(kernels, "log_chart_rhs", recording(jacobi.log_chart_rhs))
+            a = rng.uniform(0.5, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
+            y0, kernel = _log_chart(a), kernels.integrate_offdiag_kernel
+        else:
+            monkeypatch.setattr(kernels, "_dense_field", recording(jacobi._dense_field))
+            H = rng.uniform(-1.0, 1.0, (5, 5))
+            y0, kernel = (H + H.T) / np.linalg.norm(H + H.T), kernels.integrate_dense_kernel
+        times, states, count, status, naccept, _ = kernel(y0, 5.0, 1e-10, 0.0, 1e-14, 10_000)
+        assert status == kernels.STATUS_HORIZON and count == naccept + 1 == len(seen) + 1
+        if kind == "log":
+            want = [_log_chart_resid2(2.0 * v) for v in states[1:count]]
+        else:
+            want = [_dense_resid2(S) for S in states[1:count]]
+        assert seen == want
 
 
 def _log_chart(a):
@@ -300,24 +350,26 @@ class TestLogChart:
         # d log|a_i| / d(c^2 t) = (da_i/dt) / (a_i c^2), at any scale c
         a = np.array(mags) * 10.0 ** exponent
         c2 = float(np.sum(a * a))
-        got = jacobi.log_chart_rhs(a.size)(_log_chart(a))
+        # w = 2 v in s = 2 tau: dw/ds = dv/dtau
+        rhs, _ = jacobi.log_chart_rhs(a.size)
+        got = rhs(2.0 * _log_chart(a))
         want = jacobi.rhs_componentwise(a) / a / c2
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_field_reuses_its_buffer(self):
-        rhs = jacobi.log_chart_rhs(3)
-        first = rhs(_log_chart([5.0, -6.0, -2.0])).copy()
-        rhs(_log_chart([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(rhs(_log_chart([5.0, -6.0, -2.0])), first)
+        rhs, _ = jacobi.log_chart_rhs(3)
+        first = rhs(2.0 * _log_chart([5.0, -6.0, -2.0])).copy()
+        rhs(2.0 * _log_chart([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(rhs(2.0 * _log_chart([5.0, -6.0, -2.0])), first)
 
     def test_zero_entry_stays_exactly_at_minus_infinity(self):
         # with strict=False a zero entry is v = -inf: a fixed point that adds
         # nothing to the field, the residual or the error norm
         v0 = _log_chart([1.0, 0.0, 0.5, 2.0])
-        rhs = jacobi.log_chart_rhs(4)
-        field = rhs(v0)
+        rhs, _ = jacobi.log_chart_rhs(4)
+        field = rhs(2.0 * v0)
         assert field[0] == 0.0
-        np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)(v0[2:]))
+        np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)[0](2.0 * v0[2:]))
         times, states, count, status, *_ = kernels.integrate_offdiag_kernel(
             v0, 100.0, 1e-10, 1e-10, 1e-12, 1000)
         assert status == kernels.STATUS_CONVERGED
@@ -325,7 +377,9 @@ class TestLogChart:
         assert np.all(np.isfinite(states[:count, [0, 2, 3]]))
         # the left block [a_1] is alone: it does not move
         assert np.all(states[:count, 0] == v0[0])
-        assert kernels._resid2_log(np.array([0.0, -np.inf, -np.inf])) == 0.0
+        rhs, resid2 = jacobi.log_chart_rhs(3)
+        rhs(np.array([0.0, -np.inf, -np.inf]))
+        assert resid2() == 0.0
 
 
 class TestTableau:
@@ -374,15 +428,18 @@ class TestOneStep:
             H = rng.uniform(-1.0, 1.0, (5, 5))
             H = H + H.T
             H /= np.linalg.norm(H) / np.sqrt(2.0)
-            return H, kernels.integrate_dense_kernel, jacobi.rhs_matrix
+            return H, kernels.integrate_dense_kernel, jacobi.rhs_matrix, 1.0
         a = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
         if kind == "log_zero":
             a[2] = 0.0
-        return _log_chart(a), kernels.integrate_offdiag_kernel, jacobi.log_chart_rhs(6)
+        # the kernel takes v and steps w = 2 v in s = 2 tau, on the scale
+        # tol * (2 + |w|)
+        return (_log_chart(a), kernels.integrate_offdiag_kernel,
+                jacobi.log_chart_rhs(6)[0], 2.0)
 
     @pytest.mark.parametrize("kind", ["log", "log_zero", "dense"])
     def test_first_step_matches_the_textbook_step(self, kind):
-        y0, kernel, rhs = self._start(kind)
+        y0, kernel, rhs, unit = self._start(kind)
         tol = 1e-6
         times, states, count, status, naccept, nreject = kernel(
             y0, 100.0, tol, 0.0, 1e-14, 10_000)
@@ -392,11 +449,12 @@ class TestOneStep:
         # tableaus apart: a 5(4) step misses the textbook one by ten times the
         # rounding allowed below or more.
         assert times[1] == 0.1
-        want, err5, err3 = dop853_step(rhs, y0, times[1])
-        scale = tol + tol * np.maximum(np.abs(y0), np.abs(want))
+        y0 = unit * y0
+        want, err5, err3 = dop853_step(rhs, y0, unit * times[1])
+        scale = unit * tol + tol * np.maximum(np.abs(y0), np.abs(want))
         n5, n3 = np.sum((err5 / scale) ** 2), np.sum((err3 / scale) ** 2)
         assert n5 / np.sqrt((n5 + 0.01 * n3) * y0.size) <= 1.0
-        got, live = states[1], np.isfinite(want)
+        got, live = unit * states[1], np.isfinite(want)
         # a zero entry stays exactly at -inf
         assert np.array_equal(np.isfinite(got), live) and np.all(got[~live] == -np.inf)
         assert np.abs(got[live] - want[live]).max() <= 1e-14 * np.abs(want[live]).max()
@@ -441,8 +499,8 @@ class TestRecording:
     def test_non_finite_stage_rejects_and_shrinks_the_step(self):
         # an overflowing stage makes the error estimate non-finite: the trial
         # step is rejected and shrunk by _FAC_MIN, and the run goes on
-        v0 = _log_chart([5.0, -6.0, -2.0])
-        field = jacobi.log_chart_rhs(3)
+        w0 = 2.0 * _log_chart([5.0, -6.0, -2.0])
+        field, resid2 = jacobi.log_chart_rhs(3)
         calls = []
 
         def rhs(v, out):
@@ -452,8 +510,9 @@ class TestRecording:
                 out[:] = np.inf
             return out
 
+        t_max = 2.0
         times, states, count, status, naccept, nreject = kernels._integrate(
-            v0, rhs, kernels._resid2_log, 1.0, 1e-10, 0.0, 1e-14, 1000)
+            w0, rhs, resid2, t_max, 1e-10, 0.0, 2e-14, 1000, unit=2.0)
         assert status == kernels.STATUS_HORIZON and nreject >= 1
-        assert times[1] == 1e-3 * kernels._FAC_MIN
+        assert times[1] == 1e-3 * t_max * kernels._FAC_MIN
         assert np.all(np.isfinite(states[:count]))

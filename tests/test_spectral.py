@@ -50,6 +50,15 @@ class TestEigenvaluesTridiagonal:
         with pytest.raises(DimensionMismatch):
             spectral.eigenvalues_tridiagonal([], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("idx", [1, 3])
+    def test_non_finite_diagonal_names_the_entry(self, bad, idx):
+        d = np.zeros(3)
+        d[idx - 1] = bad
+        with pytest.raises(ValidationFailure) as got:
+            spectral.eigenvalues_tridiagonal(d, [1.0, 1.0])
+        assert str(got.value) == f"diagonal entry d_{idx} is not finite"
+
     def test_values_scale_with_the_input(self, ex1):
         # no absolute tolerance: eigenvalues of size 1e-60 keep their digits
         d = np.zeros(4)
