@@ -10,7 +10,6 @@ enumeration, a verification suite, and a CLI.
 """
 
 from .errors import (
-    DegenerateMagnitudes,
     DegenerateSpectrum,
     DimensionMismatch,
     EquilibriumInput,
@@ -20,7 +19,6 @@ from .errors import (
     ParseError,
     StepUnderflow,
     ValidationFailure,
-    ZeroEntry,
 )
 from .flow import (
     DenseTrajectory,
@@ -106,8 +104,6 @@ __all__ = [
     "NonConvergence",
     "PairingViolation",
     "DegenerateSpectrum",
-    "DegenerateMagnitudes",
-    "ZeroEntry",
     "EquilibriumInput",
     "ValidationFailure",
     "StepUnderflow",

@@ -6,21 +6,14 @@ Exit codes: 0 success, 1 parse/validation error (message on stderr),
 """
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateMagnitudes,
-    DegenerateSpectrum,
-    EquilibriumInput,
-    KvmflowError,
-    PairingViolation,
-    ValidationFailure,
-    ZeroEntry,
-)
+from .errors import EquilibriumInput, KvmflowError, PairingViolation, ValidationFailure
 from .flow import IntegratorConfig, integrate, integrate_dense
 from .io import (
     MatrixInputDocument,
@@ -45,6 +38,9 @@ _EXPERIMENTAL_NOTE = (
     "experimental symmetric-matrix mode: only spectral drift and Lyapunov "
     "monotonicity are guaranteed; block-diagonal limits are reported, not asserted"
 )
+# an inline --offdiag token: a JSON number, or a non-finite token that
+# as_offdiag reports by entry
+_INLINE_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?|-?inf|nan")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,14 +141,14 @@ def main(argv=None) -> int:
 def _load_document(args) -> MatrixInputDocument:
     if getattr(args, "offdiag", None) is not None:
         # no tokens is the empty off-diagonal (n = 1), like the JSON []; an
-        # empty token between or after commas is not a number
-        tokens = args.offdiag.split(",") if args.offdiag.strip() else []
-        entries = []
+        # empty token between or after commas is not a number; JSON whitespace
+        # around a token is dropped
+        ws = " \t\n\r"
+        tokens = [t.strip(ws) for t in args.offdiag.split(",")] if args.offdiag.strip(ws) else []
         for tok in tokens:
-            try:
-                entries.append(float(tok))
-            except ValueError:
-                raise ValidationFailure(f"--offdiag entry {tok.strip()!r} is not a number") from None
+            if not _INLINE_NUMBER.fullmatch(tok):
+                raise ValidationFailure(f"--offdiag entry {tok!r} is not a number")
+        entries = [float(tok) for tok in tokens]
         return MatrixInputDocument(n=len(entries) + 1, offdiag=as_offdiag(entries))
     return parse_input(Path(args.input).read_bytes())
 
@@ -178,15 +174,6 @@ def _emit(args, doc: MatrixInputDocument, **values) -> None:
     write_summary(summary, args.out_summary or sys.stdout)
 
 
-def _try_prediction(a: np.ndarray, spec):
-    try:
-        return predict_limit(a, spec), None
-    except EquilibriumInput:
-        return None, "stationary_input"
-    except (ZeroEntry, DegenerateMagnitudes, DegenerateSpectrum, PairingViolation) as exc:
-        return None, f"unavailable: {exc}"
-
-
 def _cmd_evolve(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
@@ -196,9 +183,14 @@ def _cmd_evolve(args) -> int:
         write_trajectory_csv(traj, args.out_csv)
 
     spec = traj.spectrum or eigenvalues_tridiagonal(np.zeros(doc.n), a)
-    predicted, note = (None, None)
+    predicted = note = None
     if args.strict:
-        predicted, note = _try_prediction(a, spec)
+        try:
+            predicted = predict_limit(a, spec)
+        except EquilibriumInput:
+            note = "stationary_input"
+        except (ValidationFailure, PairingViolation) as exc:
+            note = f"unavailable: {exc}"
     _emit(args, doc, notes=note, status=traj.status, final_offdiag=traj.final_state,
           spectrum=spec.values, predicted_limit=predicted, config=traj.config)
     return 0
@@ -207,11 +199,14 @@ def _cmd_evolve(args) -> int:
 def _cmd_predict(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
-    spec = spectrum_zero_diag(a)
-    predicted, note = _try_prediction(a, spec)
-    if note is not None and note != "stationary_input":
-        raise KvmflowError(f"prediction {note}")
-    _emit(args, doc, status=note, spectrum=spec.values, predicted_limit=predicted)
+    # predict_limit checks both hypotheses, after the equilibrium test, in
+    # the order integrate does
+    spec = eigenvalues_tridiagonal(np.zeros(doc.n), a)
+    try:
+        predicted, status = predict_limit(a, spec), None
+    except EquilibriumInput:
+        predicted, status = None, "stationary_input"
+    _emit(args, doc, status=status, spectrum=spec.values, predicted_limit=predicted)
     return 0
 
 

@@ -17,14 +17,6 @@ class PairingViolation(KvmflowError):
     """Spectrum of a zero-diagonal matrix is not (+/-)-symmetric; eigensolver fault."""
 
 
-class DegenerateMagnitudes(KvmflowError):
-    """Eigenvalue magnitudes are not strictly separated (or vanish for even n)."""
-
-
-class ZeroEntry(KvmflowError):
-    """Off-diagonal entry is zero where a sign is required."""
-
-
 class EquilibriumInput(KvmflowError):
     """Input is a flow equilibrium; the limit formula does not apply."""
 

@@ -79,12 +79,15 @@ def parse_input(data) -> MatrixInputDocument:
     if label is not None and not isinstance(label, str):
         raise ValidationFailure("'label' must be a string")
 
-    if "offdiag" in obj:
-        if "n" not in obj:
-            raise ValidationFailure("'n' is required with 'offdiag'")
+    # one 'n' rule for both kinds: a positive integer, then the dimension
+    if "n" in obj:
         n = obj["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationFailure(f"'n' must be a positive integer, got {n!r}")
+    elif "offdiag" in obj:
+        raise ValidationFailure("'n' is required with 'offdiag'")
+
+    if "offdiag" in obj:
         if not isinstance(obj["offdiag"], list):
             raise ValidationFailure("'offdiag' must be a list of numbers")
         entries = _as_number_list(obj["offdiag"], "offdiag")

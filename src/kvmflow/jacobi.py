@@ -255,16 +255,17 @@ def scaled_norm(x) -> float:
 
 
 def validate_initial_state(a) -> np.ndarray:
-    """Flow-initial-condition validation: finite, nonzero entries.
+    """The limit theorem's first hypothesis: finite, nonzero entries.
 
-    Eigenvalue distinctness is checked by the caller (it already owns the
-    spectrum); this keeps the module free of eigensolver dependencies.
+    The one nonzero check; its ValidationFailure names the first zero entry.
+    Eigenvalue distinctness is the second hypothesis, checked where the
+    spectrum is (spectral.spectrum_zero_diag, predict_limit).
     """
     a = as_offdiag(a)
     if a.size and np.any(a == 0.0):
         idx = int(np.flatnonzero(a == 0.0)[0]) + 1
         raise ValidationFailure(
-            f"off-diagonal entry a_{idx} is zero; flow initial conditions "
-            "must have all entries nonzero (pass strict=False to bypass)"
+            f"off-diagonal entry a_{idx} is zero; the limit theorem needs "
+            "every entry nonzero"
         )
     return a

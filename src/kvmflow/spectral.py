@@ -16,16 +16,14 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    DegenerateMagnitudes,
     DegenerateSpectrum,
     DimensionMismatch,
     EquilibriumInput,
     NonConvergence,
     PairingViolation,
     ValidationFailure,
-    ZeroEntry,
 )
-from .jacobi import as_diagonal, as_offdiag, scaled_norm
+from .jacobi import as_diagonal, as_offdiag, scaled_norm, validate_initial_state
 
 __all__ = [
     "Spectrum",
@@ -210,26 +208,25 @@ def spectrum_zero_diag(a) -> Spectrum:
     """
     a = as_offdiag(a)
     spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a)
-    gap_tol = _zero_diag_gap_tol(a)
+    return _require_distinct(spec, _zero_diag_gap_tol(a))
+
+
+def _require_distinct(spec: Spectrum, gap_tol: float) -> Spectrum:
+    """The limit theorem's second hypothesis: a (+/-)-paired spectrum whose
+    consecutive eigenvalues are at least gap_tol apart.
+
+    The one distinctness check. On a paired spectrum the gaps are those of
+    the magnitudes and 2 lambda_1 (even n) or lambda_1 (odd n), so it also
+    keeps the smallest magnitude off zero.
+    """
+    if not spec.paired:
+        raise PairingViolation("spectrum is not (+/-)-paired")
     if not spec.gap_min >= gap_tol:
         raise DegenerateSpectrum(
             f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
             f"gap_tol {gap_tol:.3e}; eigenvalues must be pairwise distinct"
         )
     return spec
-
-
-def _distinct_magnitudes(spec: Spectrum, gap_tol: float) -> np.ndarray:
-    mags = spec.positive_magnitudes
-    if mags.size and mags[0] <= gap_tol:
-        raise DegenerateMagnitudes(
-            f"smallest magnitude {mags[0]:.3e} is not separated from zero"
-        )
-    if mags.size > 1 and np.diff(mags).min() <= gap_tol:
-        raise DegenerateMagnitudes(
-            f"magnitude gap {np.diff(mags).min():.3e} is below gap_tol {gap_tol:.3e}"
-        )
-    return mags
 
 
 def limit_slots(n: int) -> np.ndarray:
@@ -247,8 +244,9 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     For even n the odd-indexed slots (1-based 1, 3, ...) carry the magnitudes
     ascending, each with the sign of the matching entry of a0; the remaining
     slots are zero. For odd n the pattern shifts right by one and the leading
-    slot is zero. Requires a nonzero, non-equilibrium a0 and strictly
-    separated magnitudes.
+    slot is zero. Requires a non-equilibrium a0 with nonzero entries
+    (jacobi.validate_initial_state) and distinct eigenvalues, checked with
+    the gap tolerance of spectrum_zero_diag.
     """
     a0 = as_offdiag(a0)
     n = a0.size + 1
@@ -259,16 +257,12 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     # the products under- or overflow at extreme scales
     if not np.any(nonzero[:-1] & nonzero[1:]):
         raise EquilibriumInput("input is already an equilibrium; it does not move")
-    if a0.size and np.any(a0 == 0.0):
-        idx = int(np.flatnonzero(a0 == 0.0)[0]) + 1
-        raise ZeroEntry(f"a_{idx} is zero; the limit sign sgn(a_{idx}) is undefined")
-    if not spec.paired:
-        raise PairingViolation("spectrum is not (+/-)-paired")
-    mags = _distinct_magnitudes(spec, _zero_diag_gap_tol(a0))
+    validate_initial_state(a0)
+    _require_distinct(spec, _zero_diag_gap_tol(a0))
 
     out = np.zeros(n - 1)
     live = limit_slots(n)
-    out[live] = np.sign(a0[live]) * mags
+    out[live] = np.sign(a0[live]) * spec.positive_magnitudes
     return out
 
 
@@ -280,14 +274,17 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
     additionally a free placement of the single 1x1 zero block among the
     (n+1)/2 block positions. count_formula counts permutations (and zero-block
     placements); count_with_signs also counts the 2^(n//2) sign patterns.
+    The spectrum must be distinct, with the gap tolerance set on its values.
     A set of more than 100 000 points is refused before any is built.
     """
-    if not spec.paired:
-        raise PairingViolation("spectrum is not (+/-)-paired")
-    mags = _distinct_magnitudes(spec, _spectrum_tol(default_gap_tol, spec.values))
+    _require_distinct(spec, _spectrum_tol(default_gap_tol, spec.values))
     n = spec.n
+    mags = spec.positive_magnitudes
     m = mags.size
-    count_formula = math.factorial(m) * (1 if n % 2 == 0 else m + 1)
+    # block positions of the 1x1 zero block; even n has none, and its slots
+    # are those of an odd-n zero block placed after the last 2x2 block
+    placements = range(0 if n % 2 else m, m + 1)
+    count_formula = math.factorial(m) * len(placements)
     size = count_formula * 2**m if include_signs else count_formula
     if size > _MAX_EQUILIBRIUM_POINTS:
         raise ValidationFailure(
@@ -295,37 +292,16 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
             f"{_MAX_EQUILIBRIUM_POINTS}"
         )
 
-    def build(blocks):
-        a = np.zeros(n - 1)
-        pos = 0
-        for v in blocks:
-            if v is None:
-                pos += 1
-            else:
-                a[pos] = v
-                pos += 2
-        return a
-
-    arrangements = []
-    if n % 2 == 0:
-        for perm in itertools.permutations(mags):
-            arrangements.append(list(perm))
-    else:
-        for zero_pos in range(m + 1):
-            for perm in itertools.permutations(mags):
-                blocks = list(perm)
-                blocks.insert(zero_pos, None)
-                arrangements.append(blocks)
-
+    signs = list(itertools.product((1.0, -1.0), repeat=m)) if include_signs else [(1.0,) * m]
     points = []
-    if include_signs:
-        for blocks in arrangements:
-            for signs in itertools.product((1.0, -1.0), repeat=m):
-                it = iter(signs)
-                signed = [v if v is None else v * next(it) for v in blocks]
-                points.append(build(signed))
-    else:
-        points = [build(blocks) for blocks in arrangements]
+    for zero_pos in placements:
+        # 2x2 block j sits at slot 2j before the zero block, 2j + 1 after it
+        slots = 2 * np.arange(m) + (np.arange(m) >= zero_pos)
+        for perm in itertools.permutations(mags):
+            for sign in signs:
+                a = np.zeros(n - 1)
+                a[slots] = np.multiply(perm, sign)
+                points.append(a)
 
     return EquilibriumSet(
         points=points,

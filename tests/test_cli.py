@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kvmflow.cli import main
+from kvmflow.errors import DegenerateSpectrum, ValidationFailure
 
 EX1_JSON = '{"label": "example-4x4", "n": 4, "offdiag": [5, -6, -2]}'
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -68,6 +69,18 @@ class TestEvolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule, offdiag, eq_eps", [("zero-entry", "1,0,2,3", "100"),
+                                                       ("degenerate", "1,1e-9,1", "1")])
+    def test_stationary_input_notes_why_there_is_no_prediction(self, rule, offdiag, eq_eps,
+                                                               capsys):
+        # a run within eq_eps of equilibrium stops before validation, so the
+        # prediction is where the broken hypothesis shows
+        assert main(_args("evolve", "--offdiag=" + offdiag, "--eq-eps", eq_eps)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "stationary_input"
+        assert summary["predicted_limit"] is None
+        assert summary["notes"] == "unavailable: " + _INPUT_RULES[rule][1]
+
     def test_run_ends_exactly_on_the_horizon(self, tmp_path, capsys):
         # a step that ends within 1e-14 of the horizon ends on it, and the
         # last recorded time is set to t_max itself
@@ -97,6 +110,13 @@ class TestPredict:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"] == "stationary_input"
         assert summary["predicted_limit"] is None
+
+    @pytest.mark.parametrize("command", ["predict", "evolve", "verify"])
+    def test_equilibrium_with_a_degenerate_spectrum_is_stationary(self, command, capsys):
+        # [1, 0, 1] has the spectrum {-1, -1, 1, 1}, but an equilibrium needs
+        # neither hypothesis: it does not move
+        assert main(_args(command, "--offdiag=1,0,1")) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "stationary_input"
 
 
 class TestVerify:
@@ -312,8 +332,8 @@ class TestErrorPaths:
     def test_prediction_on_a_zero_entry_is_one_line_error(self, capsys):
         assert main(_args("predict", "--offdiag=1,0,2,3")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("kvmflow: error: prediction unavailable: a_2 is zero; ")
-        assert err.count("\n") == 1
+        assert err == ("kvmflow: error: off-diagonal entry a_2 is zero; "
+                       "the limit theorem needs every entry nonzero\n")
 
     def test_strict_takes_a_boolean(self, capsys):
         assert main(_args("evolve", "--offdiag=5,-6,-2", "--strict", "maybe")) == 1
@@ -349,8 +369,6 @@ class TestDegenerateSpectrum:
 
     @pytest.mark.parametrize("entry", ["integrate", "spectrum_zero_diag", "verify", "predict"])
     def test_same_class_and_message(self, entry, capsys):
-        from kvmflow.errors import DegenerateSpectrum, ValidationFailure
-
         with pytest.raises(DegenerateSpectrum) as got:
             self._call(entry, self.A0)
         assert isinstance(got.value, ValidationFailure)
@@ -359,49 +377,108 @@ class TestDegenerateSpectrum:
             assert main([entry, "--offdiag=1,1e-9,1"]) == 1
             assert capsys.readouterr().err == f"kvmflow: error: {self.MESSAGE}\n"
 
+    def test_small_lambda_1_with_even_n_is_distinct(self, capsys):
+        # lambda_1 = 1.69e-8 is below gap_tol = 2.41e-8, the gap 2 lambda_1
+        # between -lambda_1 and lambda_1 is not: the limit theorem applies
+        summaries = {}
+        for command, *options in (["predict"], ["equilibria"], ["evolve"],
+                                  ["verify", "--t-max", "60"]):
+            assert main([command, "--offdiag=1.3e-4,1,1.3e-4", *options]) == 0
+            summaries[command] = json.loads(capsys.readouterr().out)
+        assert summaries["evolve"]["notes"] is None
+        assert summaries["verify"]["status"] == "converged"
+        assert summaries["verify"]["overall"] is True
+        predicted = summaries["predict"]["predicted_limit"]
+        assert summaries["evolve"]["predicted_limit"] == predicted
+        assert summaries["verify"]["predicted_limit"] == predicted
+
 
 _OFFDIAG_COMMANDS = ["spectrum", "predict", "verify", "evolve", "equilibria"]
-# rule -> (message, inline --offdiag value or None, JSON document, library input)
+
+
+def _offdiag_entries(commands, library):
+    return [f"{kind}:{c}" for kind in ("inline", "json") for c in commands] + library
+
+
+_FINITE_ENTRIES = _offdiag_entries(_OFFDIAG_COMMANDS,
+                                   ["parse_input", "integrate", "spectrum_zero_diag"])
+_DENSE_ENTRIES = ["json:evolve-sym", "json:spectrum", "parse_input", "integrate_dense"]
+# rule -> (class, message, inline --offdiag value or None, JSON document,
+#          library input, entries); the rules from zero-entry on are the
+# limit theorem's hypotheses, which spectrum does not need and equilibria
+# needs only for the spectrum
 _INPUT_RULES = {
-    "offdiag-first": ("off-diagonal entry a_1 is not finite", "inf,1",
-                      '{"n": 3, "offdiag": [1e999, 1]}', [np.inf, 1.0]),
-    "offdiag-last": ("off-diagonal entry a_2 is not finite", "1,-inf",
-                     '{"n": 3, "offdiag": [1, -1e999]}', [1.0, -np.inf]),
-    "asymmetric": ("matrix is not symmetric (defect 1.000e+00)", None,
-                   '{"symmetric": [[0, 1], [2, 0]]}', [[0.0, 1.0], [2.0, 0.0]]),
-    "matrix-non-finite": ("matrix entry (1, 2) is not finite", None,
-                          '{"symmetric": [[0, 1e999], [1, 0]]}', [[0.0, np.inf], [1.0, 0.0]]),
+    "offdiag-first": (ValidationFailure, "off-diagonal entry a_1 is not finite", "inf,1",
+                      '{"n": 3, "offdiag": [1e999, 1]}', [np.inf, 1.0], _FINITE_ENTRIES),
+    "offdiag-last": (ValidationFailure, "off-diagonal entry a_2 is not finite", "1,-inf",
+                     '{"n": 3, "offdiag": [1, -1e999]}', [1.0, -np.inf], _FINITE_ENTRIES),
+    "asymmetric": (ValidationFailure, "matrix is not symmetric (defect 1.000e+00)", None,
+                   '{"symmetric": [[0, 1], [2, 0]]}', [[0.0, 1.0], [2.0, 0.0]],
+                   _DENSE_ENTRIES),
+    "matrix-non-finite": (ValidationFailure, "matrix entry (1, 2) is not finite", None,
+                          '{"symmetric": [[0, 1e999], [1, 0]]}', [[0.0, np.inf], [1.0, 0.0]],
+                          _DENSE_ENTRIES),
+    "zero-entry": (ValidationFailure,
+                   "off-diagonal entry a_2 is zero; the limit theorem needs every entry nonzero",
+                   "1,0,2,3", '{"n": 5, "offdiag": [1, 0, 2, 3]}', [1.0, 0.0, 2.0, 3.0],
+                   _offdiag_entries(["predict", "verify", "evolve"],
+                                    ["integrate", "predict_limit"])),
+    "degenerate": (DegenerateSpectrum,
+                   "smallest eigenvalue gap 1.000e-09 is below gap_tol 3.000e-08; "
+                   "eigenvalues must be pairwise distinct",
+                   "1,1e-9,1", '{"n": 4, "offdiag": [1, 1e-9, 1]}', [1.0, 1e-9, 1.0],
+                   _offdiag_entries(["predict", "verify", "evolve", "equilibria"],
+                                    ["integrate", "spectrum_zero_diag", "predict_limit"])),
+    # breaks both hypotheses (two 3x3 blocks share their spectrum): every
+    # entry checks nonzero entries first
+    "both-hypotheses": (ValidationFailure,
+                        "off-diagonal entry a_3 is zero; the limit theorem needs every entry "
+                        "nonzero", "1,1,0,1,1", '{"n": 6, "offdiag": [1, 1, 0, 1, 1]}',
+                        [1.0, 1.0, 0.0, 1.0, 1.0],
+                        _offdiag_entries(["predict", "verify", "evolve"],
+                                         ["integrate", "predict_limit"])),
 }
 
 
 def _input_rule_cases():
-    for rule, (_, inline, _, _) in _INPUT_RULES.items():
-        if inline is not None:
-            entries = ([f"inline:{c}" for c in _OFFDIAG_COMMANDS]
-                       + [f"json:{c}" for c in _OFFDIAG_COMMANDS]
-                       + ["parse_input", "integrate", "spectrum_zero_diag"])
-        else:
-            entries = ["json:evolve-sym", "json:spectrum", "parse_input", "integrate_dense"]
+    for rule, (*_, entries) in _INPUT_RULES.items():
         for entry in entries:
             yield pytest.param(rule, entry, id=f"{rule}-{entry.replace(':', '-')}")
 
 
 class TestInputRules:
-    """Each input rule is checked once: every entry raises ValidationFailure
-    with the same message, and the CLI prints it as one line and exits 1."""
+    """Each input rule is checked once: every entry raises the rule's class
+    (ValidationFailure, or its subclass DegenerateSpectrum) with the same
+    message, and the CLI prints it as one line and exits 1."""
 
     @pytest.mark.parametrize("offdiag", ["5,,-6,-2", "5,-6,-2,", ",5,-6,-2", "5, ,-6"])
     @pytest.mark.parametrize("command", _OFFDIAG_COMMANDS)
     def test_empty_inline_token_is_an_error(self, command, offdiag, capsys):
         # the JSON [5,,-6,-2] is a syntax error: no entry is dropped silently
         from kvmflow import cli
-        from kvmflow.errors import ValidationFailure
 
         args = cli.build_parser().parse_args([command, "--offdiag=" + offdiag])
         with pytest.raises(ValidationFailure, match="^--offdiag entry '' is not a number$"):
             args.func(args)
         assert main([command, "--offdiag=" + offdiag]) == 1
         assert capsys.readouterr().err == "kvmflow: error: --offdiag entry '' is not a number\n"
+
+    @pytest.mark.parametrize("token", ["1_000", "+1", ".5", "5.", "01", "Infinity", "\u0661"])
+    @pytest.mark.parametrize("command", _OFFDIAG_COMMANDS)
+    def test_inline_token_outside_json_number_grammar_is_an_error(self, command, token,
+                                                                  capsys):
+        # float() accepts each of these, the JSON array [token, 2] does not
+        assert main([command, f"--offdiag={token},2"]) == 1
+        assert capsys.readouterr().err == f"kvmflow: error: --offdiag entry {token!r} is not a number\n"
+
+    def test_inline_tokens_read_as_the_json_numbers(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 5, "offdiag": [-1.5, 1E+2, 2.5e-3, 7]}')
+        outputs = []
+        for source in (["--offdiag=-1.5, 1E+2,2.5e-3 ,7"], ["--input", str(path)]):
+            assert main(["spectrum", *source]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_no_inline_tokens_is_the_empty_offdiag(self, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -415,9 +492,8 @@ class TestInputRules:
     @pytest.mark.parametrize("rule, entry", list(_input_rule_cases()))
     def test_same_class_and_message(self, rule, entry, tmp_path, capsys):
         from kvmflow import cli, flow, io, spectral
-        from kvmflow.errors import ValidationFailure
 
-        message, inline, document, value = _INPUT_RULES[rule]
+        cls, message, inline, document, value, _ = _INPUT_RULES[rule]
         kind, _, command = entry.partition(":")
         if kind == "inline":
             tokens = [command, "--offdiag=" + inline]
@@ -428,6 +504,8 @@ class TestInputRules:
         library = {"parse_input": lambda: io.parse_input(document),
                    "integrate": lambda: flow.integrate(value),
                    "spectrum_zero_diag": lambda: spectral.spectrum_zero_diag(value),
+                   "predict_limit": lambda: spectral.predict_limit(
+                       value, spectral.eigenvalues_tridiagonal(np.zeros(len(value) + 1), value)),
                    "integrate_dense": lambda: flow.integrate_dense(value)}
         with pytest.raises(ValidationFailure) as got:
             if command:
@@ -435,7 +513,7 @@ class TestInputRules:
                 args.func(args)
             else:
                 library[entry]()
-        assert type(got.value) is ValidationFailure
+        assert type(got.value) is cls
         assert str(got.value) == message
         if command:
             assert main(tokens) == 1

@@ -81,9 +81,13 @@ class TestParseInput:
          "'symmetric' must be a non-empty list of rows"),
         ('{"symmetric":[[0,1],[1]]}', ValidationFailure,
          "'symmetric' row 1 has length 1, expected 2"),
+        ('{"symmetric":[[0,1],[1,0]],"n":2.0}', ValidationFailure,
+         "'n' must be a positive integer, got 2.0"),
+        ('{"symmetric":[[0,1],[1,0]],"n":0}', ValidationFailure,
+         "'n' must be a positive integer, got 0"),
     ], ids=["not-utf8", "top-level-list", "label-not-string", "n-missing", "n-zero",
             "n-bool", "n-float", "offdiag-not-list", "symmetric-not-list",
-            "symmetric-empty", "ragged-row"])
+            "symmetric-empty", "ragged-row", "symmetric-n-float", "symmetric-n-zero"])
     def test_malformed_document_rejected(self, data, cls, message):
         with pytest.raises(cls) as got:
             kio.parse_input(data)

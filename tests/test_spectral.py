@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from kvmflow import flow, jacobi, spectral
 from kvmflow.errors import (
-    DegenerateMagnitudes,
     DegenerateSpectrum,
     DimensionMismatch,
     EquilibriumInput,
     PairingViolation,
     ValidationFailure,
-    ZeroEntry,
 )
 from kvmflow.flow import IntegratorConfig
 from kvmflow.verify import brute_force_equilibria
@@ -173,7 +171,7 @@ class TestPredictLimit:
 
     def test_zero_entry_rejected(self):
         spec = spectral.eigenvalues_tridiagonal(np.zeros(5), [1.0, 0.0, 0.5, 2.0])
-        with pytest.raises(ZeroEntry):
+        with pytest.raises(ValidationFailure, match="^off-diagonal entry a_2 is zero; "):
             spectral.predict_limit([1.0, 0.0, 0.5, 2.0], spec)
 
     def test_equilibrium_rejected(self):
@@ -188,8 +186,22 @@ class TestPredictLimit:
 
     def test_degenerate_magnitudes_rejected(self):
         spec = spectral.make_spectrum([-1.0, -1.0 + 1e-12, 1.0 - 1e-12, 1.0])
-        with pytest.raises(DegenerateMagnitudes):
+        with pytest.raises(DegenerateSpectrum):
             spectral.predict_limit([1.0, 0.5, 1.0], spec)
+
+    def test_an_accepted_spectrum_admits_a_prediction(self):
+        # one distinctness rule: for even n the gap across zero is 2 lambda_1,
+        # so lambda_1 in [gap_tol / 2, gap_tol) is distinct (4 of these draws)
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = 2 * int(rng.integers(2, 7))
+            a = rng.choice([-1.0, 1.0], n - 1) * 10.0 ** rng.uniform(-6, 1, n - 1)
+            try:
+                spec = spectral.spectrum_zero_diag(a)
+            except DegenerateSpectrum:
+                continue
+            pred = spectral.predict_limit(a, spec)
+            np.testing.assert_array_equal(np.abs(pred[::2]), spec.positive_magnitudes)
 
     def test_prediction_is_an_equilibrium_with_same_spectrum(self):
         rng = np.random.default_rng(3)
@@ -199,7 +211,7 @@ class TestPredictLimit:
             try:
                 spec = spectral.spectrum_zero_diag(a)
                 pred = spectral.predict_limit(a, spec)
-            except (DegenerateSpectrum, DegenerateMagnitudes):
+            except DegenerateSpectrum:
                 continue
             assert jacobi.equilibrium_residual(pred) == 0.0
             pred_spec = spectral.eigenvalues_tridiagonal(np.zeros(n), pred)
@@ -260,6 +272,8 @@ class TestEnumerateEquilibria:
             spectral.enumerate_equilibria(spec)  # 7 * 6! * 2^6 = 322560 points
 
     def test_degenerate_magnitudes_rejected(self):
-        with pytest.raises(DegenerateMagnitudes):
+        # the gap tolerance is set on the spectrum's values: 2e-8 * max|lambda|
+        with pytest.raises(DegenerateSpectrum, match="^smallest eigenvalue gap 1.000e-12 "
+                           "is below gap_tol 2.000e-08; eigenvalues must be pairwise distinct$"):
             spectral.enumerate_equilibria(self._spec([-1.0, -1.0 + 1e-12,
                                                       1.0 - 1e-12, 1.0]))
