@@ -40,6 +40,15 @@ def _reject_constant(name):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
 
 
+def _parse_int(token):
+    """A JSON integer as the inline --offdiag token of the same digits reads:
+    -0 is -0.0, and one beyond the float range is +-inf."""
+    if token == "-0":
+        return -0.0
+    value = float(token)
+    return int(token) if math.isfinite(value) else value
+
+
 def _as_number_list(values, fieldname):
     out = []
     for i, v in enumerate(values):
@@ -61,7 +70,7 @@ def parse_input(data) -> MatrixInputDocument:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data, parse_constant=_reject_constant)
+        obj = json.loads(data, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -1,11 +1,14 @@
 """Tridiagonal eigensolver, spectrum classification, limit prediction, equilibria.
 
-The eigensolver is Sturm-sequence bisection with Gershgorin bracketing. For a
-zero diagonal it bisects the nonnegative half of the (+/-)-symmetric spectrum
-and mirrors it; a batch of rows near a known spectrum (the drift rows of a
-trajectory) can take one Newton step from it, certified by Sturm counts. It
-never touches the flow, so it serves as an independent oracle for everything
-the integrator produces.
+The eigensolver counts eigenvalues with Sturm sequences. A value starts from
+a guess, takes one Newton step and is kept only if two Sturm counts, at -tol
+and +tol from it, hold its eigenvalue: a certificate within tol. A single
+matrix takes its guesses from LAPACK (numpy.linalg.eigvalsh), the drift rows
+of a trajectory from the t=0 spectrum. A row that is not certified, or has
+no guess, is bisected with Gershgorin bracketing. For a zero diagonal the
+solver finds the nonnegative half of the (+/-)-symmetric spectrum and
+mirrors it. It never touches the flow, so it serves as an independent oracle
+for everything the integrator produces.
 """
 
 import itertools
@@ -42,6 +45,12 @@ __all__ = [
 
 # enumerate_equilibria refuses sets larger than this (signed n <= 12 fits)
 _MAX_EQUILIBRIUM_POINTS = 100_000
+
+# eigenvalues_tridiagonal seeds its Sturm solve with LAPACK up to this n. The
+# seed's dense n x n matrix grows peak memory by about 16 n^2 bytes (16 MB at
+# this bound), and from an n between 1536 and 2048 it takes longer than the
+# bisection it saves
+_SEED_MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -154,14 +163,32 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
     return _sturm_eigenvalues(np.zeros(states.shape[1] + 1), states, tol, guess)
 
 
+def _lapack_seed(d: np.ndarray, e: np.ndarray):
+    """LAPACK's eigenvalues of the dense tridiagonal (d, e), or None above
+    _SEED_MAX_N or where LAPACK fails to converge."""
+    n = d.size
+    if n > _SEED_MAX_N:
+        return None
+    t = np.zeros((n, n))
+    flat = t.reshape(-1)
+    flat[:: n + 1] = d
+    flat[n :: n + 1] = e  # eigvalsh reads the lower triangle
+    try:
+        return np.linalg.eigvalsh(t)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     """All eigenvalues of the symmetric tridiagonal matrix (diag, offdiag).
 
-    Sturm-sequence bisection on the matrix divided by its largest entry, so
-    the brackets and tolerances are scale-free; the values are scaled back.
-    Each eigenvalue is within ``1e-12 * (m + ||T||_F)`` of exact, m the
-    largest entry. A non-finite entry, or a matrix whose squared Frobenius
-    norm overflows, raises ValidationFailure.
+    Solved on the matrix divided by its largest entry m, so the tolerance is
+    scale-free; the values are scaled back. Up to n = _SEED_MAX_N each value
+    is LAPACK's, refined by one Newton step and certified by two Sturm counts
+    to be within ``tol = 1e-12 * (m + ||T||_F)`` of exact; a matrix with a
+    value not certified, a LAPACK failure, or a larger n is solved by
+    Sturm-sequence bisection to the same tol. A non-finite entry, or a matrix
+    whose squared Frobenius norm overflows, raises ValidationFailure.
     """
     d = as_diagonal(diag)
     e = as_offdiag(offdiag)
@@ -183,7 +210,8 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
             f"matrix is out of range: Frobenius norm {norm:.3e} squares to "
             "more than the largest float"
         )
-    values = _sturm_eigenvalues(d, e[None, :], default_eig_tol(scale))[0] * unit
+    values = _sturm_eigenvalues(d, e[None, :], default_eig_tol(scale),
+                                _lapack_seed(d, e))[0] * unit
     return make_spectrum(values, pair_tol=unit * default_pair_tol(scale))
 
 
@@ -200,8 +228,9 @@ def make_spectrum(values, pair_tol: float | None = None) -> Spectrum:
 def spectrum_zero_diag(a) -> Spectrum:
     """Spectrum of the zero-diagonal Jacobi matrix encoded by ``a``.
 
-    The eigensolver bisects the nonnegative half and mirrors it, so the
-    values are (+/-)-paired exactly, with an exact 0 for odd n.
+    The eigensolver solves for the nonnegative half (seeded and certified,
+    or bisected; see eigenvalues_tridiagonal) and mirrors it, so the values
+    are (+/-)-paired exactly, with an exact 0 for odd n.
     DegenerateSpectrum flags eigenvalue gaps below 1e-8 * (m + ||T||_F), m
     the largest |a_i|: the input is not a Jacobi matrix, which requires
     distinct eigenvalues.

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from kvmflow import flow, jacobi, spectral, verify
+from kvmflow import flow, jacobi, kernels, spectral, verify
 from kvmflow.verify import FINAL_RESIDUAL, trajectory_checks
 
 from conftest import EX1, EX2, EX3, EX1_LIMIT_2DP, EX2_LIMIT_2DP, EX3_LIMIT_2DP, count_steps
@@ -191,6 +191,25 @@ def test_criterion_8_eigensolver_oracle():
                 oracle = closed_form_eigenvalues(d, e)
                 scale = 1 + math.sqrt(float(np.sum(d * d) + 2 * np.sum(e * e)))
                 dev = np.abs(spec.values - oracle).max() / scale
+                worst = max(worst, dev)
+                assert dev <= 1e-10
+        print(f"       worst normalized deviation: {worst:.3e}")
+
+
+def test_criterion_8_bisection_oracle():
+    # criterion 8's matrices through the unseeded Sturm solver: the accuracy
+    # of the bisection that eigenvalues_tridiagonal falls back to
+    with criterion("unseeded Sturm bisection vs closed-form characteristic roots, n<=4"):
+        rng = np.random.default_rng(31415)
+        worst = 0.0
+        for n in (1, 2, 3, 4):
+            for _ in range(100):
+                d = rng.uniform(-10, 10, n)
+                e = rng.uniform(-10, 10, max(n - 1, 0))
+                scale = 1 + math.sqrt(float(np.sum(d * d) + 2 * np.sum(e * e)))
+                eigs, ok = kernels.sturm_batch(d, e[None, :], 1e-12 * scale)
+                assert ok
+                dev = np.abs(eigs[0] - closed_form_eigenvalues(d, e)).max() / scale
                 worst = max(worst, dev)
                 assert dev <= 1e-10
         print(f"       worst normalized deviation: {worst:.3e}")

@@ -188,6 +188,12 @@ class TestSpectrum:
                                    [7.96, 1.26, 1.26, 7.96], atol=0.005)
         assert summary["paired"] is True
 
+    @pytest.mark.parametrize("offdiag, values", [("3,4", [-5.0, 0.0, 5.0]),
+                                                 ("1", [-1.0, 1.0])])
+    def test_exact_spectrum_prints_exactly(self, offdiag, values, capsys):
+        assert main(_args("spectrum", "--offdiag=" + offdiag)) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"] == values
+
     def test_symmetric_input(self, sym_file, capsys):
         assert main(_args("spectrum", "--input", sym_file)) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -479,6 +485,31 @@ class TestInputRules:
             assert main(["spectrum", *source]) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("command", _OFFDIAG_COMMANDS)
+    def test_json_integer_beyond_the_float_range_is_not_finite(self, command, digits,
+                                                               tmp_path, capsys):
+        # 5000 digits is also past int()'s digit limit
+        big = "1" + "0" * digits
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"n": 3, "offdiag": [{big}, 1]}}')
+        for source in (["--input", str(path)], [f"--offdiag={big},1"]):
+            assert main([command, *source]) == 1
+            assert capsys.readouterr().err == ("kvmflow: error: off-diagonal entry a_1 "
+                                               "is not finite\n")
+
+    @pytest.mark.parametrize("command", [["spectrum"],
+                                         ["evolve", "--strict", "false", "--t-max", "1"]])
+    def test_json_negative_zero_reads_as_the_inline_token(self, command, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 4, "offdiag": [1, -0, 2]}')
+        outputs = []
+        for source in (["--offdiag=1,-0,2"], ["--input", str(path)]):
+            assert main([*command, *source]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert '"offdiag": [\n      1.0,\n      -0.0,\n' in outputs[1].out
 
     def test_no_inline_tokens_is_the_empty_offdiag(self, tmp_path, capsys):
         path = tmp_path / "doc.json"

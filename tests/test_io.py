@@ -1,6 +1,7 @@
 import dataclasses
 import io as stdio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,13 +86,37 @@ class TestParseInput:
          "'n' must be a positive integer, got 2.0"),
         ('{"symmetric":[[0,1],[1,0]],"n":0}', ValidationFailure,
          "'n' must be a positive integer, got 0"),
+        ('{"n":-0,"offdiag":[]}', ValidationFailure,
+         "'n' must be a positive integer, got -0.0"),
+        ('{"n":-3,"offdiag":[]}', ValidationFailure,
+         "'n' must be a positive integer, got -3"),
+        ('{"n":1' + "0" * 400 + ',"offdiag":[]}', ValidationFailure,
+         "'n' must be a positive integer, got inf"),
     ], ids=["not-utf8", "top-level-list", "label-not-string", "n-missing", "n-zero",
             "n-bool", "n-float", "offdiag-not-list", "symmetric-not-list",
-            "symmetric-empty", "ragged-row", "symmetric-n-float", "symmetric-n-zero"])
+            "symmetric-empty", "ragged-row", "symmetric-n-float", "symmetric-n-zero",
+            "n-negative-zero", "n-negative", "n-beyond-float-range"])
     def test_malformed_document_rejected(self, data, cls, message):
         with pytest.raises(cls) as got:
             kio.parse_input(data)
         assert str(got.value).startswith(message)
+
+    def test_json_integers_read_as_the_inline_tokens(self):
+        # -0 keeps its sign; an integer beyond the float range (5000 digits
+        # is also past int()'s digit limit) is +-inf for the finiteness rule
+        doc = kio.parse_input('{"n": 3, "offdiag": [-0, 7]}')
+        assert doc.offdiag.tolist() == [0.0, 7.0]
+        assert math.copysign(1.0, doc.offdiag[0]) == -1.0
+        assert isinstance(kio.parse_input('{"n": 2, "offdiag": [1]}').n, int)
+        for digits in (400, 5000):
+            for sign in ("", "-"):
+                big = sign + "1" + "0" * digits
+                with pytest.raises(ValidationFailure) as got:
+                    kio.parse_input(f'{{"n": 3, "offdiag": [1, {big}]}}')
+                assert str(got.value) == "off-diagonal entry a_2 is not finite"
+                with pytest.raises(ValidationFailure) as got:
+                    kio.parse_input(f'{{"symmetric": [[0, {big}], [{big}, 0]]}}')
+                assert str(got.value) == "matrix entry (1, 2) is not finite"
 
     def test_label_round_trip(self):
         doc = kio.parse_input('{"label":"run-1","n":2,"offdiag":[3]}')

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvmflow import flow, jacobi, spectral
@@ -16,6 +16,7 @@ from kvmflow.errors import (
 from kvmflow.flow import IntegratorConfig
 from kvmflow.verify import brute_force_equilibria
 
+from conftest import EX3
 from oracles import closed_form_eigenvalues
 
 EX1_QUARTIC_ROOTS = np.sort([
@@ -88,6 +89,103 @@ class TestEigenvaluesTridiagonal:
         # decoupled identical blocks: eigenvalues {-1, -1, 1, 1}
         spec = spectral.eigenvalues_tridiagonal(np.zeros(4), [1.0, 0.0, 1.0])
         np.testing.assert_allclose(spec.values, [-1, -1, 1, 1], atol=1e-10)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _cold(d, e):
+    """eigenvalues_tridiagonal's values with no seed: Sturm bisection alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SEED_MAX_N", 0)
+        return spectral.eigenvalues_tridiagonal(d, e).values
+
+
+def _eig_tol(d, e):
+    """The tolerance eigenvalues_tridiagonal solves to, in the input's units."""
+    d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    unit = float(np.abs(np.concatenate([d, e])).max(initial=0.0)) or 1.0
+    scale = math.sqrt(float(np.sum((d / unit) ** 2) + 2.0 * np.sum((e / unit) ** 2)))
+    return unit * spectral.default_eig_tol(scale)
+
+
+_DIAGONAL_CASE = np.random.default_rng(19).uniform(-10, 10, 23)
+_SEED_CASES = {
+    "ex3": (np.zeros(EX3.size + 1), EX3),
+    "diagonal": (_DIAGONAL_CASE[:12], _DIAGONAL_CASE[12:]),
+    "repeated": (np.zeros(6), np.array([1.0, 2.0, 0.0, 1.0, 2.0])),
+}
+
+
+class TestLapackSeed:
+    """eigenvalues_tridiagonal seeds its Sturm solve with LAPACK's values.
+    A seed that is not certified, that LAPACK fails to give, or that is not
+    built above _SEED_MAX_N leaves bisection's bits."""
+
+    @pytest.mark.parametrize("case", list(_SEED_CASES))
+    def test_shifted_seed_gives_the_cold_bits(self, case, monkeypatch):
+        d, e = _SEED_CASES[case]
+        cold = _cold(d, e)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda t: eigvalsh(t) + 1e-3)
+        assert _bits(spectral.eigenvalues_tridiagonal(d, e).values) == _bits(cold)
+
+    @pytest.mark.parametrize("case", list(_SEED_CASES))
+    def test_failed_seed_gives_the_cold_bits(self, case, monkeypatch):
+        d, e = _SEED_CASES[case]
+        cold = _cold(d, e)
+
+        def no_convergence(t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        assert _bits(spectral.eigenvalues_tridiagonal(d, e).values) == _bits(cold)
+
+    def test_no_seed_above_the_size_bound(self, monkeypatch):
+        n = spectral._SEED_MAX_N + 1
+        e = np.random.default_rng(20).uniform(0.5, 2.0, n - 1)
+        lapack = np.linalg.eigvalsh(jacobi.embed(e))
+        cold = _cold(np.zeros(n), e)
+
+        def no_seed(t):
+            raise AssertionError(f"built the dense {t.shape} seed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_seed)
+        values = spectral.eigenvalues_tridiagonal(np.zeros(n), e).values
+        assert _bits(values) == _bits(cold)
+        assert np.abs(values - lapack).max() <= _eig_tol(np.zeros(n), e)
+
+    def test_seed_up_to_the_size_bound(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(t):
+            sizes.append(t.shape[0])
+            return eigvalsh(t)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(spectral, "_SEED_MAX_N", 5)
+        for n in (1, 5, 6):
+            spectral.eigenvalues_tridiagonal(np.arange(n, dtype=float), np.ones(n - 1))
+        assert sizes == [1, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+               st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))),
+           st.booleans(), st.floats(-100.0, 100.0))
+    def test_seeded_values_are_within_tol(self, entries, zero_diag, exponent):
+        d, e = (np.array(x, dtype=np.float64) * 10.0 ** exponent for x in entries)
+        if zero_diag:
+            d[:] = 0.0
+        tol = _eig_tol(d, e)
+        values = spectral.eigenvalues_tridiagonal(d, e).values
+        lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert np.abs(values - lapack).max() <= tol
+        assert np.abs(values - _cold(d, e)).max() <= 2.0 * tol
+        if zero_diag:
+            np.testing.assert_array_equal(values, -values[::-1])
 
 
 class TestSpectrumZeroDiag:

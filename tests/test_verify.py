@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kvmflow import flow, spectral, verify
+from kvmflow import flow, jacobi, kernels, spectral, verify
 from kvmflow.errors import ValidationFailure
 from kvmflow.flow import IntegratorConfig
 from kvmflow.io import build_summary
@@ -52,6 +52,37 @@ class TestVerifyRun:
         report = verify.verify_run(ex1)
         assert solves == ["t=0", "drift"]
         np.testing.assert_array_equal(report.meta["spectrum"], traj.spectrum.values)
+
+    def test_reference_is_seeded_and_certified(self, monkeypatch, ex1, ex2, ex3):
+        # the 100 first inputs of the benchmark's oracle workload at seed 1
+        # (n cycling through 3..12, criterion-4 config) and the examples
+        rng = np.random.default_rng(1)
+        runs = [(a, IntegratorConfig()) for a in (ex1, ex2, ex3)]
+        while len(runs) < 103:
+            n = 3 + (len(runs) - 3) % 10
+            a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+            sq = np.linalg.eigvalsh(jacobi.embed(a0))[n - n // 2:] ** 2
+            gaps = np.diff(np.concatenate([[0.0], sq]) if n % 2 else sq)
+            if gaps.min() >= 0.35:
+                runs.append((a0, IntegratorConfig(t_max=150.0, max_rows=160,
+                                                  eq_eps=1e-9 * (1 + np.sum(a0 * a0)))))
+        calls = []
+
+        def count_as(name, module, attr):
+            original = getattr(module, attr)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+
+        count_as("eigvalsh", np.linalg, "eigvalsh")
+        count_as("multisect", kernels, "_multisect")
+        for a0, cfg in runs:
+            calls.clear()
+            assert verify.verify_run(a0, cfg).overall
+            assert calls == ["eigvalsh"], a0
 
     def test_reference_spectrum_of_another_matrix_fails(self, monkeypatch, ex1):
         def scaled_reference(*args, **kwargs):
