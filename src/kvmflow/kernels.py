@@ -27,11 +27,10 @@ field twice.
 
 ``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
 each one pass over the LDL^T pivots for every entry at once. A cold solve is
-bisection by multisection: a sweep counts a grid of nested midpoints per
-bracket and takes several bisection steps, to bisection's bits. A solve
-near a known spectrum (the drift rows of a trajectory) takes one Newton
-step per eigenvalue from it and certifies each value with two Sturm counts
-at +/- tol; a row that does not certify is solved cold.
+bisection: each pass halves every bracket of the batch. A solve near a
+known spectrum (the drift rows of a trajectory) takes one Newton step per
+eigenvalue from it and certifies each value with two Sturm counts at
++/- tol; a row that does not certify is solved cold.
 """
 
 import math
@@ -342,12 +341,6 @@ _MAX_BISECT = 128
 # trust radius of a warm Newton step, relative to 1 + the row's Gershgorin
 # bound; the verifier's spectral drift bound has the same form
 _WARM_RADIUS = 1.0e-7
-# levels of midpoints per cold sweep: 2^j - 1 Sturm counts per bracket
-# cover j bisection steps in one pass over the pivots
-_MULTISECT_LEVELS = 6
-# a cold sweep counts at most this many points, or as many as the warm
-# certification of the same batch (2 per bracket) if that is more
-_MULTISECT_POINTS = 4096
 
 
 def _sturm_counter(diag, e2, pivmin, shape):
@@ -392,7 +385,8 @@ def _newton_sweep(diag, e2, x):
     x has shape (m, k), one row per off-diagonal row. det'/det is the sum of
     u_i = q_i'/q_i over the LDL^T pivots q_i = d_i - x - t_i, with
     t_i = e_{i-1}^2 / q_{i-1} and q_i' = t_i u_{i-1} - 1. A zero pivot gives
-    a non-finite step, which the caller's Sturm counts reject.
+    a non-finite step; the caller then keeps the guess itself, for its Sturm
+    counts to certify or reject.
     """
     e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
     with np.errstate(all="ignore"):
@@ -411,71 +405,24 @@ def _newton_sweep(diag, e2, x):
         return x - 1.0 / s
 
 
-def _levels(m, k):
-    """Midpoint levels j of one cold sweep over m rows of k brackets."""
-    cap = max(_MULTISECT_POINTS, 2 * m * k)
-    j = _MULTISECT_LEVELS
-    while j > 1 and m * k * ((1 << j) - 1) > cap:
-        j -= 1
-    return j
-
-
-def _multisect(diag, e2, pivmin, lo, hi, need, tol):
+def _bisect(diag, e2, pivmin, lo, hi, need, tol):
     """Bisect each bracket [lo, hi] of shape (m, k) onto its need-th eigenvalue.
 
-    Returns (midpoints, ok) bit for bit as plain bisection does: halve every
-    bracket, keeping the half whose Sturm counts hold the eigenvalue, until
-    the widest bracket of the batch is at most 2*tol wide or _MAX_BISECT
-    halvings are spent (ok=0 if still wider). One sweep counts a grid of
-    2^j - 1 nested midpoints per bracket, the midpoints of every bracket
-    bisection could reach in its next j steps, computed as bisection computes
-    them; then bisection's j decisions are read off the grid and the sweep
-    keeps the first level at which bisection would have stopped.
+    Returns (midpoints, ok). Each pass counts eigenvalues at the midpoint of
+    every bracket at once and keeps the half that holds the eigenvalue,
+    until the widest bracket of the batch is at most 2*tol wide or
+    _MAX_BISECT halvings are spent (ok=0 if still wider).
     """
-    m, k = lo.shape
-    mk = m * k
-    j = _levels(m, k)
-    s = 1 << j
-    count = _sturm_counter(diag, e2, pivmin, (m, k * (s - 1)))
-    grid = np.empty((mk, s + 1))
-    grid_flat = grid.reshape(-1)
-    grid_base = np.arange(mk) * (s + 1)  # flat index of each bracket's lo
-    cnt_base = np.arange(mk) * (s - 1) - 1  # plus p: the count at grid point p
-    need = np.broadcast_to(need, (m, k)).reshape(-1)
-    halves = s >> np.arange(1, j + 1)  # bracket width in grid steps per level
-    path = np.empty((j, mk), dtype=np.intp)  # grid index of lo after each level
-    lo = lo.reshape(-1)
-    hi = hi.reshape(-1)
+    count = _sturm_counter(diag, e2, pivmin, lo.shape)
     spent = 0
     while spent < _MAX_BISECT and (hi - lo).max(initial=0.0) > 2.0 * tol:
-        grid[:, 0] = lo
-        grid[:, s] = hi
-        for half in halves:
-            mid = grid[:, half::2 * half]
-            np.add(grid[:, :-1:2 * half], grid[:, 2 * half::2 * half], out=mid)
-            mid *= 0.5
-        below = count(grid[:, 1:-1].reshape(m, -1)).reshape(mk, s - 1) < need[:, None]
-        if np.all(below[:, :-1] >= below[:, 1:]):
-            # a Sturm count computed in rounded arithmetic still rises with x
-            # (Kahan), so below is a prefix of each grid and bisection ends
-            # after its last point; otherwise follow bisection level by level
-            np.multiply(below.sum(axis=1) // halves[:, None], halves[:, None], out=path)
-        else:
-            below = below.reshape(-1)
-            a = np.zeros(mk, dtype=np.intp)
-            for level, half in enumerate(halves):
-                np.add(a, half * below[cnt_base + a + half], out=path[level])
-                a = path[level]
-        los = grid_flat[grid_base + path]
-        his = grid_flat[grid_base + path + halves[:, None]]
-        done = (his - los).max(axis=1) <= 2.0 * tol
-        levels = min(j, _MAX_BISECT - spent)
-        if done[:levels].any():
-            levels = int(np.argmax(done)) + 1
-        lo, hi = los[levels - 1], his[levels - 1]
-        spent += levels
+        x = (lo + hi) * 0.5
+        take_hi = count(x) >= need
+        hi = np.where(take_hi, x, hi)
+        lo = np.where(take_hi, lo, x)
+        spent += 1
     ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
-    return (0.5 * (lo + hi)).reshape(m, k), ok
+    return 0.5 * (lo + hi), ok
 
 
 def sturm_batch(diag, offdiags, tol, *, guess=None):
@@ -491,28 +438,25 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     eigenvalues are solved for on the Gershgorin interval.
 
     Without a guess each eigenvalue is bisected (Barth, Martin & Wilkinson,
-    Numer. Math. 9, 1967) by multisection (Lo, Philippe & Sameh, SIAM J.
-    Sci. Stat. Comput. 8, 1987): one pass of Sturm counts over a grid of
-    nested midpoints takes several bisection steps at once, and the result
-    is bisection's to the bit.
+    Numer. Math. 9, 1967): one pass of Sturm counts halves every bracket of
+    the batch.
 
     guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
-    starts one Newton step x = g - det/det' on det(T - x I) from each one.
-    Two Sturm counts, at x - tol and x + tol, certify x: the entry is kept
-    only if they hold its eigenvalue and |x - g| <= 1e-7 * (1 + Gershgorin
-    bound). A row with any entry not certified is bisected as without a
-    guess, so every value is within tol of its eigenvalue.
+    starts one Newton step x = g - det/det' on det(T - x I) from each one; a
+    non-finite step (a zero pivot) leaves x = g. Two Sturm counts, at
+    x - tol and x + tol, certify x: the entry is kept only if they hold its
+    eigenvalue and |x - g| <= 1e-7 * (1 + Gershgorin bound). A row with any
+    entry not certified is bisected as without a guess, so every value is
+    within tol of its eigenvalue.
     """
     m, nm1 = offdiags.shape
     n = nm1 + 1
     e2 = offdiags * offdiags
-    pivmin = 1.0e-292 * np.maximum(1.0, e2.max(axis=1))[:, None] if nm1 else \
-        np.full((m, 1), 1.0e-292)
+    pivmin = 1.0e-292 * np.maximum(1.0, e2.max(axis=1, initial=0.0))[:, None]
 
     rad = np.zeros((m, n))
-    if nm1:
-        rad[:, :-1] += np.abs(offdiags)
-        rad[:, 1:] += np.abs(offdiags)
+    rad[:, :-1] += np.abs(offdiags)
+    rad[:, 1:] += np.abs(offdiags)
     lo0 = (diag[None, :] - rad).min(axis=1)
     hi0 = (diag[None, :] + rad).max(axis=1)
     bound = np.maximum(np.abs(lo0), np.abs(hi0))
@@ -536,6 +480,7 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     if guess is not None and k:
         g = np.broadcast_to(guess, (m, n))[:, need - 1]
         x = _newton_sweep(diag, e2, g)
+        x = np.where(np.isfinite(x), x, g)
         ends = np.concatenate([x - tol, x + tol], axis=1)
         cnt = _sturm_counter(diag, e2, pivmin, ends.shape)(ends)
         near = np.abs(x - g) <= (_WARM_RADIUS * (1.0 + bound))[:, None]
@@ -547,7 +492,7 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     if cold.any():
         lo = np.repeat(lo0[cold, None], k, axis=1)
         hi = np.repeat(hi0[cold, None], k, axis=1)
-        mid[cold], ok = _multisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
+        mid[cold], ok = _bisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
     if not zero_diag:
         return mid, ok
     eigs = np.zeros((m, n))

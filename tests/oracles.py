@@ -11,9 +11,9 @@ is written out stage by stage with scalar coefficients, as textbooks print
 it, independent of the package's stage buffer and stage matrix.
 
 ``bisect_sturm`` is plain Sturm bisection, one midpoint per bracket per
-sweep, with the Gershgorin brackets, stopping rule and Sturm count the
-package's eigensolver had before it took several midpoints per sweep; its
-results are the bits the package must reproduce.
+sweep, with the package's Gershgorin brackets, stopping rule and Sturm
+count, written as a loop over the pivots with no preallocated buffers; its
+results are the bits the package's cold solve must reproduce.
 """
 
 import numpy as np

@@ -73,8 +73,8 @@ def _count_sweeps(monkeypatch):
     return passes
 
 
-class TestSturmMultisection:
-    """Cold solves: several bisection steps per sweep, bisection's bits."""
+class TestSturmBisection:
+    """Cold solves: one Sturm-count pass per halving, bisection's bits."""
 
     @staticmethod
     def _assert_bisection_bits(diag, offdiags, tol, monkeypatch):
@@ -84,8 +84,7 @@ class TestSturmMultisection:
             got, ok = kernels.sturm_batch(diag, offdiags, tol)
         np.testing.assert_array_equal(got, want)
         assert ok == want_ok
-        k = len(diag) if np.any(diag) else len(diag) // 2  # brackets per row
-        assert len(passes) <= -(-halvings // kernels._levels(offdiags.shape[0], k))
+        assert len(passes) == halvings
 
     @pytest.mark.parametrize("zero_diag", [True, False])
     @pytest.mark.parametrize("m", [1, 3, 40])
@@ -122,8 +121,8 @@ class TestSturmMultisection:
 
     def test_counts_that_are_not_monotone_are_followed_as_bisection_would(
             self, monkeypatch):
-        # a count that jumps back and forth with x: multisection cannot read
-        # bisection's path off the grid at once and walks it level by level
+        # a count that jumps back and forth with x: each halving still keeps
+        # the half that the count at its midpoint picks, as bisection does
         def perturb(x, cnt):
             return cnt + ((x.view(np.int64) >> 30) & 1)
 
@@ -142,15 +141,6 @@ class TestSturmMultisection:
             got, ok = kernels.sturm_batch(d, E, tol)
             np.testing.assert_array_equal(got, want)
             assert ok == want_ok
-
-    def test_sweep_size_is_capped(self):
-        # one row of a paper matrix takes six steps per sweep; a drift batch
-        # counts no more points than its warm certification
-        assert kernels._levels(1, 14) == kernels._MULTISECT_LEVELS == 6
-        for m, k in ((1, 14), (1, 200), (5, 14), (50, 6), (1168, 14), (1, 5000)):
-            j = kernels._levels(m, k)
-            assert j >= 1
-            assert j == 1 or m * k * (2 ** j - 1) <= max(kernels._MULTISECT_POINTS, 2 * m * k)
 
 
 class TestSturmWarmStart:

@@ -55,7 +55,13 @@ class TestVerifyRun:
 
     def test_reference_is_seeded_and_certified(self, monkeypatch, ex1, ex2, ex3):
         # the 100 first inputs of the benchmark's oracle workload at seed 1
-        # (n cycling through 3..12, criterion-4 config) and the examples
+        # (n cycling through 3..12, criterion-4 config), the examples, and
+        # five inputs of its seeds 901 and 4 whose drift solves meet a Newton
+        # pivot of exactly 0 (a drift row that nearly decouples)
+        def criterion_4(a0):
+            return IntegratorConfig(t_max=150.0, max_rows=160,
+                                    eq_eps=1e-9 * (1 + np.sum(a0 * a0)))
+
         rng = np.random.default_rng(1)
         runs = [(a, IntegratorConfig()) for a in (ex1, ex2, ex3)]
         while len(runs) < 103:
@@ -64,8 +70,28 @@ class TestVerifyRun:
             sq = np.linalg.eigvalsh(jacobi.embed(a0))[n - n // 2:] ** 2
             gaps = np.diff(np.concatenate([[0.0], sq]) if n % 2 else sq)
             if gaps.min() >= 0.35:
-                runs.append((a0, IntegratorConfig(t_max=150.0, max_rows=160,
-                                                  eq_eps=1e-9 * (1 + np.sum(a0 * a0)))))
+                runs.append((a0, criterion_4(a0)))
+        for a0 in ([4.877052080966407, 4.452267940402095, 7.392038134210049,
+                    1.2472450264526347, 3.7678904472102097, -6.046072211849956,
+                    -9.991417048101406, -2.7621389698580647, 1.7725558276561053,
+                    1.7305518444815566],
+                   [1.8453128652017294, 0.8033604561403404, 5.722177916349722,
+                    -2.088533236702232, 5.193062801121238, -6.969479397842659,
+                    -7.066885656874078, -7.7986061512821685, -6.626344116610487,
+                    8.741822735108977],
+                   [5.131431594365293, -3.8607697724078935, -3.222713869247487,
+                    6.938132704533737, 5.252908452768043, 0.9691245115710745,
+                    -7.863870260359904, 7.973151489330247, -7.271168311567469,
+                    1.1209924861217737],
+                   [4.945684510312419, 1.615219179602858, 0.6152036520672073,
+                    -6.3015757330189635, -6.817449097928647, -4.452422761389853,
+                    2.6417126212277666, -3.0600374198975397, -3.2725289116927287,
+                    3.701186260860486, 2.9719807088651184],
+                   [-2.4825008280601373, 2.662981236268277, -5.512199421854937,
+                    5.2339465115526025, 1.2444658922967662, -9.934569138710069,
+                    -8.804190175683173]):
+            a0 = np.array(a0)
+            runs.append((a0, criterion_4(a0)))
         calls = []
 
         def count_as(name, module, attr):
@@ -78,7 +104,7 @@ class TestVerifyRun:
             monkeypatch.setattr(module, attr, counting)
 
         count_as("eigvalsh", np.linalg, "eigvalsh")
-        count_as("multisect", kernels, "_multisect")
+        count_as("bisect", kernels, "_bisect")
         for a0, cfg in runs:
             calls.clear()
             assert verify.verify_run(a0, cfg).overall
