@@ -12,19 +12,20 @@ units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
 for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
 stationary trajectories, calls the kernel, turns a step underflow, a spent
 step budget (``kernels.MAX_STEPS``) or a non-finite state into an error,
-measures spectral drift and maps times, states and diagnostics back.
+and maps times and states back. The trajectory derives its diagnostics from
+the unit rows when first read, with its class's per-row functions.
 ``integrate`` hands ``kernels.integrate_offdiag_kernel`` v = log|a0 / c|
 (the log-magnitude chart) in tau; the kernel steps log b^2 = 2 v in 2 tau,
 the Volterra lattice, and returns v and tau, to the bit those of stepping v.
 ``integrate_dense`` steps the matrix H0 / c. Both kernels step with the one
-adaptive DOP853 stepper, ``kernels._integrate``. The callers supply what
-depends on the state's shape (kernel, eigensolver, per-row diagnostics). The
-kernels and the eigensolver are looked up by name on every call, so a
-wrapper installed on the module attribute sees each call.
+adaptive DOP853 stepper, ``kernels._integrate``. The kernels, eigensolvers
+and diagnostics are looked up by name on every call, so a wrapper installed
+on the module attribute sees each call.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,11 @@ class IntegratorConfig:
     integrator picks its own steps, the first one from the initial state and
     its slope. eq_eps is the equilibrium residual that stops the run
     early (None -> 1e-10 * c^2, c the run's unit). tol bounds each step's
-    error on the scale tol * (1 + |y|), y = log|a_i / c| for the
-    off-diagonal flow (a relative accuracy on each entry) and H / c for the
-    dense flow. The off-diagonal kernel steps log(a_i / c)^2 = 2 y on the
-    scale tol * (2 + |2 y|), the same bound to the bit.
+    error on the scale tol * (unit + max(|y|, |y_new|)), y and y_new the
+    kernel state before and after the step, unit 1 for the dense flow's
+    H / c. The off-diagonal kernel steps y = log(a_i / c)^2 with unit 2: to
+    the bit, tol * (1 + max(|v|, |v_new|)) on v = log|a_i / c|, a relative
+    accuracy on each entry.
     Past max_rows recorded rows, every other row is dropped.
     """
 
@@ -92,13 +94,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Sampled off-diagonal states with per-sample diagnostics."""
+    """Sampled off-diagonal states. The per-sample diagnostics are computed
+    once, on first read, from the unit rows by the per-shape _lyapunov,
+    _residuals and _drift, and mapped back by c^2, c^2 and c: f_values
+    (Lyapunov values), k_norms (residuals) and spec_drift (largest deviation
+    from the t=0 spectrum; 0 on row 0 and on a stationary input)."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     states: np.ndarray  # (m, n-1)
-    f_values: np.ndarray  # Lyapunov value per sample
-    k_norms: np.ndarray  # equilibrium residual per sample
-    spec_drift: np.ndarray  # max eigenvalue deviation from the t=0 spectrum
+    unit_states: np.ndarray  # the kernel's rows; states is c times them, row 0 x0
+    c: float  # the run's unit
     status: str  # converged | horizon_reached | stationary_input
     config: IntegratorConfig
     eq_eps: float  # resolved stopping threshold
@@ -112,40 +117,80 @@ class FlowTrajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    @cached_property
+    def f_values(self) -> np.ndarray:
+        return self.c * self.c * self._lyapunov(self.unit_states)
 
-@dataclass(frozen=True)
+    @cached_property
+    def k_norms(self) -> np.ndarray:
+        return self.c * self.c * self._residuals(self.unit_states)
+
+    @cached_property
+    def spec_drift(self) -> np.ndarray:
+        if self.spectrum is None:
+            return np.zeros(len(self.unit_states))
+        drift = self._drift(self.unit_states, self.spectrum.values / self.c)
+        drift[0] = 0.0
+        return self.c * drift
+
+    # a lambda looks its function up per call, so module wrappers see each call
+    _lyapunov = staticmethod(lambda rows: lyapunov_f_offdiag(rows))
+    _residuals = staticmethod(lambda rows: residual_norms(rows))
+
+    @staticmethod
+    def _drift(rows, ref):
+        eigs = batch_eigenvalues_zero_diag(rows, _UNIT_EIG_TOL, guess=ref)
+        return np.abs(eigs - ref).max(axis=1)
+
+
 class DenseTrajectory(FlowTrajectory):
     """Sampled dense symmetric states (experimental mode); states is (m, n, n)."""
-
-    final_blocks: list = field(default_factory=list)  # contiguous block sizes
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def final_blocks(self) -> list:
+        """Block sizes of the final state; couplings below 1e-6 max|H0| are 0."""
+        return block_structure(self.states[-1], 1e-6 * float(np.abs(self.states[0]).max()))
+
+    @staticmethod
+    def _lyapunov(states):
+        """Lyapunov values for a batch of dense symmetric states (m, n, n)."""
+        coeff = np.arange(states.shape[1] - 1, dtype=np.float64) - 1.0
+        sd = np.diagonal(states, offset=1, axis1=1, axis2=2)
+        nsq = 2.0 * np.sum((coeff * sd) ** 2, axis=1)
+        hn_cross = 2.0 * np.sum(coeff * sd * sd, axis=1)  # tr(N(H) H)
+        hsq = np.sum(states * states, axis=(1, 2))
+        return -0.25 * (hsq - 2.0 * hn_cross + nsq) + 0.25 * nsq
+
+    # one norm per row: a batched norm sums in another order and changes bits
+    _residuals = staticmethod(
+        lambda rows: np.array([np.linalg.norm(_bracket_K(H)) for H in rows]))
+    _drift = staticmethod(
+        lambda rows, ref: np.abs(np.linalg.eigvalsh(rows) - ref).max(axis=1))
 
 
 # the default eq_eps at unit norm; it is 1e-10 * c^2 in the input's units
 _EQ_EPS = 1e-10
 # smallest normal float: c^2 and the normalised horizon must reach it
 _TINY = float(np.finfo(np.float64).tiny)
+# the drift eigensolver's tolerance on unit rows, whose ||T||_F is sqrt(2)
+_UNIT_EIG_TOL = default_eig_tol(math.sqrt(2.0))
 
 
-def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
-    """Integrate x0 / c in tau = c^2 t; return the trajectory fields in x0's units.
+def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
+    """Integrate x0 / c in tau = c^2 t; return the cls trajectory in x0's units.
 
-    c is the input's unit and y0 the kernel state of x0 / c. Only here are
-    t_max and eq_eps mapped into tau and the residual of x0 / c, and
-    times, states (row 0 is x0 itself), Lyapunov values and residuals
-    (times c^2) and drift (times c) mapped back. An input whose c^2, n c^2
-    or c^2 t_max is not a finite normal float is rejected.
-
-    The callables carry what depends on the state's shape: the kernel,
-    reference() (the t=0 Spectrum in the input's units, after any check
-    that needs it), rows(states) (the unit rows the kernel states encode)
-    and measure(rows, ref) -> (Lyapunov values, residual norms, spectral
-    drift against ref, zeros when ref is None). An input whose unit
-    residual is already <= eq_eps / c^2 is returned as a one-row
-    stationary_input trajectory without integrating.
+    c is the input's unit and y0 the kernel state of x0 / c. The kernel,
+    reference() (the t=0 Spectrum in x0's units, after any check that needs
+    it) and rows(states) (the unit rows the kernel states encode) carry what
+    depends on the state's shape. Only here are t_max and eq_eps mapped into
+    tau and the unit residual, and times and states (row 0 is x0 itself)
+    mapped back. An input whose c^2, n c^2 or c^2 t_max is not a finite
+    normal float is rejected; one whose unit residual is already
+    <= eq_eps / c^2 is a one-row stationary_input trajectory, not integrated.
     """
     c2 = c * c
     n = len(x0) + 1  # n for an off-diagonal, n + 1 for a matrix
@@ -160,16 +205,14 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
     eq_unit = _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps / c2
     # the threshold the run applies, in x0's units: a unit residual k <=
     # eq_unit stores as c2 * k <= c2 * eq_unit, since rounding is monotone
-    fields = dict(config=cfg, eq_eps=c2 * eq_unit)
+    fields = dict(c=c, config=cfg, eq_eps=c2 * eq_unit)
 
     row0 = rows(y0[None].copy())
-    f0, k0, drift0 = measure(row0, None)
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
-    if k0[0] <= eq_unit:
-        return dict(fields, times=np.zeros(1), states=x0[None].copy(),
-                    f_values=c2 * f0, k_norms=c2 * k0, spec_drift=drift0,
-                    status="stationary_input")
+    if cls._residuals(row0)[0] <= eq_unit:
+        return cls(times=np.zeros(1), states=x0[None].copy(), unit_states=row0,
+                   status="stationary_input", **fields)
 
     spectrum = reference()
     # on a unit state the field is O(1), so tau = 1 is the run's time scale
@@ -187,20 +230,17 @@ def _run(x0, cfg, c, y0, kernel, reference, rows, measure):
                 f"adaptive run took {kernels.MAX_STEPS} steps before t_max; "
                 "lower t_max"
             )
-        states = rows(states[:count].copy())
-    if not np.all(np.isfinite(states)):
+        unit_states = rows(states[:count].copy())
+    if not np.all(np.isfinite(unit_states)):
         raise NonConvergence("run diverged to a non-finite state; tighten tolerances")
 
-    f_values, k_norms, drift = measure(states, spectrum.values / c)
-    drift[0] = 0.0
     times = times[:count] / c2
     if status == kernels.STATUS_HORIZON:
         times[-1] = cfg.t_max
-    states *= c
+    states = c * unit_states
     states[0] = x0
-    return dict(fields, times=times, states=states, f_values=c2 * f_values,
-                k_norms=c2 * k_norms, spec_drift=c * drift,
-                status=status, spectrum=spectrum)
+    return cls(times=times, states=states, unit_states=unit_states,
+               status=status, spectrum=spectrum, **fields)
 
 
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
@@ -222,17 +262,6 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     sign = np.sign(a0)
     with np.errstate(divide="ignore"):
         v0 = np.log(np.abs(a0) / c)
-    tol = default_eig_tol(math.sqrt(2.0))  # unit rows: ||T||_F = sqrt(2)
-
-    def rows(V):
-        return sign * np.exp(V)
-
-    def measure(B, ref):
-        f, k = lyapunov_f_offdiag(B), residual_norms(B)
-        if ref is None:
-            return f, k, np.zeros(len(B))
-        drift = np.abs(batch_eigenvalues_zero_diag(B, tol, guess=ref) - ref)
-        return f, k, drift.max(axis=1)
 
     def reference():
         if not validate:
@@ -240,8 +269,8 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
         validate_initial_state(a0)
         return spectrum_zero_diag(a0)
 
-    return FlowTrajectory(**_run(a0, cfg, c, v0, kernels.integrate_offdiag_kernel,
-                                 reference, rows, measure))
+    return _run(FlowTrajectory, a0, cfg, c, v0, kernels.integrate_offdiag_kernel,
+                reference, lambda V: sign * np.exp(V))
 
 
 def block_structure(H: np.ndarray, threshold: float) -> list:
@@ -258,16 +287,6 @@ def block_structure(H: np.ndarray, threshold: float) -> list:
     return sizes
 
 
-def _dense_measure(states, ref):
-    # one norm per row: a batched norm sums in another order and changes bits
-    k_norms = np.array([np.linalg.norm(_bracket_K(H)) for H in states])
-    if ref is None:
-        drift = np.zeros(len(states))
-    else:
-        drift = np.abs(np.linalg.eigvalsh(states) - ref).max(axis=1)
-    return _dense_f(states), k_norms, drift
-
-
 def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     """Integrate the dense double-bracket flow on a full symmetric matrix.
 
@@ -277,24 +296,7 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     """
     cfg = cfg or IntegratorConfig()
     H0 = as_symmetric(H0)
-    scale = float(np.abs(H0).max())
     # ||H0||_F / sqrt(2) is ||a0|| when H0 embeds a0; any unit serves H0 = 0
     c = scaled_norm(H0) / math.sqrt(2.0) or 1.0
-
-    fields = _run(H0, cfg, c, H0 / c, kernels.integrate_dense_kernel,
-                  lambda: make_spectrum(np.linalg.eigvalsh(H0)),
-                  lambda states: states, _dense_measure)
-    return DenseTrajectory(**fields, final_blocks=block_structure(
-        fields["states"][-1], 1e-6 * scale))
-
-
-def _dense_f(states: np.ndarray) -> np.ndarray:
-    """Lyapunov values for a batch of dense symmetric states (m, n, n)."""
-    m, n, _ = states.shape
-    coeff = np.arange(n - 1, dtype=np.float64) - 1.0
-    sd = np.diagonal(states, offset=1, axis1=1, axis2=2)
-    nsq = 2.0 * np.sum((coeff * sd) ** 2, axis=1)
-    hn_cross = 2.0 * np.sum(coeff * sd * sd, axis=1)  # tr(N(H) H)
-    hsq = np.sum(states * states, axis=(1, 2))
-    return -0.25 * (hsq - 2.0 * hn_cross + nsq) + 0.25 * nsq
-
+    return _run(DenseTrajectory, H0, cfg, c, H0 / c, kernels.integrate_dense_kernel,
+                lambda: make_spectrum(np.linalg.eigvalsh(H0)), lambda states: states)

@@ -237,18 +237,16 @@ def brute_force_equilibria(spec: Spectrum) -> list:
     n = spec.n
     m = mags.size
     atol = 1e-9 * (1 + float(np.abs(spec.values).max(initial=0.0)))
-    found = []
+    candidates = []
     for slots in itertools.permutations(range(n - 1), m):
         for signs in itertools.product((1.0, -1.0), repeat=m):
             a = np.zeros(n - 1)
-            for v, s, p in zip(mags, signs, slots):
-                a[p] = v * s
-            if equilibrium_residual(a) != 0.0:
-                continue
-            eigs = batch_eigenvalues_zero_diag(a[None, :], default_eig_tol(mags.max()))[0]
-            if np.abs(eigs - spec.values).max() <= atol:
-                found.append(a)
-    return found
+            a[list(slots)] = mags * signs
+            if equilibrium_residual(a) == 0.0:
+                candidates.append(a)
+    eigs = batch_eigenvalues_zero_diag(np.array(candidates), default_eig_tol(mags.max()))
+    keep = np.abs(eigs - spec.values).max(axis=1) <= atol
+    return [a for a, kept in zip(candidates, keep) if kept]
 
 
 def _point_key(a: np.ndarray) -> tuple:

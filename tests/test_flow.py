@@ -372,15 +372,18 @@ class TestStepCounts:
         flow.integrate(a0)
         assert steps == [counts]
 
-    # (recorded rows, final time, final state) of the default run, as
-    # float.hex: a change of any rounding in the stepper moves them
+    # (recorded rows, final time, final state, (last Lyapunov value, last
+    # residual, largest drift)) of the default run, as float.hex: a change of
+    # any rounding in the stepper or the diagnostics moves them
     PINNED = {
         "ex1": (40, "0x1.153c089757c79p-1", [
-            "0x1.41739b378ea72p+0", "-0x1.ef28b1742ff38p-44", "-0x1.fdb01d6420febp+2"]),
+            "0x1.41739b378ea72p+0", "-0x1.ef28b1742ff38p-44", "-0x1.fdb01d6420febp+2"],
+            ("0x1.d58b9c1138965p+4", "0x1.60dae45b64bb4p-40", "0x1.b4cf83d5007bdp-38")),
         "ex2": (78, "0x1.ad26068324475p+1", [
             "-0x1.b69384253620ep-3", "0x1.f60473482f966p-35", "0x1.5b496f63afb88p+1",
             "-0x1.0196197fa898fp-485", "-0x1.4f8403899e1a1p+3", "-0x1.8c00e02433d8cp-209",
-            "0x1.8aed287de532ep+3", "0x1.950755e313fbbp-260", "0x1.cbace1a7f0b99p+3"]),
+            "0x1.8aed287de532ep+3", "0x1.950755e313fbbp-260", "0x1.cbace1a7f0b99p+3"],
+            ("0x1.20239ba03b2e6p+11", "0x1.e30f42877d629p-33", "0x1.3006ef0ae37cap-35")),
         "ex3": (257, "0x1.4000000000000p+3", [
             "-0x1.850201f82826bp-115", "0x1.6740f7e989d7fp+1", "-0x1.96a9d6316e706p-21",
             "0x1.7d3eaee003a19p+1", "-0x1.d22ca8a4a8493p-108", "0x1.0ad958fdc99d8p+2",
@@ -391,16 +394,19 @@ class TestStepCounts:
             "-0x1.070bbd1758976p-85", "0x1.7a75232fbfd67p+3", "0x1.2ec3983f3d192p-235",
             "0x1.8f3b867fdd68dp+3", "0x0.0p+0", "0x1.11baca9eec9afp+4",
             "-0x1.69bc1076eb59dp-455", "0x1.1fb18409eb7f8p+4", "-0x1.7dc9296ec0460p-459",
-            "-0x1.2d8a92c1e1895p+4"]),
+            "-0x1.2d8a92c1e1895p+4"],
+            ("0x1.082304bcc9eefp+15", "0x1.26975ae644e44p-18", "0x1.eac93549ec7e2p-32")),
     }
 
     @pytest.mark.parametrize("name,a0", [("ex1", EX1), ("ex2", EX2), ("ex3", EX3)])
     def test_examples_end_on_the_pinned_bits(self, name, a0):
-        rows, t_end, final = self.PINNED[name]
+        rows, t_end, final, diagnostics = self.PINNED[name]
         traj = flow.integrate(a0)
         assert len(traj.times) == len(traj.states) == rows
         assert traj.times[-1].hex() == t_end
         assert [x.hex() for x in traj.final_state] == final
+        assert (traj.f_values[-1].hex(), traj.k_norms[-1].hex(),
+                traj.spec_drift.max().hex()) == diagnostics
 
 
 class TestAccuracy:
@@ -435,7 +441,9 @@ def _counting(monkeypatch, module, name):
 
 class TestCallTimeLookup:
     """The drivers look kernels and diagnostics up by name on every call, so a
-    wrapper installed on the module attribute (as a tracer does) sees them."""
+    wrapper installed on the module attribute (as a tracer does) sees them.
+    The diagnostics are computed once, when first read: a run pays only for
+    the stationary test's residual on row 0."""
 
     def test_integrate_calls_patched_attributes(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_offdiag_kernel")
@@ -443,12 +451,22 @@ class TestCallTimeLookup:
         drift = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
         lyap = _counting(monkeypatch, flow, "lyapunov_f_offdiag")
         resid = _counting(monkeypatch, flow, "residual_norms")
-        flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1))
-        assert len(kernel) == 1
-        assert len(reference) == 1 and len(drift) == 1
-        assert lyap and resid
+        traj = flow.integrate(ex1, flow.IntegratorConfig(t_max=0.1))
+        assert len(kernel) == len(reference) == 1
+        assert (len(drift), len(lyap), len(resid)) == (0, 0, 1)
+        for _ in range(2):  # the second read adds no call
+            traj.spec_drift, traj.f_values, traj.k_norms
+            assert (len(drift), len(lyap), len(resid)) == (1, 1, 2)
+        assert len(kernel) == len(reference) == 1
 
     def test_integrate_dense_calls_patched_kernel(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_dense_kernel")
-        flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        traj = flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
+        assert len(kernel) == len(eigvalsh) == 1  # eigvalsh: the reference
+        traj.f_values, traj.k_norms
+        assert len(eigvalsh) == 1
+        for _ in range(2):  # the second read adds no call
+            traj.spec_drift
+            assert len(eigvalsh) == 2
         assert len(kernel) == 1
