@@ -11,13 +11,10 @@ enumeration, a verification suite, and a CLI.
 
 from .errors import (
     DegenerateSpectrum,
-    DimensionMismatch,
     EquilibriumInput,
     KvmflowError,
     NonConvergence,
-    PairingViolation,
     ParseError,
-    StepUnderflow,
     ValidationFailure,
 )
 from .flow import (
@@ -100,12 +97,9 @@ __all__ = [
     "write_summary",
     # errors
     "KvmflowError",
-    "DimensionMismatch",
     "NonConvergence",
-    "PairingViolation",
     "DegenerateSpectrum",
     "EquilibriumInput",
     "ValidationFailure",
-    "StepUnderflow",
     "ParseError",
 ]

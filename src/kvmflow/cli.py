@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EquilibriumInput, KvmflowError, PairingViolation, ValidationFailure
+from .errors import EquilibriumInput, KvmflowError, ValidationFailure
 from .flow import IntegratorConfig, integrate, integrate_dense
 from .io import (
     MatrixInputDocument,
@@ -189,7 +189,7 @@ def _cmd_evolve(args) -> int:
             predicted = predict_limit(a, spec)
         except EquilibriumInput:
             note = "stationary_input"
-        except (ValidationFailure, PairingViolation) as exc:
+        except ValidationFailure as exc:
             note = f"unavailable: {exc}"
     _emit(args, doc, notes=note, status=traj.status, final_offdiag=traj.final_state,
           spectrum=spec.values, predicted_limit=predicted, config=traj.config)

@@ -5,16 +5,9 @@ class KvmflowError(Exception):
     """Base class for all kvmflow errors."""
 
 
-class DimensionMismatch(KvmflowError):
-    """Matrix or vector dimensions are incompatible."""
-
-
 class NonConvergence(KvmflowError):
-    """A bisection bracket failed to shrink, or a flow run diverged or stopped short."""
-
-
-class PairingViolation(KvmflowError):
-    """Spectrum of a zero-diagonal matrix is not (+/-)-symmetric; eigensolver fault."""
+    """A bisection bracket failed to shrink, or a flow run diverged, spent its
+    step budget, or had its adaptive step fall below the step floor."""
 
 
 class EquilibriumInput(KvmflowError):
@@ -22,16 +15,13 @@ class EquilibriumInput(KvmflowError):
 
 
 class ValidationFailure(KvmflowError):
-    """Input breaks a rule of the input contract (document schema, a finite
-    nonzero off-diagonal, a symmetric matrix, a distinct spectrum, ranges)."""
+    """Input breaks a rule of the input contract (document schema, matching
+    dimensions, a finite nonzero off-diagonal, a symmetric matrix, a
+    (+/-)-paired and distinct spectrum, ranges)."""
 
 
 class DegenerateSpectrum(ValidationFailure):
     """Eigenvalues are not pairwise distinct within the gap tolerance."""
-
-
-class StepUnderflow(KvmflowError):
-    """Adaptive step fell below 1e-14 of the run's time scale; tolerances too tight."""
 
 
 class ParseError(KvmflowError):

@@ -11,9 +11,10 @@ for both state shapes. Both run through one driver, ``_run``, which owns the
 units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
 for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
 stationary trajectories, calls the kernel, turns a step underflow, a spent
-step budget (``kernels.MAX_STEPS``) or a non-finite state into an error,
-and maps times and states back. The trajectory derives its diagnostics from
-the unit rows when first read, with its class's per-row functions.
+step budget (``kernels.MAX_STEPS``) or a non-finite state into
+NonConvergence, and maps times and states back. The trajectory derives its
+diagnostics from the unit rows when first read, with its class's per-row
+functions.
 ``integrate`` hands ``kernels.integrate_offdiag_kernel`` v = log|a0 / c|
 (the log-magnitude chart) in tau; the kernel steps log b^2 = 2 v in 2 tau,
 the Volterra lattice, and returns v and tau, to the bit those of stepping v.
@@ -24,13 +25,14 @@ on the module attribute sees each call.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import NonConvergence, StepUnderflow, ValidationFailure
+from .errors import NonConvergence, ValidationFailure
 from .jacobi import (
     _bracket_K,
     as_offdiag,
@@ -88,8 +90,9 @@ class IntegratorConfig:
             raise ValidationFailure("tol must be positive and finite")
         if self.eq_eps is not None and not 0 <= self.eq_eps < np.inf:
             raise ValidationFailure("eq_eps must be nonnegative and finite")
-        if self.max_rows < 2:
-            raise ValidationFailure("max_rows must be at least 2")
+        # a float would reach np.empty; a bool is an int below 2
+        if not (isinstance(self.max_rows, numbers.Integral) and self.max_rows >= 2):
+            raise ValidationFailure("max_rows must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
         times, states, count, status, _, _ = kernel(
             y0, tau_max, cfg.tol, eq_unit, dt_min, cfg.max_rows)
         if status == kernels.STATUS_UNDERFLOW:
-            raise StepUnderflow(
+            raise NonConvergence(
                 "adaptive step fell below 1e-14 of the run's time scale; "
                 "loosen tolerances"
             )

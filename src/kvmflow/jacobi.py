@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationFailure
+from .errors import ValidationFailure
 
 __all__ = [
     "as_offdiag",
@@ -115,7 +115,7 @@ def commutator(A, B) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {A.shape} and {B.shape}")
+        raise ValidationFailure(f"incompatible shapes {A.shape} and {B.shape}")
     return A @ B - B @ A
 
 
@@ -171,7 +171,7 @@ def rhs_matrix(H) -> np.ndarray:
     """Dense double-bracket right-hand side [H, [H, N(H)]]."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
+        raise ValidationFailure(f"expected a square matrix, got shape {H.shape}")
     as_offdiag(np.diagonal(H, 1))  # the entries N reads must be finite
     return _dense_field()[0](H)
 

@@ -186,6 +186,8 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     or a spent budget records the final state as the last row.
     """
     shape = y0.shape
+    # row 0 and at most MAX_STEPS accepted steps: more rows are never filled
+    max_rows = min(max_rows, MAX_STEPS + 1)
     times = np.empty(max_rows)
     states = np.empty((max_rows,) + shape)
     times[0] = 0.0
@@ -338,9 +340,6 @@ def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
 
 # bisection steps per bracket before sturm_batch gives up (ok=0)
 _MAX_BISECT = 128
-# trust radius of a warm Newton step, relative to 1 + the row's Gershgorin
-# bound; the verifier's spectral drift bound has the same form
-_WARM_RADIUS = 1.0e-7
 
 
 def _sturm_counter(diag, e2, pivmin, shape):
@@ -444,10 +443,11 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
     starts one Newton step x = g - det/det' on det(T - x I) from each one; a
     non-finite step (a zero pivot) leaves x = g. Two Sturm counts, at
-    x - tol and x + tol, certify x: the entry is kept only if they hold its
-    eigenvalue and |x - g| <= 1e-7 * (1 + Gershgorin bound). A row with any
-    entry not certified is bisected as without a guess, so every value is
-    within tol of its eigenvalue.
+    x - tol and x + tol, certify x: the entry is kept if they hold its
+    eigenvalue, however far the step moved, since they prove it within tol
+    and bisection is no more accurate. A row with any entry not certified is
+    bisected as without a guess, so every value is within tol of its
+    eigenvalue.
     """
     m, nm1 = offdiags.shape
     n = nm1 + 1
@@ -483,8 +483,7 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
         x = np.where(np.isfinite(x), x, g)
         ends = np.concatenate([x - tol, x + tol], axis=1)
         cnt = _sturm_counter(diag, e2, pivmin, ends.shape)(ends)
-        near = np.abs(x - g) <= (_WARM_RADIUS * (1.0 + bound))[:, None]
-        holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need) & near
+        holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need)
         cold = ~holds.all(axis=1)
         mid[~cold] = x[~cold]
 

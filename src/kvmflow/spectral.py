@@ -20,10 +20,8 @@ import numpy as np
 from . import kernels
 from .errors import (
     DegenerateSpectrum,
-    DimensionMismatch,
     EquilibriumInput,
     NonConvergence,
-    PairingViolation,
     ValidationFailure,
 )
 from .jacobi import as_diagonal, as_offdiag, scaled_norm, validate_initial_state
@@ -194,17 +192,14 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     d = as_diagonal(diag)
     e = as_offdiag(offdiag)
     if e.size != max(d.size - 1, 0):
-        raise DimensionMismatch(
+        raise ValidationFailure(
             f"offdiag length {e.size} does not match diag length {d.size}"
         )
     if d.size == 0:
-        raise DimensionMismatch("matrix dimension must be at least 1")
+        raise ValidationFailure("matrix dimension must be at least 1")
     unit = _unit(np.concatenate([d, e]))
-    if math.isfinite(unit):
-        d, e = d / unit, e / unit
-        scale = math.sqrt(float(np.dot(d, d) + 2.0 * np.dot(e, e)))
-    else:
-        scale = math.inf
+    d, e = d / unit, e / unit
+    scale = math.sqrt(float(np.dot(d, d) + 2.0 * np.dot(e, e)))
     norm = unit * scale
     if not math.isfinite(norm * norm):
         raise ValidationFailure(
@@ -250,7 +245,7 @@ def _require_distinct(spec: Spectrum, gap_tol: float) -> Spectrum:
     keeps the smallest magnitude off zero.
     """
     if not spec.paired:
-        raise PairingViolation("spectrum is not (+/-)-paired")
+        raise ValidationFailure("spectrum is not (+/-)-paired")
     if not spec.gap_min >= gap_tol:
         raise DegenerateSpectrum(
             f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
@@ -281,7 +276,7 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     a0 = as_offdiag(a0)
     n = a0.size + 1
     if spec.n != n:
-        raise DimensionMismatch(f"spectrum has {spec.n} values, state implies {n}")
+        raise ValidationFailure(f"spectrum has {spec.n} values, state implies {n}")
     nonzero = a0 != 0.0
     # no two neighbours nonzero: map_K(a0) = 0, read from the pattern because
     # the products under- or overflow at extreme scales

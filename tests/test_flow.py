@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvmflow import flow, jacobi, kernels, spectral
-from kvmflow.errors import NonConvergence, StepUnderflow, ValidationFailure
+from kvmflow.errors import NonConvergence, ValidationFailure
 from kvmflow.verify import trajectory_checks, verify_run
 
 from conftest import EX1, EX2, EX3, count_steps
@@ -39,6 +39,8 @@ class TestConfig:
         dict(eq_eps=float("-inf")),
         dict(t_max=float("-inf")),
         dict(max_rows=0),
+        dict(max_rows=2.5),
+        dict(max_rows=160.0),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValidationFailure):
@@ -94,7 +96,7 @@ class TestIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_underflow(self, ex1):
         cfg = flow.IntegratorConfig(tol=1e-300, t_max=1.0)
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(NonConvergence, match="adaptive step fell below 1e-14"):
             flow.integrate(ex1, cfg)
 
     @pytest.mark.parametrize("a0, t_max", [([5.0, -6.0, -2.0], 1e12),
@@ -147,6 +149,13 @@ class TestIntegrate:
         assert traj.times.size <= 50
         assert traj.times[0] == 0.0
         assert traj.times[-1] == 1.0
+
+    def test_huge_row_cap_is_the_default_run(self, ex1):
+        # the kernel allocates at most MAX_STEPS + 1 rows, not 10**12
+        huge = flow.integrate(ex1, flow.IntegratorConfig(max_rows=10**12))
+        default = flow.integrate(ex1)
+        np.testing.assert_array_equal(huge.times, default.times)
+        np.testing.assert_array_equal(huge.states, default.states)
 
     def test_status_converged_waits_for_residual(self, ex1):
         traj = flow.integrate(ex1, flow.IntegratorConfig(t_max=100.0))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvmflow import jacobi
-from kvmflow.errors import DimensionMismatch
+from kvmflow.errors import ValidationFailure
 
 entries = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 offdiags = st.lists(entries, min_size=0, max_size=15).map(
@@ -100,7 +100,8 @@ class TestCommutator:
         np.testing.assert_array_equal(jacobi.commutator(A, A), np.zeros((4, 4)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationFailure,
+                           match=r"incompatible shapes \(2, 2\) and \(3, 3\)"):
             jacobi.commutator(np.eye(2), np.eye(3))
 
     def test_equals_map_K_on_example(self):

@@ -191,15 +191,17 @@ class TestSturmWarmStart:
         for row, e in zip(warm, rows):
             assert np.abs(row - np.linalg.eigvalsh(jacobi.embed(e))).max() <= tol
 
-    def test_guess_beyond_the_trust_radius_gives_cold_result(self):
+    def test_far_guess_is_kept_on_its_certificate(self, monkeypatch):
         # eigenvalues +-a; from g = a (1 + 1e-6) one Newton step lands within
-        # tol of a, but it moved 1e-6 * a, past the radius 1e-7 * (1 + a)
+        # tol of a, and the two Sturm counts keep it however far it moved
         a = np.array([[0.75]])
         tol = 1e-12 * (1 + np.sqrt(2.0) * 0.75)
         guess = np.array([-0.75, 0.75 * (1.0 + 1e-6)])
         newton = kernels._newton_sweep(np.zeros(2), a * a, guess[None, 1:])
         assert abs(newton[0, 0] - 0.75) <= tol
-        np.testing.assert_array_equal(self._solve(a, tol, guess=guess), self._solve(a, tol))
+        monkeypatch.setattr(kernels, "_bisect", None)  # a cold solve would fail
+        np.testing.assert_array_equal(self._solve(a, tol, guess=guess),
+                                      [[-newton[0, 0], newton[0, 0]]])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 30).flatmap(lambda n: st.lists(
