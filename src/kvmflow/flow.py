@@ -221,7 +221,7 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
     # on a unit state the field is O(1), so tau = 1 is the run's time scale
     dt_min = 1e-14 * min(tau_max, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        times, states, count, status, _, _ = kernel(
+        times, states, _, status, _, _ = kernel(
             y0, tau_max, cfg.tol, eq_unit, dt_min, cfg.max_rows)
         if status == kernels.STATUS_UNDERFLOW:
             raise NonConvergence(
@@ -233,11 +233,11 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
                 f"adaptive run took {kernels.MAX_STEPS} steps before t_max; "
                 "lower t_max"
             )
-        unit_states = rows(states[:count].copy())
+        unit_states = rows(states)
     if not np.all(np.isfinite(unit_states)):
         raise NonConvergence("run diverged to a non-finite state; tighten tolerances")
 
-    times = times[:count] / c2
+    times = times / c2
     if status == kernels.STATUS_HORIZON:
         times[-1] = cfg.t_max
     states = c * unit_states

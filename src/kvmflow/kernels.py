@@ -134,14 +134,6 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 
-def _halve_rows(times, states, count) -> int:
-    """Keep t=0 and every other retained row after it; return the new count."""
-    half_n = (count + 1) // 2
-    times[1:half_n] = times[2:2 * half_n:2]
-    states[1:half_n] = states[2:2 * half_n:2]
-    return half_n
-
-
 def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
@@ -178,21 +170,18 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     stage argument, step and error estimate is twice the other's, the field
     values and the scaled error estimates are the same.
 
-    Returns (times_buf, states_buf, row_count, status, naccept, nreject).
-    Buffers are oversized; the caller slices to row_count. Every accepted
-    step is recorded until the row buffer fills; then every other retained
-    row is dropped and the stride doubles, so the sample count never
-    exceeds max_rows while t=0 stays in place. Every exit but an underflow
-    or a spent budget records the final state as the last row.
+    Returns (times, states, count, status, naccept, nreject): the recorded
+    times (count,) and states (count,) + y0.shape, exactly count rows long,
+    and the accepted and rejected step counts. Every accepted step is
+    recorded until max_rows rows are held; then every other row after t=0
+    is dropped and the stride doubles, so at most max_rows rows are ever
+    held and memory grows with the rows recorded, not with max_rows. Every
+    exit but an underflow or a spent budget records the final state as the
+    last row.
     """
     shape = y0.shape
-    # row 0 and at most MAX_STEPS accepted steps: more rows are never filled
-    max_rows = min(max_rows, MAX_STEPS + 1)
-    times = np.empty(max_rows)
-    states = np.empty((max_rows,) + shape)
-    times[0] = 0.0
-    states[0] = y0
-    count = 1
+    times = [0.0]
+    states = [y0.copy()]
     stride = 1
 
     C = _DOP853.copy()  # _DOP853 with every column but y's times h
@@ -269,13 +258,12 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
             r2 = resid2()
             done = r2 <= eq2 or t >= t_edge
             if naccept % stride == 0 or done:
-                if count == max_rows:
-                    count = _halve_rows(times, states, count)
+                if len(times) == max_rows:
+                    del times[1::2], states[1::2]
                     stride *= 2
-                if times[count - 1] < t:
-                    times[count] = t
-                    states[count] = y
-                    count += 1
+                if times[-1] < t:
+                    times.append(t)
+                    states.append(y.copy())
             if r2 <= eq2:
                 status = STATUS_CONVERGED
                 break
@@ -299,7 +287,7 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
             fac = min(fac, 1.0)
         h = h * fac
 
-    return times, states, count, status, naccept, nreject
+    return np.array(times), np.array(states), len(times), status, naccept, nreject
 
 
 def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
@@ -320,9 +308,9 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
     """
     out = _integrate(2.0 * v0, *log_chart_rhs(v0.size), 2.0 * t_max, tol,
                      eq_eps, 2.0 * dt_min, max_rows, unit=2.0)
-    times, states, count = out[:3]
-    times[:count] *= 0.5
-    states[:count] *= 0.5
+    times, states = out[:2]
+    times *= 0.5
+    states *= 0.5
     return out
 
 

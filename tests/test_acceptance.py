@@ -56,7 +56,8 @@ def oracle_runs():
     """100 seeded draws per n in 3..12; entries uniform in [-10,10] with
     |a| >= 0.5; spectra validated distinct with a quantitative margin on the
     squared magnitudes so the convergence horizon stays bounded. Each run
-    keeps its kernel's (accepted, rejected) step counts."""
+    keeps its kernel's (accepted, rejected) step counts and its recorded
+    rows."""
     rng = np.random.default_rng(20260810)
     results = []
     with pytest.MonkeyPatch.context() as mp:
@@ -87,6 +88,7 @@ def oracle_runs():
                     "limit_bound": bound,
                     "checks": trajectory_checks(traj, a0),
                     "steps": steps[-1],
+                    "rows": len(traj.times),
                 })
     return results
 
@@ -134,9 +136,12 @@ def test_criterion_4_limit_prediction_oracle(oracle_runs):
 
 def test_criterion_4_step_counts(oracle_runs):
     # the steps DOP853 takes on all 1000 runs: a change of the tableau, the
-    # error norm or the controller moves this total
+    # error norm or the controller moves this total; a change of the
+    # recording moves the rows (one run of 160 accepted steps reaches the
+    # 160-row cap and is thinned to 81 rows)
     accepted, rejected = np.sum([r["steps"] for r in oracle_runs], axis=0)
     assert (accepted, rejected) == (63554, 404)
+    assert sum(r["rows"] for r in oracle_runs) == 64474
 
 
 def test_criterion_5_invariant_suite(example_runs, oracle_runs):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -146,21 +148,45 @@ class TestIntegrate:
     def test_row_cap_with_decimation(self, ex2):
         cfg = flow.IntegratorConfig(t_max=1.0, max_rows=50, eq_eps=0.0)
         traj = flow.integrate(ex2, cfg)
-        assert traj.times.size <= 50
+        assert traj.times.size == 37
         assert traj.times[0] == 0.0
         assert traj.times[-1] == 1.0
 
-    def test_huge_row_cap_is_the_default_run(self, ex1):
-        # the kernel allocates at most MAX_STEPS + 1 rows, not 10**12
-        huge = flow.integrate(ex1, flow.IntegratorConfig(max_rows=10**12))
-        default = flow.integrate(ex1)
+    @pytest.mark.parametrize("case", ["ex1", "dense120"])
+    def test_huge_row_cap_is_the_default_run(self, ex1, case):
+        # the kernel holds only the rows it records, so a cap of 10**12 rows
+        # reserves nothing: a 120x120 at this cap once asked for 107 GiB
+        if case == "ex1":
+            run, x0, t_max = flow.integrate, ex1, 10.0
+        else:
+            run, x0, t_max = flow.integrate_dense, _rng3_symmetric(120), 1e-6
+        huge = run(x0, flow.IntegratorConfig(t_max=t_max, max_rows=10**12))
+        default = run(x0, flow.IntegratorConfig(t_max=t_max))
         np.testing.assert_array_equal(huge.times, default.times)
         np.testing.assert_array_equal(huge.states, default.states)
+
+    def test_dense_run_holds_only_its_recorded_rows(self):
+        # numpy reports its buffers to tracemalloc; a buffer of max_rows
+        # 40x40 states would be 128 MB
+        H = _rng3_symmetric(40)
+        tracemalloc.start()
+        try:
+            traj = flow.integrate_dense(H, flow.IntegratorConfig(t_max=1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.status == "horizon_reached"
+        assert peak < 2e6
 
     def test_status_converged_waits_for_residual(self, ex1):
         traj = flow.integrate(ex1, flow.IntegratorConfig(t_max=100.0))
         assert traj.status == "converged"
         assert traj.k_norms[-1] <= traj.eq_eps
+
+
+def _rng3_symmetric(n):
+    H = np.random.default_rng(3).normal(size=(n, n))
+    return 0.5 * (H + H.T)
 
 
 class TestInvariants:
@@ -406,6 +432,13 @@ class TestStepCounts:
             "-0x1.2d8a92c1e1895p+4"],
             ("0x1.082304bcc9eefp+15", "0x1.26975ae644e44p-18", "0x1.eac93549ec7e2p-32")),
     }
+
+    @pytest.mark.parametrize("max_rows,rows", [(2, 2), (3, 3), (7, 6)])
+    def test_row_cap_keeps_the_pinned_rows(self, max_rows, rows):
+        # ex3 takes 256 accepted steps; the thinning keeps this many of them
+        traj = flow.integrate(EX3, flow.IntegratorConfig(max_rows=max_rows))
+        assert len(traj.times) == len(traj.states) == rows
+        assert traj.times[0] == 0.0 and traj.times[-1] == 10.0
 
     @pytest.mark.parametrize("name,a0", [("ex1", EX1), ("ex2", EX2), ("ex3", EX3)])
     def test_examples_end_on_the_pinned_bits(self, name, a0):

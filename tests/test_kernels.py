@@ -452,6 +452,21 @@ class TestOneStep:
         assert np.abs(got[live] - want[live]).max() <= 1e-14 * np.abs(want[live]).max()
 
 
+def _thinned_steps(naccept, max_rows):
+    """The accepted steps a run of naccept steps records under max_rows, and
+    its final stride: step 0 is t=0, step naccept the final state. Every
+    stride-th step is recorded; once max_rows rows are held, every other row
+    after t=0 is dropped and the stride doubles."""
+    steps, stride = [0], 1
+    for j in range(1, naccept + 1):
+        if j % stride == 0 or j == naccept:
+            if len(steps) == max_rows:
+                del steps[1::2]
+                stride *= 2
+            steps.append(j)
+    return steps, stride
+
+
 class TestRecording:
     def test_decimation_keeps_t0_and_final(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
@@ -463,13 +478,31 @@ class TestRecording:
         assert times[count - 1] == t_max
         assert naccept > 32  # decimation actually happened
 
-    def test_halving_keeps_even_rows(self):
-        times = np.arange(7.0)
-        states = np.arange(14.0).reshape(7, 2)
-        count = kernels._halve_rows(times, states, 7)
-        assert count == 4
-        np.testing.assert_array_equal(times[:count], [0.0, 2.0, 4.0, 6.0])
-        np.testing.assert_array_equal(states[:count], [[0, 1], [4, 5], [8, 9], [12, 13]])
+    @pytest.mark.parametrize("max_rows", [2, 3, 7, 8])
+    @pytest.mark.parametrize("shape", ["offdiag", "dense"])
+    def test_capped_rows_are_the_thinned_uncapped_rows(self, shape, max_rows):
+        if shape == "offdiag":
+            y0, kernel = _log_chart([5.0, -6.0, -2.0]), kernels.integrate_offdiag_kernel
+        else:
+            H = np.random.default_rng(3).normal(size=(5, 5))
+            y0, kernel = 0.5 * (H + H.T), kernels.integrate_dense_kernel
+        t_max = 100.0  # no residual is 0, so both runs end on the horizon
+        u_times, u_states, _, status, naccept, _ = kernel(y0, t_max, 1e-10, 0.0, 1e-14, 10**12)
+        times, states, count, _, _, _ = kernel(y0, t_max, 1e-10, 0.0, 1e-14, max_rows)
+        assert status == kernels.STATUS_HORIZON and naccept > 4 * max_rows
+        # uncapped, row j is accepted step j
+        assert u_times.shape == (naccept + 1,) and np.all(np.diff(u_times) > 0)
+        assert len(times) == len(states) == count <= max_rows
+        assert states.shape == (count,) + y0.shape
+        assert times[0] == 0.0 and times[-1] == t_max
+        np.testing.assert_array_equal(states[0], y0)
+        np.testing.assert_array_equal(states[-1], u_states[-1])
+        steps, stride = _thinned_steps(naccept, max_rows)
+        np.testing.assert_array_equal(times, u_times[steps])
+        np.testing.assert_array_equal(states, u_states[steps])
+        if max_rows % 2 == 0:
+            # an even cap halves to rows that sit on the doubled stride
+            assert all(j % stride == 0 for j in steps[1:-1])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_underflow_status(self):
