@@ -6,8 +6,9 @@ class KvmflowError(Exception):
 
 
 class NonConvergence(KvmflowError):
-    """A bisection bracket failed to shrink, or a flow run diverged, spent its
-    step budget, or had its adaptive step fall below the step floor."""
+    """A numeric kernel failed: a bisection bracket failed to shrink
+    (kernels._bisect), a flow run's step fell below its floor or spent its
+    step budget (kernels._integrate), or a run diverged (flow._run)."""
 
 
 class EquilibriumInput(KvmflowError):

@@ -10,11 +10,11 @@ The field is homogeneous of degree 3, so the flow from c * b is c * b(c^2 t)
 for both state shapes. Both run through one driver, ``_run``, which owns the
 units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
 for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
-stationary trajectories, calls the kernel, turns a step underflow, a spent
-step budget (``kernels.MAX_STEPS``) or a non-finite state into
-NonConvergence, and maps times and states back. The trajectory derives its
-diagnostics from the unit rows when first read, with its class's per-row
-functions.
+stationary trajectories, calls the kernel, turns a non-finite state into
+NonConvergence, and maps times and states back; the kernel itself raises
+NonConvergence for a step below its floor or a spent step budget
+(``kernels.MAX_STEPS``). The trajectory derives its diagnostics from the
+unit rows when first read, with its class's per-row functions.
 ``integrate`` hands ``kernels.integrate_offdiag_kernel`` v = log|a0 / c|
 (the log-magnitude chart) in tau; the kernel steps log b^2 = 2 v in 2 tau,
 the Volterra lattice, and returns v and tau, to the bit those of stepping v.
@@ -193,7 +193,9 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
     tau and the unit residual, and times and states (row 0 is x0 itself)
     mapped back. An input whose c^2, n c^2 or c^2 t_max is not a finite
     normal float is rejected; one whose unit residual is already
-    <= eq_eps / c^2 is a one-row stationary_input trajectory, not integrated.
+    <= eq_eps / c^2 (every n = 1 input) is a one-row stationary_input
+    trajectory, not integrated. A run that diverges to a non-finite state
+    raises NonConvergence here; the kernel raises its own step failures.
     """
     c2 = c * c
     n = len(x0) + 1  # n for an off-diagonal, n + 1 for a matrix
@@ -218,21 +220,9 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
                    status="stationary_input", **fields)
 
     spectrum = reference()
-    # on a unit state the field is O(1), so tau = 1 is the run's time scale
-    dt_min = 1e-14 * min(tau_max, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, _, status, _, _ = kernel(
-            y0, tau_max, cfg.tol, eq_unit, dt_min, cfg.max_rows)
-        if status == kernels.STATUS_UNDERFLOW:
-            raise NonConvergence(
-                "adaptive step fell below 1e-14 of the run's time scale; "
-                "loosen tolerances"
-            )
-        if status == kernels.STATUS_BUDGET:
-            raise NonConvergence(
-                f"adaptive run took {kernels.MAX_STEPS} steps before t_max; "
-                "lower t_max"
-            )
+            y0, tau_max, cfg.tol, eq_unit, cfg.max_rows)
         unit_states = rows(states)
     if not np.all(np.isfinite(unit_states)):
         raise NonConvergence("run diverged to a non-finite state; tighten tolerances")

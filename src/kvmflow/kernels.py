@@ -23,20 +23,23 @@ own order. The sums that decide step acceptance and stopping, the error norm
 and the residual, run left to right, so they do not depend on numpy's
 pairwise summation. Each field hands the stepper the residual of its last
 evaluation, the FSAL stage at the new state, so the stop test computes no
-field twice.
+field twice. The stepper owns its stop rules: a step below its floor or a
+spent step budget raises NonConvergence where it happens.
 
 ``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
 each one pass over the LDL^T pivots for every entry at once. A cold solve is
 bisection: each pass halves every bracket of the batch. A solve near a
 known spectrum (the drift rows of a trajectory) takes one Newton step per
 eigenvalue from it and certifies each value with two Sturm counts at
-+/- tol; a row that does not certify is solved cold.
++/- tol; a row that does not certify is solved cold. A bisection bracket
+that fails to shrink raises NonConvergence.
 """
 
 import math
 
 import numpy as np
 
+from .errors import NonConvergence
 from .jacobi import _dense_field, log_chart_rhs
 
 
@@ -45,13 +48,11 @@ def lane() -> str:
     return "numpy"
 
 
-# how a run stopped; flow.py reports the first two as a trajectory's status
+# how a run stopped, the status of its trajectory
 STATUS_CONVERGED = "converged"
 STATUS_HORIZON = "horizon_reached"
-STATUS_UNDERFLOW = "step_underflow"
-STATUS_BUDGET = "step_budget"
 
-# the most steps one run may take: a run stops with STATUS_BUDGET once its
+# the most steps one run may take: a run raises NonConvergence once its
 # accepted plus rejected steps reach it; read at call time
 MAX_STEPS = 10**6
 
@@ -134,7 +135,7 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 
-def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
+def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
     rhs(y, out) writes the field at y to out; resid2() returns the squared
@@ -142,8 +143,10 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     or once an accepted state has resid2() <= eq_eps^2; a step that ends
     within 1e-14 * t_max of t_max ends exactly on it. The first trial step,
     0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set by y0 and its slope
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a step below dt_min is
-    an underflow. The run stops with STATUS_BUDGET once it has taken
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On a unit state the
+    field is O(1), so t_max / unit = 1 is the run's time scale, and the step
+    floor is 1e-14 of it, or of t_max if shorter. A step below the floor
+    (or a NaN step) raises NonConvergence, and so does a run that has taken
     MAX_STEPS steps, accepted or rejected.
 
     The step is DOP853: twelve stages, the last field value k13 = f(y_new)
@@ -165,19 +168,20 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
 
     unit is the size of a unit entry in the state's coordinates: 1, or 2 on
     the log chart, which steps w = 2 v. Doubling is exact in binary floating
-    point, so a run of 2 y0 with unit 2, t_max and dt_min times 2 and the
-    field g(w) = f(w / 2) is the run of y0 under f to the bit: every state,
-    stage argument, step and error estimate is twice the other's, the field
-    values and the scaled error estimates are the same.
+    point, so a run of 2 y0 with unit 2, t_max times 2 and the field
+    g(w) = f(w / 2) is the run of y0 under f to the bit: every state, stage
+    argument, step, error estimate and the step floor is twice the other's,
+    the field values and the scaled error estimates are the same.
 
     Returns (times, states, count, status, naccept, nreject): the recorded
     times (count,) and states (count,) + y0.shape, exactly count rows long,
-    and the accepted and rejected step counts. Every accepted step is
-    recorded until max_rows rows are held; then every other row after t=0
-    is dropped and the stride doubles, so at most max_rows rows are ever
-    held and memory grows with the rows recorded, not with max_rows. Every
-    exit but an underflow or a spent budget records the final state as the
-    last row.
+    the status (STATUS_CONVERGED or STATUS_HORIZON) and the accepted and
+    rejected step counts. Every stride-th accepted step is recorded, the
+    stride starting at 1; a row due when max_rows rows are held first drops
+    every other row after t=0 and doubles the stride, and is then recorded
+    only if it is still due. So at most max_rows rows are ever held, evenly
+    spaced in steps, memory grows with the rows recorded, not with
+    max_rows, and the final state is the last row.
     """
     shape = y0.shape
     times = [0.0]
@@ -197,6 +201,7 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     abs_y = np.abs(Y[0])
     abs_new = np.empty(y0.size)  # |y_new|, |y| of the next step if accepted
     tol_unit = tol * unit
+    dt_min = unit * (1e-14 * min(t_max / unit, 1.0))
 
     eq2 = eq_eps * eq_eps
     t = 0.0
@@ -215,11 +220,11 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
 
     while t < t_edge:
         if not h >= dt_min:  # a NaN step is an underflow
-            status = STATUS_UNDERFLOW
-            break
+            raise NonConvergence("adaptive step fell below 1e-14 of the run's "
+                                 "time scale; loosen tolerances")
         if naccept + nreject >= MAX_STEPS:
-            status = STATUS_BUDGET
-            break
+            raise NonConvergence(
+                f"adaptive run took {MAX_STEPS} steps before t_max; lower t_max")
         if h > t_max - t:
             h = t_max - t
         t_new = t + h
@@ -230,22 +235,20 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
         for coef, rows, arg, arg_in, k_out in stages:
             np.dot(coef, rows, out=arg)
             rhs(arg_in, out=k_out)
-        err = 0.0
-        if y.size:
-            # the error rows leave out y: 0 * (-inf) would be NaN
-            np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
-            np.abs(y_new, out=abs_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            np.multiply(scale, tol, out=scale)
-            np.add(scale, tol_unit, out=scale)
-            np.divide(err_est, scale, out=err_est)
-            np.multiply(err_est, err_est, out=err_est)
-            np.add.accumulate(err_est, axis=1, out=err_est)
-            # in Python floats, so that an overflowing estimate gives a NaN
-            # error (inf / inf) without a warning
-            n5 = float(err_est[0, -1])
-            deno = n5 + 0.01 * float(err_est[1, -1])
-            err = n5 / math.sqrt((deno if deno > 0.0 else 1.0) * y.size)
+        # the error rows leave out y: 0 * (-inf) would be NaN
+        np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        np.multiply(scale, tol, out=scale)
+        np.add(scale, tol_unit, out=scale)
+        np.divide(err_est, scale, out=err_est)
+        np.multiply(err_est, err_est, out=err_est)
+        np.add.accumulate(err_est, axis=1, out=err_est)
+        # in Python floats, so that an overflowing estimate gives a NaN
+        # error (inf / inf) without a warning
+        n5 = float(err_est[0, -1])
+        deno = n5 + 0.01 * float(err_est[1, -1])
+        err = n5 / math.sqrt((deno if deno > 0.0 else 1.0) * y.size)
         accept = err <= 1.0
 
         if accept:
@@ -257,13 +260,12 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
 
             r2 = resid2()
             done = r2 <= eq2 or t >= t_edge
-            if naccept % stride == 0 or done:
-                if len(times) == max_rows:
-                    del times[1::2], states[1::2]
-                    stride *= 2
-                if times[-1] < t:
-                    times.append(t)
-                    states.append(y.copy())
+            if len(times) == max_rows and (naccept % stride == 0 or done):
+                del times[1::2], states[1::2]
+                stride *= 2
+            if (naccept % stride == 0 or done) and times[-1] < t:
+                times.append(t)
+                states.append(y.copy())
             if r2 <= eq2:
                 status = STATUS_CONVERGED
                 break
@@ -290,11 +292,11 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, dt_min, max_rows, unit):
     return np.array(times), np.array(states), len(times), status, naccept, nreject
 
 
-def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
+def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
     The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
-    in normalised time tau = ||a0||^2 t; t_max, dt_min and eq_eps are in
+    in normalised time tau = ||a0||^2 t; t_max and eq_eps are in
     those units, and eq_eps bounds the residual of exp(v). A zero entry is
     v = -inf: it stays there and adds 0 to the field, the residual and the
     error norm. tol bounds the error in v, which is the relative error of
@@ -307,14 +309,14 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, dt_min, max_rows):
     evaluation is one exp and one subtraction.
     """
     out = _integrate(2.0 * v0, *log_chart_rhs(v0.size), 2.0 * t_max, tol,
-                     eq_eps, 2.0 * dt_min, max_rows, unit=2.0)
+                     eq_eps, max_rows, unit=2.0)
     times, states = out[:2]
     times *= 0.5
     states *= 0.5
     return out
 
 
-def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
+def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
@@ -322,11 +324,11 @@ def integrate_dense_kernel(H0, t_max, tol, eq_eps, dt_min, max_rows):
     passes H0 / c and times in tau = c^2 t, so both are unit-sized, and tol
     bounds the error in H0 / c.
     """
-    return _integrate(H0, *_dense_field(), t_max, tol, eq_eps, dt_min,
-                      max_rows, unit=1.0)
+    return _integrate(H0, *_dense_field(), t_max, tol, eq_eps, max_rows,
+                      unit=1.0)
 
 
-# bisection steps per bracket before sturm_batch gives up (ok=0)
+# bisection steps per bracket before _bisect raises NonConvergence
 _MAX_BISECT = 128
 
 
@@ -395,10 +397,10 @@ def _newton_sweep(diag, e2, x):
 def _bisect(diag, e2, pivmin, lo, hi, need, tol):
     """Bisect each bracket [lo, hi] of shape (m, k) onto its need-th eigenvalue.
 
-    Returns (midpoints, ok). Each pass counts eigenvalues at the midpoint of
+    Returns the midpoints. Each pass counts eigenvalues at the midpoint of
     every bracket at once and keeps the half that holds the eigenvalue,
-    until the widest bracket of the batch is at most 2*tol wide or
-    _MAX_BISECT halvings are spent (ok=0 if still wider).
+    until the widest bracket of the batch is at most 2*tol wide; a bracket
+    still wider after _MAX_BISECT halvings raises NonConvergence.
     """
     count = _sturm_counter(diag, e2, pivmin, lo.shape)
     spent = 0
@@ -408,16 +410,18 @@ def _bisect(diag, e2, pivmin, lo, hi, need, tol):
         hi = np.where(take_hi, x, hi)
         lo = np.where(take_hi, lo, x)
         spent += 1
-    ok = 1 if (hi - lo).max(initial=0.0) <= 2.0 * tol else 0
-    return 0.5 * (lo + hi), ok
+    if not (hi - lo).max(initial=0.0) <= 2.0 * tol:  # NaN fails too
+        raise NonConvergence(
+            "bisection bracket failed to shrink; Gershgorin bounds are broken")
+    return 0.5 * (lo + hi)
 
 
 def sturm_batch(diag, offdiags, tol, *, guess=None):
     """Sturm-sequence eigenvalues for a batch of symmetric tridiagonals.
 
     diag: (n,) shared diagonal; offdiags: (m, n-1) batch of off-diagonals.
-    Returns (eigs (m, n) ascending per row, ok flag); ok=0 means some bracket
-    failed to shrink below 2*tol within _MAX_BISECT bisection steps.
+    Returns eigs (m, n), ascending per row. A bracket that fails to shrink
+    below 2*tol within _MAX_BISECT bisection steps raises NonConvergence.
 
     A zero diagonal gives a (+/-)-symmetric spectrum: only the floor(n/2)
     nonnegative eigenvalues are solved for, on [0, Gershgorin bound], and
@@ -475,14 +479,13 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
         cold = ~holds.all(axis=1)
         mid[~cold] = x[~cold]
 
-    ok = 1
     if cold.any():
         lo = np.repeat(lo0[cold, None], k, axis=1)
         hi = np.repeat(hi0[cold, None], k, axis=1)
-        mid[cold], ok = _bisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
+        mid[cold] = _bisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
     if not zero_diag:
-        return mid, ok
+        return mid
     eigs = np.zeros((m, n))
     eigs[:, n - k:] = mid
     eigs[:, :k] = -mid[:, ::-1]
-    return eigs, ok
+    return eigs

@@ -1,9 +1,10 @@
 """The numpy kernels: lane report, Sturm eigensolver, log chart, in-order sums,
-the DOP853 tableau and step, recording.
+the DOP853 tableau and step, recording and the stepper's stop rules.
 
-The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``),
-cold and warm-started; its cold results are pinned bit for bit to plain
-one-midpoint bisection (``oracles.bisect_sturm``).
+The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``,
+or ``eigh`` where an off-diagonal entry may be tiny), cold and
+warm-started; its cold results are pinned bit for bit to plain one-midpoint
+bisection (``oracles.bisect_sturm``).
 The stepper's vectorised error norm and residuals must add their terms in the
 order of a scalar loop, so they are pinned bit for bit to loop references.
 """
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvmflow import jacobi, kernels
+from kvmflow.errors import NonConvergence
 
 from oracles import bisect_sturm, dop853_step
 
@@ -32,10 +34,8 @@ class TestSturmBatch:
             d = rng.uniform(-10, 10, n)
             E = rng.uniform(-10, 10, (8, max(n - 1, 0)))
             tol = 1e-12 * (1 + 10 * n)
-            eigs, ok = kernels.sturm_batch(d, E, tol)
-            assert ok
-            warm, ok = kernels.sturm_batch(d, E, tol, guess=eigs)
-            assert ok
+            eigs = kernels.sturm_batch(d, E, tol)
+            warm = kernels.sturm_batch(d, E, tol, guess=eigs)
             for row, warm_row, e in zip(eigs, warm, E):
                 lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
                 assert np.abs(row - lapack).max() <= 3 * tol
@@ -49,9 +49,10 @@ class TestSturmBatch:
         a = np.array(entries, dtype=np.float64) * 10.0 ** exponent
         n = a.size + 1
         tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a * a)))
-        eigs, ok = kernels.sturm_batch(np.zeros(n), a[None, :], tol)
-        assert ok
-        lapack = np.linalg.eigvalsh(jacobi.embed(a))
+        eigs = kernels.sturm_batch(np.zeros(n), a[None, :], tol)
+        # eigh, not eigvalsh: eigvalsh squares the off-diagonal, and a square
+        # that is subnormal against the largest entry gives it wrong values
+        lapack = np.linalg.eigh(jacobi.embed(a))[0]
         assert np.abs(eigs[0] - lapack).max() <= 3 * tol
         np.testing.assert_array_equal(eigs[0], -eigs[0][::-1])
 
@@ -79,11 +80,11 @@ class TestSturmBisection:
     @staticmethod
     def _assert_bisection_bits(diag, offdiags, tol, monkeypatch):
         want, want_ok, halvings = bisect_sturm(diag, offdiags, tol)
+        assert want_ok
         with monkeypatch.context() as mp:
             passes = _count_sweeps(mp)
-            got, ok = kernels.sturm_batch(diag, offdiags, tol)
+            got = kernels.sturm_batch(diag, offdiags, tol)
         np.testing.assert_array_equal(got, want)
-        assert ok == want_ok
         assert len(passes) == halvings
 
     @pytest.mark.parametrize("zero_diag", [True, False])
@@ -117,7 +118,11 @@ class TestSturmBisection:
             E = rng.uniform(-1.0, 1.0, (2, 8))
             want, want_ok, halvings = bisect_sturm(d, E, 1e-300)
             assert (want_ok, halvings) == (0, 128)
-            self._assert_bisection_bits(d, E, 1e-300, monkeypatch)
+            with monkeypatch.context() as mp:
+                passes = _count_sweeps(mp)
+                with pytest.raises(NonConvergence, match="failed to shrink"):
+                    kernels.sturm_batch(d, E, 1e-300)
+            assert len(passes) == 128
 
     def test_counts_that_are_not_monotone_are_followed_as_bisection_would(
             self, monkeypatch):
@@ -138,9 +143,8 @@ class TestSturmBisection:
             E = rng.uniform(-1.0, 1.0, (3, 11))
             tol = 1e-12 * (1.0 + np.sqrt(np.sum(d * d) + 2.0 * np.sum(E * E, axis=1).max()))
             want, want_ok, _ = bisect_sturm(d, E, tol, perturb)
-            got, ok = kernels.sturm_batch(d, E, tol)
-            np.testing.assert_array_equal(got, want)
-            assert ok == want_ok
+            assert want_ok
+            np.testing.assert_array_equal(kernels.sturm_batch(d, E, tol), want)
 
 
 class TestSturmWarmStart:
@@ -152,15 +156,12 @@ class TestSturmWarmStart:
         a0 = rng.uniform(0.5, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
         rows = a0 + spread * rng.uniform(-1.0, 1.0, (m, n - 1))
         tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a0 * a0)))
-        ref, ok = kernels.sturm_batch(np.zeros(n), a0[None, :], tol)
-        assert ok
+        ref = kernels.sturm_batch(np.zeros(n), a0[None, :], tol)
         return rows, ref[0], tol
 
     @staticmethod
     def _solve(rows, tol, guess=None):
-        eigs, ok = kernels.sturm_batch(np.zeros(rows.shape[1] + 1), rows, tol, guess=guess)
-        assert ok
-        return eigs
+        return kernels.sturm_batch(np.zeros(rows.shape[1] + 1), rows, tol, guess=guess)
 
     def test_warm_and_cold_agree(self, monkeypatch):
         rows, ref, tol = self._batch()
@@ -220,12 +221,10 @@ class TestSturmWarmStart:
         # drift rows: a0 moved by a relative spread; zero entries stay zero
         rows = a0 * (1.0 + 10.0 ** spread * rng.uniform(-1.0, 1.0, (m, n - 1)))
         tol = 1e-12 * (1 + np.sqrt(2.0 * np.sum(a0 * a0)))
-        ref, ok = kernels.sturm_batch(np.zeros(n), a0[None, :], tol)
-        assert ok
-        warm, ok = kernels.sturm_batch(np.zeros(n), rows, tol, guess=ref[0])
-        assert ok
+        ref = kernels.sturm_batch(np.zeros(n), a0[None, :], tol)
+        warm = kernels.sturm_batch(np.zeros(n), rows, tol, guess=ref[0])
         for row, e in zip(warm, rows):
-            lapack = np.linalg.eigvalsh(jacobi.embed(e))
+            lapack = np.linalg.eigh(jacobi.embed(e))[0]  # eigvalsh squares e
             # LAPACK's own error, a few ulps of the norm, on top of tol
             assert np.abs(row - lapack).max() <= tol + 1e-14 * np.abs(lapack).max(initial=0.0)
             np.testing.assert_array_equal(row, -row[::-1])
@@ -318,7 +317,7 @@ class TestSumsInLoopOrder:
             monkeypatch.setattr(kernels, "_dense_field", recording(jacobi._dense_field))
             H = rng.uniform(-1.0, 1.0, (5, 5))
             y0, kernel = (H + H.T) / np.linalg.norm(H + H.T), kernels.integrate_dense_kernel
-        times, states, count, status, naccept, _ = kernel(y0, 5.0, 1e-10, 0.0, 1e-14, 10_000)
+        times, states, count, status, naccept, _ = kernel(y0, 5.0, 1e-10, 0.0, 10_000)
         assert status == kernels.STATUS_HORIZON and count == naccept + 1 == len(seen) + 1
         if kind == "log":
             want = [_log_chart_resid2(2.0 * v) for v in states[1:count]]
@@ -363,7 +362,7 @@ class TestLogChart:
         assert field[0] == 0.0
         np.testing.assert_array_equal(field[2:], jacobi.log_chart_rhs(2)[0](2.0 * v0[2:]))
         times, states, count, status, *_ = kernels.integrate_offdiag_kernel(
-            v0, 100.0, 1e-10, 1e-10, 1e-12, 1000)
+            v0, 100.0, 1e-10, 1e-10, 1000)
         assert status == kernels.STATUS_CONVERGED
         assert np.all(states[:count, 1] == -np.inf)
         assert np.all(np.isfinite(states[:count, [0, 2, 3]]))
@@ -434,7 +433,7 @@ class TestOneStep:
         y0, kernel, rhs, unit = self._start(kind)
         tol = 1e-6
         times, states, count, status, naccept, nreject = kernel(
-            y0, 100.0, tol, 0.0, 1e-14, 10_000)
+            y0, 100.0, tol, 0.0, 10_000)
         assert status == kernels.STATUS_HORIZON and count == naccept + 1
         # the first trial step, 1e-3 * t_max, is taken: a NaN or too large
         # error norm would have rejected it. A step this long tells the
@@ -455,14 +454,15 @@ class TestOneStep:
 def _thinned_steps(naccept, max_rows):
     """The accepted steps a run of naccept steps records under max_rows, and
     its final stride: step 0 is t=0, step naccept the final state. Every
-    stride-th step is recorded; once max_rows rows are held, every other row
-    after t=0 is dropped and the stride doubles."""
+    stride-th step is recorded; a step due when max_rows rows are held first
+    drops every other row after t=0 and doubles the stride, and is then
+    recorded only if it is still due."""
     steps, stride = [0], 1
     for j in range(1, naccept + 1):
+        if len(steps) == max_rows and (j % stride == 0 or j == naccept):
+            del steps[1::2]
+            stride *= 2
         if j % stride == 0 or j == naccept:
-            if len(steps) == max_rows:
-                del steps[1::2]
-                stride *= 2
             steps.append(j)
     return steps, stride
 
@@ -472,7 +472,7 @@ class TestRecording:
         v0 = _log_chart([5.0, -6.0, -2.0])
         t_max = 100.0  # long enough to take more steps than rows
         times, states, count, status, naccept, _ = kernels.integrate_offdiag_kernel(
-            v0, t_max, 1e-10, 0.0, 1e-14, 32)
+            v0, t_max, 1e-10, 0.0, 32)
         assert count <= 32
         assert times[0] == 0.0
         assert times[count - 1] == t_max
@@ -487,8 +487,8 @@ class TestRecording:
             H = np.random.default_rng(3).normal(size=(5, 5))
             y0, kernel = 0.5 * (H + H.T), kernels.integrate_dense_kernel
         t_max = 100.0  # no residual is 0, so both runs end on the horizon
-        u_times, u_states, _, status, naccept, _ = kernel(y0, t_max, 1e-10, 0.0, 1e-14, 10**12)
-        times, states, count, _, _, _ = kernel(y0, t_max, 1e-10, 0.0, 1e-14, max_rows)
+        u_times, u_states, _, status, naccept, _ = kernel(y0, t_max, 1e-10, 0.0, 10**12)
+        times, states, count, _, _, _ = kernel(y0, t_max, 1e-10, 0.0, max_rows)
         assert status == kernels.STATUS_HORIZON and naccept > 4 * max_rows
         # uncapped, row j is accepted step j
         assert u_times.shape == (naccept + 1,) and np.all(np.diff(u_times) > 0)
@@ -500,25 +500,49 @@ class TestRecording:
         steps, stride = _thinned_steps(naccept, max_rows)
         np.testing.assert_array_equal(times, u_times[steps])
         np.testing.assert_array_equal(states, u_states[steps])
-        if max_rows % 2 == 0:
-            # an even cap halves to rows that sit on the doubled stride
-            assert all(j % stride == 0 for j in steps[1:-1])
+        # the kept rows sit on the final stride, odd caps included
+        assert all(j % stride == 0 for j in steps[1:-1])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_underflow_status(self):
         v0 = _log_chart([5.0, -6.0, -2.0])
-        out = kernels.integrate_offdiag_kernel(
-            v0, 1.0, 1e-300, 0.0, 1e-6, 64)
-        assert out[3] == kernels.STATUS_UNDERFLOW
+        with pytest.raises(NonConvergence, match="adaptive step fell below 1e-14"):
+            kernels.integrate_offdiag_kernel(v0, 1.0, 1e-300, 0.0, 64)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nan_step_is_underflow(self):
         # the slope overflows, so the start step set from it is itself NaN
         # or 0: the run stops before its first step
         H = np.array([[0.0, 1e200, 0.0], [1e200, 0.0, 2e200], [0.0, 2e200, 0.0]])
-        out = kernels.integrate_dense_kernel(
-            H, 1.0, 1e-10, 0.0, 1e-14, 64)
-        assert out[3] == kernels.STATUS_UNDERFLOW
+        with pytest.raises(NonConvergence, match="adaptive step fell below 1e-14"):
+            kernels.integrate_dense_kernel(H, 1.0, 1e-10, 0.0, 64)
+
+    @pytest.mark.parametrize("shape", ["offdiag", "dense"])
+    def test_budget_is_spent_after_max_steps(self, shape, monkeypatch):
+        # MAX_STEPS is read at call time: the run raises after the first
+        # slope and the twelve stages of each of its 20 steps
+        if shape == "offdiag":
+            name, kernel = "log_chart_rhs", kernels.integrate_offdiag_kernel
+            y0 = _log_chart([5.0, -6.0, -2.0])
+        else:
+            name, kernel = "_dense_field", kernels.integrate_dense_kernel
+            H = np.random.default_rng(3).normal(size=(5, 5))
+            y0 = 0.5 * (H + H.T)
+        field, calls = getattr(kernels, name), []
+
+        def counting(*args):
+            rhs, resid2 = field(*args)
+
+            def counted(y, out):
+                calls.append(None)
+                return rhs(y, out=out)
+            return counted, resid2
+
+        monkeypatch.setattr(kernels, name, counting)
+        monkeypatch.setattr(kernels, "MAX_STEPS", 20)
+        with pytest.raises(NonConvergence, match="adaptive run took 20 steps before t_max"):
+            kernel(y0, 100.0, 1e-10, 0.0, 10_000)
+        assert len(calls) == 1 + 12 * 20
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_stage_rejects_and_shrinks_the_step(self):
@@ -537,7 +561,7 @@ class TestRecording:
 
         t_max = 2.0
         times, states, count, status, naccept, nreject = kernels._integrate(
-            w0, rhs, resid2, t_max, 1e-10, 0.0, 2e-14, 1000, unit=2.0)
+            w0, rhs, resid2, t_max, 1e-10, 0.0, 1000, unit=2.0)
         assert status == kernels.STATUS_HORIZON and nreject >= 1
         assert times[1] == 1e-3 * t_max * kernels._FAC_MIN
         assert np.all(np.isfinite(states[:count]))

@@ -9,6 +9,7 @@ from kvmflow import flow, jacobi, spectral
 from kvmflow.errors import (
     DegenerateSpectrum,
     EquilibriumInput,
+    NonConvergence,
     ValidationFailure,
 )
 from kvmflow.flow import IntegratorConfig
@@ -180,7 +181,9 @@ class TestLapackSeed:
             d[:] = 0.0
         tol = _eig_tol(d, e)
         values = spectral.eigenvalues_tridiagonal(d, e).values
-        lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        # eigh, not eigvalsh: eigvalsh squares e, and a square that is
+        # subnormal against the largest entry gives it wrong values
+        lapack = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[0]
         assert np.abs(values - lapack).max() <= tol
         assert np.abs(values - _cold(d, e)).max() <= 2.0 * tol
         if zero_diag:
@@ -244,6 +247,12 @@ class TestSpectrumZeroDiag:
             spectral.batch_eigenvalues_zero_diag(np.full((2, 3), 1e200), 1e-3)
         with pytest.raises(ValidationFailure, match="out of range"):
             spectral.eigenvalues_tridiagonal(np.zeros(3), [1e200, 1e200])
+
+    def test_unreachable_tolerance_raises(self):
+        # no bracket around an eigenvalue near 1 shrinks to 2e-300
+        rows = np.array([[5.0, -6.0, -2.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(NonConvergence, match="failed to shrink"):
+            spectral.batch_eigenvalues_zero_diag(rows, 1e-300)
 
 
 class TestPredictLimit:
