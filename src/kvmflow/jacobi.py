@@ -88,12 +88,17 @@ def map_N(A) -> np.ndarray:
     return _map_N(A)
 
 
-def _map_N(A: np.ndarray) -> np.ndarray:
-    """Unchecked map_N for a float64 square matrix (the integrator's hot path)."""
+def _map_N(A: np.ndarray, out=None, coeff=None) -> np.ndarray:
+    """Unchecked map_N for a float64 square matrix (the integrator's hot path).
+
+    Writes to out (C-ordered; zeroed first) and takes coeff as the i-2, if given.
+    """
     n = A.shape[0]
-    N = np.zeros((n, n))  # C-ordered whatever A's layout, so reshape is a view
+    N = np.empty((n, n)) if out is None else out  # C-ordered: reshape is a view
+    N.fill(0.0)
     if n >= 2:
-        v = (np.arange(n - 1, dtype=np.float64) - 1.0) * np.diagonal(A, 1)
+        coeff = np.arange(n - 1, dtype=np.float64) - 1.0 if coeff is None else coeff
+        v = coeff * np.diagonal(A, 1)
         flat = N.reshape(-1)
         flat[1::n + 1] = v
         flat[n::n + 1] = v
@@ -149,20 +154,22 @@ def log_chart_rhs(k: int):
     An entry at w = -inf (a zero entry) has u = 0.
 
     resid2() is the squared equilibrium residual ||K||_F^2 = 2 sum u_i u_{i+1}
-    of the state of the last rhs call, read off its u and summed left to
-    right.
+    of the state of the last rhs call, read off its u: the products and their
+    running sum, left to right, are written in place to one buffer.
     """
     u = np.zeros(k + 2)
     inner = u[1:-1]
-    before, after = u[:-2], u[2:]
+    before, after, left, right = u[:-2], u[2:], inner[:-1], inner[1:]
     prods = np.empty(max(k - 1, 0))
+    exp, subtract, multiply, accumulate = np.exp, np.subtract, np.multiply, np.add.accumulate
 
     def rhs(w: np.ndarray, out=None) -> np.ndarray:
-        np.exp(w, out=inner)
-        return np.subtract(before, after, out=out)
+        exp(w, inner)
+        return subtract(before, after, out)
 
     def resid2() -> float:
-        return 2.0 * _sum_in_order(np.multiply(inner[:-1], inner[1:], out=prods))
+        multiply(left, right, prods)
+        return 2.0 * accumulate(prods, 0, None, prods).item(-1) if k > 1 else 0.0
 
     return rhs, resid2
 
@@ -173,27 +180,28 @@ def rhs_matrix(H) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationFailure(f"expected a square matrix, got shape {H.shape}")
     as_offdiag(np.diagonal(H, 1))  # the entries N reads must be finite
-    return _dense_field()[0](H)
+    return _dense_field(H.shape[0])[0](H)
 
 
-def _bracket_K(H: np.ndarray) -> np.ndarray:
-    """Unchecked inner bracket [H, N(H)] for a float64 square matrix."""
-    N = _map_N(H)
+def _bracket_K(H: np.ndarray, N=None, coeff=None) -> np.ndarray:
+    """Unchecked [H, N(H)] for a float64 square matrix; N, coeff: see _map_N."""
+    N = _map_N(H, N, coeff)
     return H @ N - N @ H
 
 
-def _dense_field():
+def _dense_field(n: int):
     """Return (rhs, resid2), the dense double-bracket field for the stepper.
 
-    rhs(H, out) is the unchecked rhs_matrix, written to out if given; it
-    keeps the inner bracket K = [H, N(H)] it builds. resid2() is the squared
+    rhs(H, out) is the unchecked rhs_matrix of an n x n H, written to out if
+    given; it keeps the inner bracket K = [H, N(H)]. resid2() is the squared
     Frobenius norm of the last K, summed left to right in C order.
     """
     K = np.zeros(0)
+    N, coeff = np.zeros((n, n)), np.arange(n - 1, dtype=np.float64) - 1.0
 
     def rhs(H: np.ndarray, out=None) -> np.ndarray:
         nonlocal K
-        K = _bracket_K(H)
+        K = _bracket_K(H, N, coeff)
         return np.subtract(H @ K, K @ H, out=out)
 
     def resid2() -> float:

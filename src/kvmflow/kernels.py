@@ -153,7 +153,7 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
     reused as the next step's k1 (FSAL). k13 is a step's last rhs call, so
     resid2() after it is the residual at y_new. The state y and the stages
     k1 ... k13 are the rows of one buffer Y, flattened. Each step scales the
-    stage matrix _DOP853 by h, all but its column on y, and each stage
+    stage matrix _DOP853 by h and puts back its column on y, and each stage
     argument and y_new is one np.dot of a row with the prefix of Y it reads.
     The 5th- and 3rd-order error estimates are one np.dot over k1 ... k12
     alone: on the log chart a zero entry is y = -inf and 0 * (-inf) is NaN,
@@ -188,17 +188,24 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
     states = [y0.copy()]
     stride = 1
 
+    dot, multiply, abs_, maximum = np.dot, np.multiply, np.abs, np.maximum
+    add, divide, accumulate, sqrt = np.add, np.divide, np.add.accumulate, math.sqrt
+    safety, fac_min, fac_max, alpha, beta = _SAFETY, _FAC_MIN, _FAC_MAX, _PI_ALPHA, _PI_BETA
     C = _DOP853.copy()  # _DOP853 with every column but y's times h
+    C_y, ones_y = C[:, 0], _DOP853[:, 0].copy()  # C's column on y, its value
     last = C.shape[1] - 1
     Y = np.empty((last + 1, y0.size))  # rows y, k1, ..., k_last
     args = np.empty((last - 1, y0.size))  # stage arguments; y_new is the last
     Y[0] = y0.reshape(-1)
-    y, k1, y_new = Y[0].reshape(shape), Y[1].reshape(shape), args[-1]
+    y_row, k1_row, k_last = Y[0], Y[1], Y[last]
+    y, k1, y_new = y_row.reshape(shape), k1_row.reshape(shape), args[-1]
     stages = [(C[s, :s + 2], Y[:s + 2], args[s], args[s].reshape(shape),
                Y[s + 2].reshape(shape)) for s in range(last - 1)]
     err_est = np.empty((2, y0.size))  # the 5th- and 3rd-order estimates
+    # the error rows leave out y: 0 * (-inf) would be NaN; sums holds n5 and n3
+    err_coef, err_rows, sums = C[-2:, 1:last], Y[1:last], err_est[:, -1]
     scale = np.empty(y0.size)  # the error scale of each entry
-    abs_y = np.abs(Y[0])
+    abs_y = np.abs(y_row)
     abs_new = np.empty(y0.size)  # |y_new|, |y| of the next step if accepted
     tol_unit = tol * unit
     dt_min = unit * (1e-14 * min(t_max / unit, 1.0))
@@ -231,30 +238,30 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
         if t_new >= t_edge:
             t_new = t_max
 
-        np.multiply(_DOP853[:, 1:], h, out=C[:, 1:])
+        multiply(_DOP853, h, C)
+        C_y[...] = ones_y
         for coef, rows, arg, arg_in, k_out in stages:
-            np.dot(coef, rows, out=arg)
-            rhs(arg_in, out=k_out)
-        # the error rows leave out y: 0 * (-inf) would be NaN
-        np.dot(C[-2:, 1:last], Y[1:last], out=err_est)
-        np.abs(y_new, out=abs_new)
-        np.maximum(abs_y, abs_new, out=scale)
-        np.multiply(scale, tol, out=scale)
-        np.add(scale, tol_unit, out=scale)
-        np.divide(err_est, scale, out=err_est)
-        np.multiply(err_est, err_est, out=err_est)
-        np.add.accumulate(err_est, axis=1, out=err_est)
+            dot(coef, rows, arg)
+            rhs(arg_in, k_out)
+        dot(err_coef, err_rows, err_est)
+        abs_(y_new, abs_new)
+        maximum(abs_y, abs_new, out=scale)  # a positional out is deprecated
+        multiply(scale, tol, scale)
+        add(scale, tol_unit, scale)
+        divide(err_est, scale, err_est)
+        multiply(err_est, err_est, err_est)
+        accumulate(err_est, 1, None, err_est)
         # in Python floats, so that an overflowing estimate gives a NaN
         # error (inf / inf) without a warning
-        n5 = float(err_est[0, -1])
-        deno = n5 + 0.01 * float(err_est[1, -1])
-        err = n5 / math.sqrt((deno if deno > 0.0 else 1.0) * y.size)
+        n5, n3 = sums.tolist()
+        deno = n5 + 0.01 * n3
+        err = n5 / sqrt((deno if deno > 0.0 else 1.0) * y.size)
         accept = err <= 1.0
 
         if accept:
             t = t_new
-            Y[0] = y_new
-            Y[1] = Y[last]
+            y_row[...] = y_new
+            k1_row[...] = k_last
             abs_y, abs_new = abs_new, abs_y
             naccept += 1
 
@@ -273,12 +280,12 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
             nreject += 1
 
         if err == 0.0:
-            fac = _FAC_MAX
+            fac = fac_max
         else:
-            fac = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+            fac = safety * err ** -alpha * err_prev ** beta
         # written so that a NaN error estimate (an overflowing trial step,
         # already rejected above) shrinks h by _FAC_MIN
-        fac = min(fac, _FAC_MAX) if fac >= _FAC_MIN else _FAC_MIN
+        fac = min(fac, fac_max) if fac >= fac_min else fac_min
         if accept:
             if just_rejected:
                 fac = min(fac, 1.0)
@@ -324,7 +331,7 @@ def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows):
     passes H0 / c and times in tau = c^2 t, so both are unit-sized, and tol
     bounds the error in H0 / c.
     """
-    return _integrate(H0, *_dense_field(), t_max, tol, eq_eps, max_rows,
+    return _integrate(H0, *_dense_field(H0.shape[0]), t_max, tol, eq_eps, max_rows,
                       unit=1.0)
 
 

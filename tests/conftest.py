@@ -54,8 +54,8 @@ def ex3():
     return EX3.copy()
 
 
-def count_steps(mp):
-    """Wrap kernels.integrate_offdiag_kernel through the MonkeyPatch mp.
+def count_steps(mp, name="integrate_offdiag_kernel"):
+    """Wrap the kernel kernels.<name> through the MonkeyPatch mp.
 
     Returns the list to which each kernel call appends its (accepted,
     rejected) step counts.
@@ -63,12 +63,12 @@ def count_steps(mp):
     from kvmflow import kernels
 
     steps = []
-    kernel = kernels.integrate_offdiag_kernel
+    kernel = getattr(kernels, name)
 
     def counted(*args):
         out = kernel(*args)
         steps.append((out[4], out[5]))
         return out
 
-    mp.setattr(kernels, "integrate_offdiag_kernel", counted)
+    mp.setattr(kernels, name, counted)
     return steps

@@ -4,6 +4,7 @@ Each test prints one [PASS]/[FAIL] line (visible with pytest -s). Runtime
 budgets are printed and asserted.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -56,8 +57,8 @@ def oracle_runs():
     """100 seeded draws per n in 3..12; entries uniform in [-10,10] with
     |a| >= 0.5; spectra validated distinct with a quantitative margin on the
     squared magnitudes so the convergence horizon stays bounded. Each run
-    keeps its kernel's (accepted, rejected) step counts and its recorded
-    rows."""
+    keeps its kernel's (accepted, rejected) step counts, its recorded rows
+    and the bytes of its times and states."""
     rng = np.random.default_rng(20260810)
     results = []
     with pytest.MonkeyPatch.context() as mp:
@@ -89,6 +90,7 @@ def oracle_runs():
                     "checks": trajectory_checks(traj, a0),
                     "steps": steps[-1],
                     "rows": len(traj.times),
+                    "bits": traj.times.tobytes() + traj.states.tobytes(),
                 })
     return results
 
@@ -138,10 +140,16 @@ def test_criterion_4_step_counts(oracle_runs):
     # the steps DOP853 takes on all 1000 runs: a change of the tableau, the
     # error norm or the controller moves this total; a change of the
     # recording moves the rows (one run of 160 accepted steps reaches the
-    # 160-row cap and is thinned to 81 rows)
+    # 160-row cap and is thinned to 81 rows); a change of any rounding in the
+    # stepper or the field moves the SHA-256 of every run's times and states
     accepted, rejected = np.sum([r["steps"] for r in oracle_runs], axis=0)
     assert (accepted, rejected) == (63554, 404)
     assert sum(r["rows"] for r in oracle_runs) == 64474
+    digest = hashlib.sha256()
+    for r in oracle_runs:
+        digest.update(r["bits"])
+    assert digest.hexdigest() == (
+        "eabb5b07dc678ab499eec1db6e4b35d5ac607182291ec53268d8011c948f097e")
 
 
 def test_criterion_5_invariant_suite(example_runs, oracle_runs):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -434,6 +435,19 @@ class TestStepCounts:
             "-0x1.2d8a92c1e1895p+4"],
             ("0x1.082304bcc9eefp+15", "0x1.26975ae644e44p-18", "0x1.eac93549ec7e2p-32")),
     }
+
+    # the dense kernel's (accepted, rejected) steps, recorded rows, final
+    # time as float.hex and SHA-256 of times and states, on a seeded 8x8 at
+    # t_max=2: a change of any rounding in the stepper or the field moves them
+    DENSE_PINNED = ((157, 6), 158, "0x1.0000000000000p+1",
+                    "6fc0c2fbb7318239d6ba37851301a99a6bdc7e02209d298b48931e422a54a1f4")
+
+    def test_dense_run_ends_on_the_pinned_bits(self, monkeypatch):
+        steps = count_steps(monkeypatch, "integrate_dense_kernel")
+        H = np.random.default_rng(3).normal(size=(8, 8))
+        traj = flow.integrate_dense(0.5 * (H + H.T), flow.IntegratorConfig(t_max=2.0))
+        digest = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+        assert (steps[0], len(traj.times), traj.times[-1].hex(), digest) == self.DENSE_PINNED
 
     @pytest.mark.parametrize("max_rows,rows", [(2, 2), (3, 3), (7, 5)])
     def test_row_cap_keeps_the_pinned_rows(self, max_rows, rows):

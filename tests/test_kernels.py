@@ -288,7 +288,7 @@ class TestSumsInLoopOrder:
         for n in (1, 3, 8):
             H = rng.normal(size=(n, n))
             H = 0.5 * (H + H.T)
-            rhs, resid2 = jacobi._dense_field()
+            rhs, resid2 = jacobi._dense_field(n)
             rhs(H)
             assert resid2() == _dense_resid2(H)
 
