@@ -11,10 +11,10 @@ for both state shapes. Both run through one driver, ``_run``, which owns the
 units: it runs the state divided by its unit c (||a0||, or ||H0||_F / sqrt(2)
 for a matrix) in tau = c^2 t, resolves eq_eps, returns equilibria as
 stationary trajectories, calls the kernel, turns a non-finite state into
-NonConvergence, and maps times and states back; the kernel itself raises
-NonConvergence for a step below its floor or a spent step budget
-(``kernels.MAX_STEPS``). The trajectory derives its diagnostics from the
-unit rows when first read, with its class's per-row functions.
+NonConvergence, and maps times back; the kernel itself raises NonConvergence
+for a step below its floor or a spent step budget (``kernels.MAX_STEPS``).
+The trajectory stores the kernel's rows and x0; its class's chart and
+per-row functions derive states, unit rows and diagnostics when first read.
 ``integrate`` hands ``kernels.integrate_offdiag_kernel`` v = log|a0 / c|
 (the log-magnitude chart) in tau; the kernel steps log b^2 = 2 v in 2 tau,
 the Volterra lattice, and returns v and tau, to the bit those of stepping v.
@@ -90,22 +90,24 @@ class IntegratorConfig:
             raise ValidationFailure("tol must be positive and finite")
         if self.eq_eps is not None and not 0 <= self.eq_eps < np.inf:
             raise ValidationFailure("eq_eps must be nonnegative and finite")
-        # a float would reach np.empty; a bool is an int below 2
+        # a non-integral cap never equals the kernel's row count, so its rows
+        # would never be thinned; a bool is an int below 2
         if not (isinstance(self.max_rows, numbers.Integral) and self.max_rows >= 2):
             raise ValidationFailure("max_rows must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Sampled off-diagonal states. The per-sample diagnostics are computed
-    once, on first read, from the unit rows by the per-shape _lyapunov,
-    _residuals and _drift, and mapped back by c^2, c^2 and c: f_values
-    (Lyapunov values), k_norms (residuals) and spec_drift (largest deviation
-    from the t=0 spectrum; 0 on row 0 and on a stationary input)."""
+    """Sampled off-diagonal states. Stored: the kernel's rows and x0. Derived
+    once, on first read: unit_states = sign(x0) exp(rows), states = c times
+    them with row 0 x0, and from the unit rows by the per-shape _lyapunov,
+    _residuals and _drift, mapped back by c^2, c^2 and c: f_values (Lyapunov
+    values), k_norms (residuals) and spec_drift (largest deviation from the
+    t=0 spectrum; 0 on row 0 and on a stationary input)."""
 
     times: np.ndarray  # strictly increasing, starts at 0
-    states: np.ndarray  # (m, n-1)
-    unit_states: np.ndarray  # the kernel's rows; states is c times them, row 0 x0
+    rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
+    x0: np.ndarray  # the input
     c: float  # the run's unit
     status: str  # converged | horizon_reached | stationary_input
     config: IntegratorConfig
@@ -114,11 +116,21 @@ class FlowTrajectory:
 
     @property
     def n(self) -> int:
-        return self.states.shape[1] + 1
+        return self.rows.shape[1] + 1
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    @cached_property
+    def unit_states(self) -> np.ndarray:
+        return np.sign(self.x0) * np.exp(self.rows)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states = self.c * self.unit_states
+        states[0] = self.x0
+        return states
 
     @cached_property
     def f_values(self) -> np.ndarray:
@@ -131,7 +143,7 @@ class FlowTrajectory:
     @cached_property
     def spec_drift(self) -> np.ndarray:
         if self.spectrum is None:
-            return np.zeros(len(self.unit_states))
+            return np.zeros(len(self.rows))
         drift = self._drift(self.unit_states, self.spectrum.values / self.c)
         drift[0] = 0.0
         return self.c * drift
@@ -147,16 +159,18 @@ class FlowTrajectory:
 
 
 class DenseTrajectory(FlowTrajectory):
-    """Sampled dense symmetric states (experimental mode); states is (m, n, n)."""
+    """Sampled dense symmetric states (experimental mode); rows is H / c, (m, n, n)."""
 
     @property
     def n(self) -> int:
-        return self.states.shape[1]
+        return self.rows.shape[1]
+
+    unit_states = property(lambda self: self.rows)  # H / c is its own chart
 
     @property
     def final_blocks(self) -> list:
         """Block sizes of the final state; couplings below 1e-6 max|H0| are 0."""
-        return block_structure(self.states[-1], 1e-6 * float(np.abs(self.states[0]).max()))
+        return block_structure(self.states[-1], 1e-6 * float(np.abs(self.x0).max()))
 
     @staticmethod
     def _lyapunov(states):
@@ -183,16 +197,16 @@ _TINY = float(np.finfo(np.float64).tiny)
 _UNIT_EIG_TOL = default_eig_tol(math.sqrt(2.0))
 
 
-def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
+def _run(cls, x0, cfg, c, y0, kernel, reference):
     """Integrate x0 / c in tau = c^2 t; return the cls trajectory in x0's units.
 
     c is the input's unit and y0 the kernel state of x0 / c. The kernel,
     reference() (the t=0 Spectrum in x0's units, after any check that needs
-    it) and rows(states) (the unit rows the kernel states encode) carry what
+    it) and cls (whose chart reads states off the kernel's rows) carry what
     depends on the state's shape. Only here are t_max and eq_eps mapped into
-    tau and the unit residual, and times and states (row 0 is x0 itself)
-    mapped back. An input whose c^2, n c^2 or c^2 t_max is not a finite
-    normal float is rejected; one whose unit residual is already
+    tau and the unit residual, and times mapped back; the trajectory keeps
+    the kernel's rows and x0. An input whose c^2, n c^2 or c^2 t_max is not
+    a finite normal float is rejected; one whose unit residual is already
     <= eq_eps / c^2 (every n = 1 input) is a one-row stationary_input
     trajectory, not integrated. A run that diverges to a non-finite state
     raises NonConvergence here; the kernel raises its own step failures.
@@ -210,30 +224,25 @@ def _run(cls, x0, cfg, c, y0, kernel, reference, rows):
     eq_unit = _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps / c2
     # the threshold the run applies, in x0's units: a unit residual k <=
     # eq_unit stores as c2 * k <= c2 * eq_unit, since rounding is monotone
-    fields = dict(c=c, config=cfg, eq_eps=c2 * eq_unit)
+    fields = dict(x0=x0.copy(), c=c, config=cfg, eq_eps=c2 * eq_unit)
 
-    row0 = rows(y0[None].copy())
+    still = cls(times=np.zeros(1), rows=y0[None], status="stationary_input", **fields)
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
-    if cls._residuals(row0)[0] <= eq_unit:
-        return cls(times=np.zeros(1), states=x0[None].copy(), unit_states=row0,
-                   status="stationary_input", **fields)
+    if cls._residuals(still.unit_states)[0] <= eq_unit:
+        return still
 
     spectrum = reference()
     with np.errstate(over="ignore", invalid="ignore"):
-        times, states, _, status, _, _ = kernel(
+        times, rows, _, status, _, _ = kernel(
             y0, tau_max, cfg.tol, eq_unit, cfg.max_rows)
-        unit_states = rows(states)
-    if not np.all(np.isfinite(unit_states)):
-        raise NonConvergence("run diverged to a non-finite state; tighten tolerances")
-
-    times = times / c2
+        traj = cls(times=times / c2, rows=rows, status=status, spectrum=spectrum,
+                   **fields)
+        if not np.all(np.isfinite(traj.unit_states)):
+            raise NonConvergence("run diverged to a non-finite state; tighten tolerances")
     if status == kernels.STATUS_HORIZON:
-        times[-1] = cfg.t_max
-    states = c * unit_states
-    states[0] = x0
-    return cls(times=times, states=states, unit_states=unit_states,
-               status=status, spectrum=spectrum, **fields)
+        traj.times[-1] = cfg.t_max
+    return traj
 
 
 def integrate(a0, cfg: IntegratorConfig | None = None, *,
@@ -245,14 +254,13 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     already an equilibrium (residual <= eq_eps) yields a single-row
     stationary_input trajectory without integrating.
 
-    With c = ||a0|| and s = sign(a0), the kernel steps v = log|a0 / c| in
-    tau = c^2 t and the unit rows are s exp(v); ``_run`` maps the units.
+    With c = ||a0||, the kernel steps v = log|a0 / c| in tau = c^2 t, and the
+    trajectory keeps v as its rows; ``_run`` maps the units.
     """
     cfg = cfg or IntegratorConfig()
     a0 = as_offdiag(a0)
     n = a0.size + 1
     c = scaled_norm(a0) or 1.0  # any unit serves the zero vector, a fixed point
-    sign = np.sign(a0)
     with np.errstate(divide="ignore"):
         v0 = np.log(np.abs(a0) / c)
 
@@ -263,7 +271,7 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
         return spectrum_zero_diag(a0)
 
     return _run(FlowTrajectory, a0, cfg, c, v0, kernels.integrate_offdiag_kernel,
-                reference, lambda V: sign * np.exp(V))
+                reference)
 
 
 def block_structure(H: np.ndarray, threshold: float) -> list:
@@ -292,4 +300,4 @@ def integrate_dense(H0, cfg: IntegratorConfig | None = None) -> DenseTrajectory:
     # ||H0||_F / sqrt(2) is ||a0|| when H0 embeds a0; any unit serves H0 = 0
     c = scaled_norm(H0) / math.sqrt(2.0) or 1.0
     return _run(DenseTrajectory, H0, cfg, c, H0 / c, kernels.integrate_dense_kernel,
-                lambda: make_spectrum(np.linalg.eigvalsh(H0)), lambda states: states)
+                lambda: make_spectrum(np.linalg.eigvalsh(H0)))

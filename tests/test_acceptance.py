@@ -141,7 +141,9 @@ def test_criterion_4_step_counts(oracle_runs):
     # error norm or the controller moves this total; a change of the
     # recording moves the rows (one run of 160 accepted steps reaches the
     # 160-row cap and is thinned to 81 rows); a change of any rounding in the
-    # stepper or the field moves the SHA-256 of every run's times and states
+    # stepper or the field moves the SHA-256 of every run's times and states.
+    # The SHA holds for numpy's AVX-512 (X86_V4) float64 exp loop; its AVX2
+    # (X86_V3) loop returns other bits, and the steps move with them
     accepted, rejected = np.sum([r["steps"] for r in oracle_runs], axis=0)
     assert (accepted, rejected) == (63554, 404)
     assert sum(r["rows"] for r in oracle_runs) == 64474

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,36 @@ class TestIntegrate:
 def _rng3_symmetric(n):
     H = np.random.default_rng(3).normal(size=(n, n))
     return 0.5 * (H + H.T)
+
+
+class TestKeptChart:
+    """The trajectory keeps the kernel's rows v = log|a / c|; its unit rows
+    and states are read off them."""
+
+    def test_underflowed_entries_keep_their_log_magnitude(self):
+        # exp(v) underflows to 0 below v = -745; the row keeps v itself
+        traj = flow.integrate(EX3)
+        zeros = traj.states == 0.0
+        assert zeros.sum() == 5
+        assert np.all(np.isfinite(traj.rows[zeros]))
+        assert np.all(traj.rows[zeros] < -745.0)
+
+    def test_states_are_read_off_the_rows(self):
+        a0 = EX3.copy()
+        traj = flow.integrate(a0)
+        a0[:] = 1.0  # the trajectory holds its own copy of the input
+        unit = np.sign(EX3) * np.exp(traj.rows)
+        assert traj.unit_states.tobytes() == unit.tobytes()
+        assert traj.states[0].tobytes() == EX3.tobytes()
+
+    def test_zero_entry_stays_minus_infinity_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = flow.integrate([1.0, 0.0, 0.5, 2.0], validate=False)
+            derived = (traj.states, traj.f_values, traj.k_norms, traj.spec_drift)
+        assert np.all(traj.rows[:, 1] == -np.inf)
+        assert np.all(traj.states[:, 1] == 0.0)
+        assert all(np.all(np.isfinite(x)) for x in derived)
 
 
 class TestInvariants:
@@ -412,7 +443,11 @@ class TestStepCounts:
 
     # (recorded rows, final time, final state, (last Lyapunov value, last
     # residual, largest drift)) of the default run, as float.hex: a change of
-    # any rounding in the stepper or the diagnostics moves them
+    # any rounding in the stepper or the diagnostics moves them. The bits
+    # hold for numpy's AVX-512 (X86_V4) float64 exp loop, the one numpy
+    # dispatches to on a CPU that has it; its AVX2 (X86_V3) loop returns
+    # other bits, which move the final times and states (see
+    # test_examples_end_near_the_pinned_state)
     PINNED = {
         "ex1": (40, "0x1.153c089757c79p-1", [
             "0x1.41739b378ea72p+0", "-0x1.ef28b1742ff38p-44", "-0x1.fdb01d6420febp+2"],
@@ -438,7 +473,9 @@ class TestStepCounts:
 
     # the dense kernel's (accepted, rejected) steps, recorded rows, final
     # time as float.hex and SHA-256 of times and states, on a seeded 8x8 at
-    # t_max=2: a change of any rounding in the stepper or the field moves them
+    # t_max=2: a change of any rounding in the stepper or the field moves them.
+    # The dense field calls no exp, so they hold on numpy's AVX-512 (X86_V4)
+    # and AVX2 (X86_V3) dispatch alike
     DENSE_PINNED = ((157, 6), 158, "0x1.0000000000000p+1",
                     "6fc0c2fbb7318239d6ba37851301a99a6bdc7e02209d298b48931e422a54a1f4")
 
@@ -465,6 +502,19 @@ class TestStepCounts:
         assert [x.hex() for x in traj.final_state] == final
         assert (traj.f_values[-1].hex(), traj.k_norms[-1].hex(),
                 traj.spec_drift.max().hex()) == diagnostics
+
+    # the same runs, pinned so that numpy's exp dispatch does not matter:
+    # with its AVX-512 loop switched off (NPY_DISABLE_CPU_FEATURES="AVX512_SPR
+    # AVX512_ICL X86_V4") the rows stay and the final state moves by 8.5e-15,
+    # 2.0e-13 and 1.3e-15 ||a0||; the final time moves (ex1 0.5415 -> 0.5573,
+    # ex2 3.3527 -> 3.3426), so it is not pinned here
+    @pytest.mark.parametrize("name,a0", [("ex1", EX1), ("ex2", EX2), ("ex3", EX3)])
+    def test_examples_end_near_the_pinned_state(self, name, a0):
+        rows, _, final, _ = self.PINNED[name]
+        traj = flow.integrate(a0)
+        assert len(traj.times) == rows
+        dev = np.abs(traj.final_state - [float.fromhex(x) for x in final]).max()
+        assert dev <= 2e-12 * np.linalg.norm(a0)
 
 
 class TestAccuracy:
