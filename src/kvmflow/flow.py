@@ -103,7 +103,8 @@ class FlowTrajectory:
     them with row 0 x0, and from the unit rows by the per-shape _lyapunov,
     _residuals and _drift, mapped back by c^2, c^2 and c: f_values (Lyapunov
     values), k_norms (residuals) and spec_drift (largest deviation from the
-    t=0 spectrum; 0 on row 0 and on a stationary input)."""
+    t=0 spectrum; 0 on row 0, which is not solved, and on a stationary
+    input)."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
@@ -142,11 +143,11 @@ class FlowTrajectory:
 
     @cached_property
     def spec_drift(self) -> np.ndarray:
-        if self.spectrum is None:
-            return np.zeros(len(self.rows))
-        drift = self._drift(self.unit_states, self.spectrum.values / self.c)
-        drift[0] = 0.0
-        return self.c * drift
+        drift = np.zeros(len(self.rows))
+        if self.spectrum is not None and len(drift) > 1:
+            drift[1:] = self.c * self._drift(self.unit_states[1:],
+                                             self.spectrum.values / self.c)
+        return drift
 
     # a lambda looks its function up per call, so module wrappers see each call
     _lyapunov = staticmethod(lambda rows: lyapunov_f_offdiag(rows))

@@ -339,69 +339,79 @@ def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows):
 _MAX_BISECT = 128
 
 
-def _sturm_counter(diag, e2, pivmin, shape):
+def _sturm_counter(diag, e2T, pivmin, shape, flat):
     """Return count(x): the number of eigenvalues <= x for each entry of x.
 
     Counts negative pivots of the LDL^T recurrence, zeros forced negative
     (LAPACK convention). x has the given shape (m, k), one row per
-    off-diagonal row. The scratch arrays are allocated once here, and count
-    returns the same buffer on every call.
+    off-diagonal row; e2T is the squared off-diagonal as (n-1, m, 1). With
+    flat (every diagonal entry has the bits of the first) d_i - x is formed
+    once, so each pivot is one subtraction from it. The scratch arrays are
+    allocated once here, and count returns the same buffer on every call.
     """
-    e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
     neg_pivmin = -pivmin
     q = np.empty(shape)
     t = np.empty(shape)
+    dx = np.empty(shape) if flat else None
     flag = np.empty(shape, dtype=bool)
     cnt = np.empty(shape, dtype=np.int64)
 
-    def clamp_and_count():
-        np.abs(q, out=t)
-        np.less(t, pivmin, out=flag)
-        np.copyto(q, neg_pivmin, where=flag)
-        np.less_equal(q, 0.0, out=flag)
-        np.add(cnt, flag, out=cnt)
-
     def count(x):
+        if flat:
+            np.subtract(diag[0], x, out=dx)
+            np.copyto(q, dx)
+        else:
+            np.subtract(diag[0], x, out=q)
         cnt.fill(0)
-        np.subtract(diag[0], x, out=q)
-        clamp_and_count()
-        for i in range(1, e2T.shape[0] + 1):
-            np.divide(e2T[i - 1], q, out=t)
-            np.subtract(diag[i], x, out=q)
-            np.subtract(q, t, out=q)
-            clamp_and_count()
+        for i in range(len(diag)):
+            if i:
+                np.divide(e2T[i - 1], q, out=t)
+                if flat:
+                    np.subtract(dx, t, out=q)
+                else:
+                    np.subtract(diag[i], x, out=q)
+                    np.subtract(q, t, out=q)
+            np.abs(q, out=t)
+            np.less(t, pivmin, out=flag)
+            np.copyto(q, neg_pivmin, where=flag)
+            np.less_equal(q, 0.0, out=flag)
+            np.add(cnt, flag, out=cnt)
         return cnt
 
     return count
 
 
-def _newton_sweep(diag, e2, x):
+def _newton_sweep(diag, e2T, x, flat):
     """One Newton step x - det/det' on det(T - x I), for each entry of x.
 
-    x has shape (m, k), one row per off-diagonal row. det'/det is the sum of
-    u_i = q_i'/q_i over the LDL^T pivots q_i = d_i - x - t_i, with
-    t_i = e_{i-1}^2 / q_{i-1} and q_i' = t_i u_{i-1} - 1. A zero pivot gives
-    a non-finite step; the caller then keeps the guess itself, for its Sturm
-    counts to certify or reject.
+    x has shape (m, k), one row per off-diagonal row, and e2T, flat are as
+    for :func:`_sturm_counter`. det'/det is the sum of u_i = q_i'/q_i over
+    the LDL^T pivots q_i = d_i - x - t_i, with t_i = e_{i-1}^2 / q_{i-1} and
+    q_i' = t_i u_{i-1} - 1. A zero pivot gives a non-finite step; the caller
+    then keeps the guess itself, for its Sturm counts to certify or reject.
     """
-    e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
     with np.errstate(all="ignore"):
-        q = diag[0] - x
+        dx = diag[0] - x
+        q = dx
         u = -1.0 / q
         s = u.copy()
         t = np.empty_like(x)
+        p = np.empty_like(x)
         for i in range(e2T.shape[0]):
             np.divide(e2T[i], q, out=t)
             np.multiply(t, u, out=u)
             u -= 1.0
-            np.subtract(diag[i + 1], x, out=q)
-            q -= t
+            if flat:
+                q = np.subtract(dx, t, out=p)
+            else:
+                q = np.subtract(diag[i + 1], x, out=p)
+                q -= t
             u /= q
             s += u
         return x - 1.0 / s
 
 
-def _bisect(diag, e2, pivmin, lo, hi, need, tol):
+def _bisect(diag, e2T, pivmin, lo, hi, need, tol, flat):
     """Bisect each bracket [lo, hi] of shape (m, k) onto its need-th eigenvalue.
 
     Returns the midpoints. Each pass counts eigenvalues at the midpoint of
@@ -409,7 +419,7 @@ def _bisect(diag, e2, pivmin, lo, hi, need, tol):
     until the widest bracket of the batch is at most 2*tol wide; a bracket
     still wider after _MAX_BISECT halvings raises NonConvergence.
     """
-    count = _sturm_counter(diag, e2, pivmin, lo.shape)
+    count = _sturm_counter(diag, e2T, pivmin, lo.shape, flat)
     spent = 0
     while spent < _MAX_BISECT and (hi - lo).max(initial=0.0) > 2.0 * tol:
         x = (lo + hi) * 0.5
@@ -433,11 +443,14 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     A zero diagonal gives a (+/-)-symmetric spectrum: only the floor(n/2)
     nonnegative eigenvalues are solved for, on [0, Gershgorin bound], and
     mirrored; odd n gets an exact 0 in the middle. Otherwise all n
-    eigenvalues are solved for on the Gershgorin interval.
+    eigenvalues are solved for on the Gershgorin interval. A diagonal whose
+    entries all have the bits of the first (every zero diagonal the package
+    solves; not one that mixes 0.0 and -0.0) has d_i - x formed once per
+    sweep rather than once per pivot: the same operands, the same bits.
 
     Without a guess each eigenvalue is bisected (Barth, Martin & Wilkinson,
     Numer. Math. 9, 1967): one pass of Sturm counts halves every bracket of
-    the batch.
+    the batch. The Gershgorin brackets are built for the bisected rows only.
 
     guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
     starts one Newton step x = g - det/det' on det(T - x I) from each one; a
@@ -446,50 +459,49 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
     eigenvalue, however far the step moved, since they prove it within tol
     and bisection is no more accurate. A row with any entry not certified is
     bisected as without a guess, so every value is within tol of its
-    eigenvalue.
+    eigenvalue. The rows are solved independently: a row's values do not
+    depend on the other rows of the batch, unless it is bisected.
     """
     m, nm1 = offdiags.shape
     n = nm1 + 1
     e2 = offdiags * offdiags
+    e2T = np.ascontiguousarray(e2.T)[:, :, None]  # (n-1, m, 1)
     pivmin = 1.0e-292 * np.maximum(1.0, e2.max(axis=1, initial=0.0))[:, None]
-
-    rad = np.zeros((m, n))
-    rad[:, :-1] += np.abs(offdiags)
-    rad[:, 1:] += np.abs(offdiags)
-    lo0 = (diag[None, :] - rad).min(axis=1)
-    hi0 = (diag[None, :] + rad).max(axis=1)
-    bound = np.maximum(np.abs(lo0), np.abs(hi0))
-    pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
-    lo0 -= pad
-    hi0 += pad
-
+    bits = diag.view(np.int64)
+    flat = bool((bits == bits[0]).all())
     zero_diag = not np.any(diag)
-    if zero_diag:
-        # the bisection's first midpoint would be exactly 0, which puts every
-        # positive eigenvalue in [0, hi0]
-        k = n // 2
-        need = np.arange(n - k + 1, n + 1)
-        lo0[:] = 0.0
-    else:
-        k = n
-        need = np.arange(1, n + 1)
+    k = n // 2 if zero_diag else n
+    need = np.arange(n - k + 1, n + 1)
 
-    mid = np.empty((m, k))
     cold = np.ones(m, dtype=bool)
     if guess is not None and k:
-        g = np.broadcast_to(guess, (m, n))[:, need - 1]
-        x = _newton_sweep(diag, e2, g)
-        x = np.where(np.isfinite(x), x, g)
-        ends = np.concatenate([x - tol, x + tol], axis=1)
-        cnt = _sturm_counter(diag, e2, pivmin, ends.shape)(ends)
+        g = np.empty((m, k))
+        g[...] = guess[..., need - 1]
+        x = _newton_sweep(diag, e2T, g, flat)
+        mid = np.where(np.isfinite(x), x, g)
+        ends = np.concatenate([mid - tol, mid + tol], axis=1)
+        cnt = _sturm_counter(diag, e2T, pivmin, ends.shape, flat)(ends)
         holds = (cnt[:, :k] < need) & (cnt[:, k:] >= need)
         cold = ~holds.all(axis=1)
-        mid[~cold] = x[~cold]
+    else:
+        mid = np.empty((m, k))
 
     if cold.any():
-        lo = np.repeat(lo0[cold, None], k, axis=1)
-        hi = np.repeat(hi0[cold, None], k, axis=1)
-        mid[cold] = _bisect(diag, e2[cold], pivmin[cold], lo, hi, need, tol)
+        off = np.abs(offdiags[cold])
+        rad = np.zeros((len(off), n))
+        rad[:, :-1] += off
+        rad[:, 1:] += off
+        lo0 = (diag[None, :] - rad).min(axis=1)
+        hi0 = (diag[None, :] + rad).max(axis=1)
+        bound = np.maximum(np.abs(lo0), np.abs(hi0))
+        pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
+        # on a zero diagonal the bisection's first midpoint would be exactly
+        # 0, which puts every positive eigenvalue in [0, hi0]
+        lo0 = np.zeros_like(lo0) if zero_diag else lo0 - pad
+        hi0 += pad
+        lo = np.repeat(lo0[:, None], k, axis=1)
+        hi = np.repeat(hi0[:, None], k, axis=1)
+        mid[cold] = _bisect(diag, e2T[:, cold], pivmin[cold], lo, hi, need, tol, flat)
     if not zero_diag:
         return mid
     eigs = np.zeros((m, n))

@@ -24,7 +24,6 @@ from .jacobi import (
     map_N,
     rhs_componentwise,
     rhs_matrix,
-    scaled_norm,
 )
 from .spectral import (
     Spectrum,
@@ -77,10 +76,11 @@ REFERENCE_SPECTRUM = 1e-9  # scale: ||a0||^2, on the sum of squared eigenvalues
 def trajectory_checks(traj, a0: np.ndarray) -> list:
     """Invariant checks shared by verify_run and the acceptance suite.
 
-    Squares are taken of the states divided by ||a0||, so no check under- or
+    traj is integrate(a0), whose unit c is ||a0||. Squares are taken of the
+    trajectory's unit rows, the states in units of c, so no check under- or
     overflows where the run itself did not.
     """
-    scale = scaled_norm(a0)
+    scale = traj.c
     sq = scale * scale
     checks = []
 
@@ -88,7 +88,7 @@ def trajectory_checks(traj, a0: np.ndarray) -> list:
     checks.append(Check("spectral_drift", drift <= SPEC_DRIFT * scale,
                         drift, SPEC_DRIFT * scale))
 
-    unit_rows = traj.states / scale
+    unit_rows = traj.unit_states
     norms = scale * np.sqrt(np.sum(unit_rows * unit_rows, axis=1))
     norm_dev = float(np.abs(norms - scale).max())
     checks.append(Check("frobenius_conservation", norm_dev <= NORM_DRIFT * scale,
@@ -142,7 +142,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
             meta=meta,
         )
 
-    scale = scaled_norm(a0)
+    scale = traj.c
     sq = scale * scale
     checks = trajectory_checks(traj, a0)
 

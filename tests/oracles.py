@@ -14,6 +14,12 @@ it, independent of the package's stage buffer and stage matrix.
 sweep, with the package's Gershgorin brackets, stopping rule and Sturm
 count, written as a loop over the pivots with no preallocated buffers; its
 results are the bits the package's cold solve must reproduce.
+
+``newton_certify`` is the warm start written out one entry at a time: one
+Newton step on det(T - x I) from each guess, then the two Sturm counts at
+x -/+ tol, with the package's clamp and order of operations and no
+preallocated buffers; its results are the bits of every certified row of
+the package's warm solve.
 """
 
 import numpy as np
@@ -257,3 +263,76 @@ def bisect_sturm(diag, offdiags, tol, perturb=None):
     eigs[:, n - k:] = mid
     eigs[:, :k] = -mid[:, ::-1]
     return eigs, ok, halvings
+
+
+def _scalar_newton(diag, e2, x):
+    """x - det/det' for one entry: det'/det = sum of u_i = q_i' / q_i over the
+    pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1}, q_i' = t_i u_{i-1} - 1."""
+    q = diag[0] - x
+    u = -1.0 / q
+    s = u
+    for i in range(1, diag.size):
+        t = e2[i - 1] / q
+        u = t * u - 1.0
+        q = (diag[i] - x) - t
+        u = u / q
+        s = s + u
+    return x - 1.0 / s
+
+
+def _scalar_count(diag, e2, pivmin, x):
+    """Eigenvalues <= x for one entry: pivots below pivmin in size count as
+    -pivmin, then a pivot <= 0 counts."""
+    cnt = 0
+    q = diag[0] - x
+    for i in range(diag.size):
+        if i:
+            q = (diag[i] - x) - e2[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        cnt += q <= 0.0
+    return cnt
+
+
+def _squares(row):
+    return [np.float64(e) * np.float64(e) for e in row]
+
+
+def newton_step(diag, offdiags, x):
+    """One Newton step from each entry of x (m, k), row r on offdiags[r]."""
+    diag = np.asarray(diag, dtype=np.float64)
+    out = np.empty(x.shape)
+    with np.errstate(all="ignore"):
+        for r, row in enumerate(offdiags):
+            e2 = _squares(row)
+            for j, xj in enumerate(x[r]):
+                out[r, j] = _scalar_newton(diag, e2, np.float64(xj))
+    return out
+
+
+def newton_certify(diag, offdiags, tol, guess):
+    """One certified Newton step per eigenvalue for a batch (m, n-1).
+
+    guess is (n,) or (m, n). Returns (x, certified): x (m, k) the Newton
+    values (the guess where the step is not finite) of the eigenvalues the
+    solver takes, the floor(n/2) largest on a zero diagonal and all n
+    otherwise, and certified (m,) whether the counts at x - tol and x + tol
+    hold every one of them in its row.
+    """
+    m, nm1 = offdiags.shape
+    n = nm1 + 1
+    diag = np.asarray(diag, dtype=np.float64)
+    k = n // 2 if not np.any(diag) else n
+    need = np.arange(n - k + 1, n + 1)
+    g = np.broadcast_to(guess, (m, n))[:, need - 1]
+    step = newton_step(diag, offdiags, g)
+    x = np.where(np.isfinite(step), step, g)
+    certified = np.ones(m, dtype=bool)
+    for r, row in enumerate(offdiags):
+        e2 = _squares(row)
+        pivmin = np.float64(1.0e-292) * max([np.float64(1.0), *e2])
+        for j in range(k):
+            lo = _scalar_count(diag, e2, pivmin, x[r, j] - tol)
+            hi = _scalar_count(diag, e2, pivmin, x[r, j] + tol)
+            certified[r] &= lo < need[j] <= hi
+    return x, certified

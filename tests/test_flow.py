@@ -304,6 +304,39 @@ class TestSpectralDrift:
             self._assert_drift_matches_eigvalsh(traj, a0)
 
 
+class TestDriftSkipsRowZero:
+    """Row 0 is the input, whose drift is 0 by definition: spec_drift hands
+    the solver rows 1 ... m-1 only, and they keep the bits that solving all
+    m rows gives them (the rows of a batch are solved independently)."""
+
+    def test_flow_trajectory(self, monkeypatch, ex2):
+        traj = flow.integrate(ex2, flow.IntegratorConfig(t_max=0.5))
+        calls = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
+        drift = traj.spec_drift
+        assert [len(args[0]) for args in calls] == [len(traj.rows) - 1]
+        assert drift[0] == 0.0
+        every_row = traj._drift(traj.unit_states, traj.spectrum.values / traj.c)
+        assert drift[1:].tobytes() == (traj.c * every_row[1:]).tobytes()
+
+    def test_dense_trajectory(self, monkeypatch, ex2):
+        traj = flow.integrate_dense(jacobi.embed(ex2), flow.IntegratorConfig(t_max=0.5))
+        calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        drift = traj.spec_drift
+        assert [len(args[0]) for args in calls] == [len(traj.rows) - 1]
+        assert drift[0] == 0.0
+        every_row = traj._drift(traj.unit_states, traj.spectrum.values / traj.c)
+        assert drift[1:].tobytes() == (traj.c * every_row[1:]).tobytes()
+
+    def test_stationary_trajectories_read_zero(self, monkeypatch):
+        flat = flow.integrate([2.0, 0.0, -3.0])
+        dense = flow.integrate_dense(np.diag([1.0, -2.0, 3.0]))
+        calls = _counting(monkeypatch, flow, "batch_eigenvalues_zero_diag")
+        for traj in (flat, dense):
+            assert traj.status == "stationary_input"
+            assert traj.spec_drift.tolist() == [0.0]
+        assert calls == []
+
+
 @st.composite
 def _oracle_input(draw):
     """n in 3..8, entries +-U[0.5, 10], squared magnitudes (and, for odd n,
@@ -535,12 +568,13 @@ class TestAccuracy:
 
 
 def _counting(monkeypatch, module, name):
-    """Replace module.name with a wrapper that counts its calls."""
+    """Replace module.name with a wrapper that records the positional
+    arguments of each call."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)

@@ -4,7 +4,8 @@ the DOP853 tableau and step, recording and the stepper's stop rules.
 The Sturm eigensolver is checked against LAPACK (``numpy.linalg.eigvalsh``,
 or ``eigh`` where an off-diagonal entry may be tiny), cold and
 warm-started; its cold results are pinned bit for bit to plain one-midpoint
-bisection (``oracles.bisect_sturm``).
+bisection (``oracles.bisect_sturm``), its warm ones to a scalar loop of one
+Newton step and two Sturm counts per eigenvalue (``oracles.newton_certify``).
 The stepper's vectorised error norm and residuals must add their terms in the
 order of a scalar loop, so they are pinned bit for bit to loop references.
 """
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from kvmflow import jacobi, kernels
 from kvmflow.errors import NonConvergence
 
-from oracles import bisect_sturm, dop853_step
+from oracles import bisect_sturm, dop853_step, newton_certify, newton_step
 
 
 class TestLaneSelection:
@@ -147,6 +148,10 @@ class TestSturmBisection:
             np.testing.assert_array_equal(kernels.sturm_batch(d, E, tol), want)
 
 
+def _no_bisection(*args):
+    raise AssertionError("a row that should certify was bisected")
+
+
 class TestSturmWarmStart:
     """Drift rows: a batch near a0, warm-started from a0's spectrum."""
 
@@ -180,11 +185,12 @@ class TestSturmWarmStart:
         newton = []
         sweep = kernels._newton_sweep
 
-        def counted_newton(diag, e2, x):
+        def counted_newton(diag, e2T, x, flat):
             newton.append(x.shape)
-            return sweep(diag, e2, x)
+            return sweep(diag, e2T, x, flat)
 
         monkeypatch.setattr(kernels, "_newton_sweep", counted_newton)
+        monkeypatch.setattr(kernels, "_bisect", _no_bisection)
         warm = self._solve(rows, tol, guess=ref)
         k = n // 2
         assert newton == [(len(rows), k)]
@@ -198,9 +204,10 @@ class TestSturmWarmStart:
         a = np.array([[0.75]])
         tol = 1e-12 * (1 + np.sqrt(2.0) * 0.75)
         guess = np.array([-0.75, 0.75 * (1.0 + 1e-6)])
-        newton = kernels._newton_sweep(np.zeros(2), a * a, guess[None, 1:])
+        newton = kernels._newton_sweep(np.zeros(2), (a * a)[:, :, None], guess[None, 1:],
+                                       True)
         assert abs(newton[0, 0] - 0.75) <= tol
-        monkeypatch.setattr(kernels, "_bisect", None)  # a cold solve would fail
+        monkeypatch.setattr(kernels, "_bisect", _no_bisection)
         np.testing.assert_array_equal(self._solve(a, tol, guess=guess),
                                       [[-newton[0, 0], newton[0, 0]]])
 
@@ -243,6 +250,68 @@ class TestSturmWarmStart:
         assert np.abs(warm - self._solve(rows, tol)).max() <= 2 * tol
         for row, e in zip(warm, rows):
             assert np.abs(row - np.linalg.eigvalsh(jacobi.embed(e))).max() <= 3 * tol
+
+
+class TestSturmWarmBits:
+    """Warm solves against oracles.newton_certify, bit for bit: a certified
+    row holds its Newton values, and the rows that are not are bisected
+    together as a cold batch. A diagonal whose entries share the first one's
+    bits forms d_i - x once per sweep; the oracle forms it per pivot."""
+
+    DIAGONALS = {
+        "zero": lambda n, rng: np.zeros(n),
+        "signed_zeros": lambda n, rng: np.where(np.arange(n) % 2 == 1, -0.0, 0.0),
+        "constant": lambda n, rng: np.full(n, 0.625),
+        "general": lambda n, rng: rng.uniform(-1.0, 1.0, n),
+    }
+
+    @staticmethod
+    def _expected(diag, rows, tol, guess):
+        x, certified = newton_certify(diag, rows, tol, guess)
+        m, n = len(rows), rows.shape[1] + 1
+        if np.any(diag):
+            want = x
+        else:
+            want = np.concatenate([-x[:, ::-1], np.zeros((m, n % 2)), x], axis=1)
+        if not certified.all():
+            cold, ok, _ = bisect_sturm(diag, rows[~certified], tol)
+            assert ok
+            want[~certified] = cold
+        return want, certified
+
+    @pytest.mark.parametrize("kind", list(DIAGONALS))
+    def test_matches_scalar_newton_and_counts_bit_for_bit(self, kind):
+        rng = np.random.default_rng(41)
+        certified_rows = cold_rows = 0
+        for n in (1, 2, 3, 8, 13):
+            diag = self.DIAGONALS[kind](n, rng)
+            a0 = rng.uniform(0.5, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+            rows = a0 * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0, (6, n - 1)))
+            tol = 1e-12 * (1.0 + np.sqrt(np.sum(diag * diag) + 2.0 * np.sum(a0 * a0)))
+            ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(a0, 1) + np.diag(a0, -1))
+            per_row = ref + np.where(np.arange(6) % 3 == 0, 1e-3, 0.0)[:, None]
+            for guess in (ref, ref + 1e-3, per_row):
+                want, certified = self._expected(diag, rows, tol, guess)
+                got = kernels.sturm_batch(diag, rows, tol, guess=guess)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                certified_rows += certified.sum()
+                cold_rows += (~certified).sum()
+        assert certified_rows and cold_rows  # both paths were taken
+
+    @pytest.mark.parametrize("kind", list(DIAGONALS))
+    def test_newton_sweep_matches_scalar_loop_bit_for_bit(self, kind):
+        # far from the eigenvalues the step is large, so its last bits show
+        # the order of operations (near one they vanish into the guess's)
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3, 8, 13):
+            diag = self.DIAGONALS[kind](n, rng)
+            rows = rng.uniform(-2.0, 2.0, (4, n - 1))
+            x = rng.uniform(-3.0, 3.0, (4, 5))
+            bits = diag.view(np.int64)
+            flat = bool((bits == bits[0]).all())
+            e2T = np.ascontiguousarray((rows * rows).T)[:, :, None]
+            got = kernels._newton_sweep(diag, e2T, x, flat)
+            np.testing.assert_array_equal(got, newton_step(diag, rows, x))
 
 
 def _loop_sum(values):
