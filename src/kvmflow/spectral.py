@@ -261,7 +261,8 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     slots are zero. For odd n the pattern shifts right by one and the leading
     slot is zero. Requires a non-equilibrium a0 with nonzero entries
     (jacobi.validate_initial_state) and distinct eigenvalues, checked with
-    the gap tolerance of spectrum_zero_diag.
+    the gap tolerance of spectrum_zero_diag; the placement after these
+    checks is :func:`_limit_state`.
     """
     a0 = as_offdiag(a0)
     n = a0.size + 1
@@ -274,7 +275,14 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
         raise EquilibriumInput("input is already an equilibrium; it does not move")
     validate_initial_state(a0)
     _require_distinct(spec, _zero_diag_gap_tol(a0))
+    return _limit_state(a0, spec)
 
+
+def _limit_state(a0: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """predict_limit without its checks, for a caller that has made them:
+    a0 an off-diagonal array and spec its distinct spectrum, as
+    flow.integrate(validate=True) leaves them."""
+    n = a0.size + 1
     out = np.zeros(n - 1)
     live = limit_slots(n)
     out[live] = np.sign(a0[live]) * spec.positive_magnitudes

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from kvmflow import jacobi, kernels
 from kvmflow.errors import NonConvergence
 
-from oracles import bisect_sturm, dop853_step, newton_certify, newton_step
+from oracles import (
+    _scalar_count, _squares, bisect_sturm, dop853_step, newton_certify, newton_step,
+)
 
 
 class TestLaneSelection:
@@ -312,6 +314,62 @@ class TestSturmWarmBits:
             e2T = np.ascontiguousarray((rows * rows).T)[:, :, None]
             got = kernels._newton_sweep(diag, e2T, x, flat)
             np.testing.assert_array_equal(got, newton_step(diag, rows, x))
+
+
+class TestSturmCountClamp:
+    """The count against oracles._scalar_count entry by entry, where pivots
+    fall below pivmin: the count runs the clamp only for a pivot whose
+    smallest entry is below the batch's largest pivmin, and adds its flags
+    into the narrowest unsigned type that holds n."""
+
+    @staticmethod
+    def _assert_counts(diag, offdiags, x):
+        # the arguments sturm_batch builds
+        e2 = offdiags * offdiags
+        e2T = np.ascontiguousarray(e2.T)[:, :, None]
+        pivmin = 1.0e-292 * np.maximum(1.0, e2.max(axis=1, initial=0.0))[:, None]
+        bits = diag.view(np.int64)
+        flat = bool((bits == bits[0]).all())
+        got = kernels._sturm_counter(diag, e2T, pivmin, x.shape, flat)(x)
+        want = [[_scalar_count(diag, _squares(row), p, xj) for xj in xs]
+                for row, p, xs in zip(offdiags, pivmin[:, 0], x)]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 9, 255, 256])
+    @pytest.mark.parametrize("zero_diag", [True, False])
+    @pytest.mark.parametrize("batch", ["shared_pivmin", "own_pivmin"])
+    def test_zero_pivots_count_as_the_scalar_loop(self, batch, zero_diag, n):
+        rng = np.random.default_rng(43)
+        E = rng.uniform(-1.0, 1.0, (4, n - 1))
+        # rows 1 and 3 lead with e_1; in the own_pivmin batch they are
+        # scaled by 4, so their e^2 up to 16 give them their own pivmin, and
+        # otherwise every e^2 <= 1 and pivmin is shared
+        e_1 = 0.5
+        if batch == "own_pivmin":
+            E[1::2] *= 4.0
+            e_1 = 2.0
+        E[:, 0] = [1.0, e_1, 1.0, e_1]
+        diag = np.zeros(n) if zero_diag else rng.uniform(-1.0, 1.0, n)
+        diag[0] = 0.0
+        # x = 0 makes the first pivot 0 on a diagonal that starts with 0; on
+        # a zero diagonal x = +/- e (1 or e_1, a row's first entry) makes
+        # the second one 0, as (0 - x) - e^2 / (0 - x); 1e3 is above every
+        # eigenvalue, so its count is n
+        points = np.array([0.0, 1.0, -1.0, e_1, -e_1, 1e3])
+        x = np.concatenate([np.tile(points, (4, 1)), rng.uniform(-3.0, 3.0, (4, 4))], axis=1)
+        e2max = (E * E).max(axis=1)
+        assert (e2max.max() > 1.0) == (batch == "own_pivmin")
+        self._assert_counts(diag, E, x)
+
+    def test_pivot_between_two_rows_pivmin_is_clamped_only_in_the_larger(self):
+        # a last e of 0 makes the last pivot d_n - x: at x = 0 it is 2e-292
+        # on both rows, above the first row's pivmin 1e-292 and below the
+        # second's 1.6e-291, so only the second row counts it; no entry of
+        # that pivot is below 1e-292
+        E = np.array([[0.5, 0.25, -1.0, 0.0], [4.0, 0.25, -1.0, 0.0]])
+        x = np.array([[0.0, -1.0], [0.0, -1.0]])
+        for diag in (np.full(5, 2e-292), np.array([0.0, 0.5, -0.5, 0.0, 2e-292])):
+            self._assert_counts(diag, E, x)
 
 
 def _loop_sum(values):

@@ -150,6 +150,22 @@ class TestVerifyRun:
             ("stationary_residual", True)]
         assert report.overall
 
+    def test_prediction_and_final_residual_are_the_checked_ones(self, ex1, ex2, ex3):
+        # verify_run places the limit without predict_limit's checks, which
+        # integrate has made, and reads the residual of the last row alone;
+        # both equal the checked prediction and k_norms[-1] bit for bit
+        rng = np.random.default_rng(7)
+        inputs = [ex1, ex2, ex3] + [rng.uniform(-1.0, 1.0, 2 + i % 10) * 10.0 ** (i % 7 - 3)
+                                    for i in range(40)]
+        for a0 in inputs:
+            report = verify.verify_run(a0)
+            traj = flow.integrate(a0)
+            want = spectral.predict_limit(a0, traj.spectrum)
+            np.testing.assert_array_equal(report.meta["predicted_limit"].view(np.int64),
+                                          want.view(np.int64))
+            final = next(c for c in report.checks if c.name == "equilibrium_reached")
+            assert final.measured.hex() == float(traj.k_norms[-1]).hex()
+
     def test_short_horizon_fails_limit_match(self, ex2):
         report = verify.verify_run(ex2, IntegratorConfig(t_max=1e-3))
         assert not report.overall
