@@ -43,9 +43,9 @@ from .jacobi import (
     validate_initial_state,
 )
 from .spectral import (
+    EIG_TOL,
     Spectrum,
     batch_eigenvalues_zero_diag,
-    default_eig_tol,
     eigenvalues_tridiagonal,
     make_spectrum,
     spectrum_zero_diag,
@@ -195,7 +195,7 @@ _EQ_EPS = 1e-10
 # smallest normal float: c^2 and the normalised horizon must reach it
 _TINY = float(np.finfo(np.float64).tiny)
 # the drift eigensolver's tolerance on unit rows, whose ||T||_F is sqrt(2)
-_UNIT_EIG_TOL = default_eig_tol(math.sqrt(2.0))
+_UNIT_EIG_TOL = EIG_TOL * math.sqrt(2.0)
 
 
 def _run(cls, x0, cfg, c, y0, kernel, reference):

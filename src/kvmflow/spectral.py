@@ -31,10 +31,17 @@ __all__ = [
     "predict_limit",
     "limit_slots",
     "enumerate_equilibria",
-    "default_eig_tol",
-    "default_pair_tol",
-    "default_gap_tol",
+    "EIG_TOL",
+    "PAIR_TOL",
+    "GAP_TOL",
 ]
+
+# Every spectral tolerance is one of these coefficients times the matrix's
+# Frobenius norm ||T||_F = sqrt(sum of lambda^2), which reads the same off the
+# matrix and off its spectrum: homogeneous of degree 1, scale-free.
+EIG_TOL = 1e-12  # the eigensolver's certificate
+PAIR_TOL = 1e-9  # the (+/-)-pairing decision
+GAP_TOL = 1e-8  # distinctness: the smallest accepted eigenvalue gap
 
 # enumerate_equilibria refuses sets larger than this (signed n <= 12 fits)
 _MAX_EQUILIBRIUM_POINTS = 100_000
@@ -54,11 +61,21 @@ class Spectrum:
     values: np.ndarray  # ascending
     gap_min: float  # smallest consecutive gap (inf for n <= 1)
     paired: bool  # values form {+/- lambda} pairs (plus one 0 for odd n)
-    pair_tol: float  # tolerance used for the pairing decision
+    norm: float  # ||T||_F = sqrt(sum of values^2)
 
     @property
     def n(self) -> int:
         return self.values.size
+
+    @property
+    def pair_tol(self) -> float:
+        """Tolerance of the pairing decision."""
+        return PAIR_TOL * self.norm
+
+    @property
+    def gap_tol(self) -> float:
+        """Every gap of a distinct spectrum exceeds this."""
+        return GAP_TOL * self.norm
 
     @property
     def positive_magnitudes(self) -> np.ndarray:
@@ -75,43 +92,6 @@ class EquilibriumSet:
     count_with_signs: int  # full count including sign patterns
 
 
-# The default tolerances below are set for a matrix (or spectrum) divided by
-# its largest entry magnitude, whose Frobenius norm (or largest magnitude) is
-# `scale`; callers multiply them back by that entry. Every tolerance is then
-# homogeneous of degree 1 in the input: scale-free.
-
-
-def default_eig_tol(scale: float) -> float:
-    return 1e-12 * (1.0 + scale)
-
-
-def default_pair_tol(scale: float) -> float:
-    return 1e-9 * (1.0 + scale)
-
-
-def default_gap_tol(scale: float) -> float:
-    return 1e-8 * (1.0 + scale)
-
-
-def _unit(x) -> float:
-    """Largest entry magnitude of x (1 for an all-zero x): the unit in which
-    the default tolerances are set."""
-    m = float(np.abs(x).max(initial=0.0))
-    return m if m > 0.0 else 1.0
-
-
-def _spectrum_tol(default_tol, values) -> float:
-    """default_tol for eigenvalues, set on them divided by the largest."""
-    unit = _unit(values)
-    return unit * default_tol(float(np.abs(values).max(initial=0.0)) / unit)
-
-
-def _zero_diag_gap_tol(a: np.ndarray) -> float:
-    """Smallest eigenvalue gap (and magnitude) accepted for the matrix of a."""
-    unit = _unit(a)
-    return unit * default_gap_tol(math.sqrt(2.0) * scaled_norm(a / unit))
-
-
 def pairing_defect(values: np.ndarray) -> float:
     """Deviation of a sorted spectrum from exact {+/- lambda} (+0) symmetry."""
     v = np.asarray(values, dtype=np.float64)
@@ -125,21 +105,6 @@ def pairing_defect(values: np.ndarray) -> float:
     return defect
 
 
-def _sturm_eigenvalues(diag: np.ndarray, offdiags: np.ndarray, tol: float,
-                       guess=None) -> np.ndarray:
-    """kernels.sturm_batch on (m, n-1) rows, after a range check of its inputs."""
-    # the kernel squares the off-diagonal entries and adds the two ends of a
-    # Gershgorin bracket
-    emax = float(np.abs(offdiags).max(initial=0.0))
-    bound = 2.0 * (float(np.abs(diag).max()) + 2.0 * emax + 2.0 * tol)
-    if not (math.isfinite(tol) and math.isfinite(emax * emax) and math.isfinite(bound)):
-        raise ValidationFailure(
-            f"matrix is out of range: largest off-diagonal entry {emax:.3e}, "
-            f"tolerance {tol:.3e}, Gershgorin bound {bound:.3e}"
-        )
-    return kernels.sturm_batch(diag, offdiags, tol, guess=guess)
-
-
 def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
                                 guess=None) -> np.ndarray:
     """Eigenvalues for a batch of off-diagonal rows (m, n-1) -> (m, n).
@@ -147,9 +112,20 @@ def batch_eigenvalues_zero_diag(states: np.ndarray, tol: float, *,
     guess, approximate eigenvalues shared by all rows (such as the t=0
     spectrum of a trajectory), starts one certified Newton step per
     eigenvalue in place of bisection; see :func:`kernels.sturm_batch`.
+    Rows whose entries square out of range, or whose tol or Gershgorin
+    bound is not finite, raise ValidationFailure.
     """
     states = np.ascontiguousarray(np.atleast_2d(states), dtype=np.float64)
-    return _sturm_eigenvalues(np.zeros(states.shape[1] + 1), states, tol, guess)
+    # the kernel squares the off-diagonal entries and adds the two ends of a
+    # Gershgorin bracket
+    emax = float(np.abs(states).max(initial=0.0))
+    bound = 4.0 * (emax + tol)
+    if not (math.isfinite(tol) and math.isfinite(emax * emax) and math.isfinite(bound)):
+        raise ValidationFailure(
+            f"matrix is out of range: largest off-diagonal entry {emax:.3e}, "
+            f"tolerance {tol:.3e}, Gershgorin bound {bound:.3e}"
+        )
+    return kernels.sturm_batch(np.zeros(states.shape[1] + 1), states, tol, guess=guess)
 
 
 def _lapack_seed(d: np.ndarray, e: np.ndarray):
@@ -171,13 +147,14 @@ def _lapack_seed(d: np.ndarray, e: np.ndarray):
 def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
     """All eigenvalues of the symmetric tridiagonal matrix (diag, offdiag).
 
-    Solved on the matrix divided by its largest entry m, so the tolerance is
-    scale-free; the values are scaled back. Up to n = _SEED_MAX_N each value
-    is LAPACK's, refined by one Newton step and certified by two Sturm counts
-    to be within ``tol = 1e-12 * (m + ||T||_F)`` of exact; a matrix with a
-    value not certified, a LAPACK failure, or a larger n is solved by
-    Sturm-sequence bisection to the same tol. A non-finite entry, or a matrix
-    whose squared Frobenius norm overflows, raises ValidationFailure.
+    Solved on the matrix divided by its largest entry, whose Frobenius norm
+    is then at least 1; the values are scaled back. Up to n = _SEED_MAX_N
+    each value is LAPACK's, refined by one Newton step and certified by two
+    Sturm counts to be within ``tol = EIG_TOL * ||T||_F`` of exact (1e-12 for
+    the zero matrix, which has norm 0); a matrix with a value not certified,
+    a LAPACK failure, or a larger n is solved by Sturm-sequence bisection to
+    the same tol. A non-finite entry, or a matrix whose squared Frobenius
+    norm overflows, raises ValidationFailure.
     """
     d = as_diagonal(diag)
     e = as_offdiag(offdiag)
@@ -187,7 +164,7 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
         )
     if d.size == 0:
         raise ValidationFailure("matrix dimension must be at least 1")
-    unit = _unit(np.concatenate([d, e]))
+    unit = float(np.abs(np.concatenate([d, e])).max()) or 1.0
     d, e = d / unit, e / unit
     scale = math.sqrt(float(np.dot(d, d) + 2.0 * np.dot(e, e)))
     norm = unit * scale
@@ -196,19 +173,20 @@ def eigenvalues_tridiagonal(diag, offdiag) -> Spectrum:
             f"matrix is out of range: Frobenius norm {norm:.3e} squares to "
             "more than the largest float"
         )
-    values = _sturm_eigenvalues(d, e[None, :], default_eig_tol(scale),
-                                _lapack_seed(d, e))[0] * unit
-    return make_spectrum(values, pair_tol=unit * default_pair_tol(scale))
+    # every entry is at most 1 and tol is finite: in sturm_batch's range
+    values = kernels.sturm_batch(d, e[None, :], EIG_TOL * max(scale, 1.0),
+                                 guess=_lapack_seed(d, e))[0] * unit
+    return make_spectrum(values)
 
 
-def make_spectrum(values, pair_tol: float | None = None) -> Spectrum:
-    """Build a Spectrum from raw eigenvalues, measuring gap_min and pairing."""
+def make_spectrum(values) -> Spectrum:
+    """Build a Spectrum from raw eigenvalues, measuring gap_min, ||T||_F and
+    pairing."""
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
-    if pair_tol is None:
-        pair_tol = _spectrum_tol(default_pair_tol, v)
     gap_min = float(np.diff(v).min()) if v.size > 1 else math.inf
-    paired = pairing_defect(v) <= pair_tol
-    return Spectrum(values=v, gap_min=gap_min, paired=paired, pair_tol=pair_tol)
+    norm = scaled_norm(v)
+    return Spectrum(values=v, gap_min=gap_min,
+                    paired=pairing_defect(v) <= PAIR_TOL * norm, norm=norm)
 
 
 def spectrum_zero_diag(a) -> Spectrum:
@@ -217,29 +195,30 @@ def spectrum_zero_diag(a) -> Spectrum:
     The eigensolver solves for the nonnegative half (seeded and certified,
     or bisected; see eigenvalues_tridiagonal) and mirrors it, so the values
     are (+/-)-paired exactly, with an exact 0 for odd n.
-    DegenerateSpectrum flags eigenvalue gaps below 1e-8 * (m + ||T||_F), m
-    the largest |a_i|: the input is not a Jacobi matrix, which requires
+    DegenerateSpectrum flags an eigenvalue gap that does not exceed
+    GAP_TOL * ||T||_F: the input is not a Jacobi matrix, which requires
     distinct eigenvalues.
     """
     a = as_offdiag(a)
-    spec = eigenvalues_tridiagonal(np.zeros(a.size + 1), a)
-    return _require_distinct(spec, _zero_diag_gap_tol(a))
+    return _require_distinct(eigenvalues_tridiagonal(np.zeros(a.size + 1), a))
 
 
-def _require_distinct(spec: Spectrum, gap_tol: float) -> Spectrum:
+def _require_distinct(spec: Spectrum) -> Spectrum:
     """The limit theorem's second hypothesis: a (+/-)-paired spectrum whose
-    consecutive eigenvalues are at least gap_tol apart.
+    consecutive eigenvalues are more than spec.gap_tol = GAP_TOL * ||T||_F
+    apart.
 
     The one distinctness check. On a paired spectrum the gaps are those of
     the magnitudes and 2 lambda_1 (even n) or lambda_1 (odd n), so it also
-    keeps the smallest magnitude off zero.
+    keeps the smallest magnitude off zero. The bound is strict, so an
+    all-zero spectrum (n >= 2), whose gap_tol is 0, is not distinct.
     """
     if not spec.paired:
         raise ValidationFailure("spectrum is not (+/-)-paired")
-    if not spec.gap_min >= gap_tol:
+    if not spec.gap_min > spec.gap_tol:
         raise DegenerateSpectrum(
-            f"smallest eigenvalue gap {spec.gap_min:.3e} is below "
-            f"gap_tol {gap_tol:.3e}; eigenvalues must be pairwise distinct"
+            f"smallest eigenvalue gap {spec.gap_min:.3e} does not exceed "
+            f"gap_tol {spec.gap_tol:.3e}; eigenvalues must be pairwise distinct"
         )
     return spec
 
@@ -260,9 +239,9 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     ascending, each with the sign of the matching entry of a0; the remaining
     slots are zero. For odd n the pattern shifts right by one and the leading
     slot is zero. Requires a non-equilibrium a0 with nonzero entries
-    (jacobi.validate_initial_state) and distinct eigenvalues, checked with
-    the gap tolerance of spectrum_zero_diag; the placement after these
-    checks is :func:`_limit_state`.
+    (jacobi.validate_initial_state) and distinct eigenvalues, checked as
+    spectrum_zero_diag checks them; the placement after these checks is
+    :func:`_limit_state`.
     """
     a0 = as_offdiag(a0)
     n = a0.size + 1
@@ -274,7 +253,7 @@ def predict_limit(a0, spec: Spectrum) -> np.ndarray:
     if not np.any(nonzero[:-1] & nonzero[1:]):
         raise EquilibriumInput("input is already an equilibrium; it does not move")
     validate_initial_state(a0)
-    _require_distinct(spec, _zero_diag_gap_tol(a0))
+    _require_distinct(spec)
     return _limit_state(a0, spec)
 
 
@@ -297,10 +276,10 @@ def enumerate_equilibria(spec: Spectrum, include_signs: bool = True) -> Equilibr
     additionally a free placement of the single 1x1 zero block among the
     (n+1)/2 block positions. count_formula counts permutations (and zero-block
     placements); count_with_signs also counts the 2^(n//2) sign patterns.
-    The spectrum must be distinct, with the gap tolerance set on its values.
-    A set of more than 100 000 points is refused before any is built.
+    The spectrum must be distinct, as spectrum_zero_diag checks it. A set of
+    more than 100 000 points is refused before any is built.
     """
-    _require_distinct(spec, _spectrum_tol(default_gap_tol, spec.values))
+    _require_distinct(spec)
     n = spec.n
     mags = spec.positive_magnitudes
     m = mags.size

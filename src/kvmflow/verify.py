@@ -17,7 +17,6 @@ from .jacobi import (
     as_offdiag,
     commutator,
     embed,
-    equilibrium_residual,
     lyapunov_f,
     lyapunov_f_traceform,
     map_K,
@@ -27,10 +26,10 @@ from .jacobi import (
     rhs_matrix,
 )
 from .spectral import (
+    EIG_TOL,
     Spectrum,
     _limit_state,
     batch_eigenvalues_zero_diag,
-    default_eig_tol,
     make_spectrum,
     enumerate_equilibria,
     limit_slots,
@@ -235,20 +234,27 @@ def verify_identities(n: int, trials: int = 100, seed: int = 0) -> VerificationR
 
 def brute_force_equilibria(spec: Spectrum) -> list:
     """All signed placements of the magnitudes that are equilibria with the
-    given spectrum, found by exhaustive filtering (test oracle)."""
+    given spectrum, found by exhaustive filtering (test oracle).
+
+    A candidate is an equilibrium when no two neighbours are nonzero, read
+    from the pattern because the products under- or overflow at extreme
+    scales. Its eigenvalues are solved on it divided by the spectrum's
+    ||T||_F and must lie within spec.pair_tol of the spectrum.
+    """
     mags = spec.positive_magnitudes
     n = spec.n
     m = mags.size
-    atol = 1e-9 * (1 + float(np.abs(spec.values).max(initial=0.0)))
     candidates = []
     for slots in itertools.permutations(range(n - 1), m):
         for signs in itertools.product((1.0, -1.0), repeat=m):
             a = np.zeros(n - 1)
             a[list(slots)] = mags * signs
-            if equilibrium_residual(a) == 0.0:
+            nonzero = a != 0.0
+            if not np.any(nonzero[:-1] & nonzero[1:]):
                 candidates.append(a)
-    eigs = batch_eigenvalues_zero_diag(np.array(candidates), default_eig_tol(mags.max()))
-    keep = np.abs(eigs - spec.values).max(axis=1) <= atol
+    eigs = spec.norm * batch_eigenvalues_zero_diag(np.array(candidates) / spec.norm,
+                                                   EIG_TOL)
+    keep = np.abs(eigs - spec.values).max(axis=1) <= spec.pair_tol
     return [a for a, kept in zip(candidates, keep) if kept]
 
 

@@ -214,6 +214,13 @@ class TestEquilibria:
         summary = json.loads(capsys.readouterr().out)
         assert len(summary["points"]) == 8
 
+    def test_zero_matrix_is_degenerate(self, capsys):
+        # ||T||_F = 0, so gap_tol is 0, and the gap 0 does not exceed it
+        assert main(_args("equilibria", "--offdiag=0,0")) == 1
+        assert capsys.readouterr().err == (
+            "kvmflow: error: smallest eigenvalue gap 0.000e+00 does not exceed "
+            "gap_tol 0.000e+00; eigenvalues must be pairwise distinct\n")
+
 
 class TestEvolveSym:
     def test_experimental_run(self, sym_file, tmp_path, capsys):
@@ -359,7 +366,7 @@ class TestDegenerateSpectrum:
     """The library and the CLI reject a degenerate spectrum with one error."""
 
     A0 = [1.0, 1e-9, 1.0]
-    MESSAGE = ("smallest eigenvalue gap 1.000e-09 is below gap_tol 3.000e-08; "
+    MESSAGE = ("smallest eigenvalue gap 1.000e-09 does not exceed gap_tol 2.000e-08; "
                "eigenvalues must be pairwise distinct")
 
     @staticmethod
@@ -384,12 +391,17 @@ class TestDegenerateSpectrum:
             assert capsys.readouterr().err == f"kvmflow: error: {self.MESSAGE}\n"
 
     def test_small_lambda_1_with_even_n_is_distinct(self, capsys):
-        # lambda_1 = 1.69e-8 is below gap_tol = 2.41e-8, the gap 2 lambda_1
+        # lambda_1 = 1.00e-8 is below gap_tol = 1.41e-8, the gap 2 lambda_1
         # between -lambda_1 and lambda_1 is not: the limit theorem applies
+        from kvmflow import spectral
+
+        spec = spectral.eigenvalues_tridiagonal(np.zeros(4), [1e-4, 1.0, 1e-4])
+        lambda_1 = spec.positive_magnitudes[0]
+        assert lambda_1 < spec.gap_tol < 2.0 * lambda_1 == spec.gap_min
         summaries = {}
         for command, *options in (["predict"], ["equilibria"], ["evolve"],
                                   ["verify", "--t-max", "60"]):
-            assert main([command, "--offdiag=1.3e-4,1,1.3e-4", *options]) == 0
+            assert main([command, "--offdiag=1e-4,1,1e-4", *options]) == 0
             summaries[command] = json.loads(capsys.readouterr().out)
         assert summaries["evolve"]["notes"] is None
         assert summaries["verify"]["status"] == "converged"
@@ -430,7 +442,7 @@ _INPUT_RULES = {
                    _offdiag_entries(["predict", "verify", "evolve"],
                                     ["integrate", "predict_limit"])),
     "degenerate": (DegenerateSpectrum,
-                   "smallest eigenvalue gap 1.000e-09 is below gap_tol 3.000e-08; "
+                   "smallest eigenvalue gap 1.000e-09 does not exceed gap_tol 2.000e-08; "
                    "eigenvalues must be pairwise distinct",
                    "1,1e-9,1", '{"n": 4, "offdiag": [1, 1e-9, 1]}', [1.0, 1e-9, 1.0],
                    _offdiag_entries(["predict", "verify", "evolve", "equilibria"],

@@ -280,7 +280,7 @@ class TestSpectralDrift:
 
     @staticmethod
     def _assert_drift_matches_eigvalsh(traj, a0):
-        tol = spectral.default_eig_tol(np.sqrt(2.0))
+        tol = spectral.EIG_TOL * np.sqrt(2.0)
         want = np.array([np.abs(np.linalg.eigvalsh(jacobi.embed(row)) - traj.spectrum.values).max()
                          for row in traj.states])
         assert traj.spec_drift[0] == 0.0

@@ -45,6 +45,12 @@ class TestEigenvaluesTridiagonal:
                            match="offdiag length 2 does not match diag length 2"):
             spectral.eigenvalues_tridiagonal([1.0, 2.0], [1.0, 2.0])
 
+    def test_zero_matrix_keeps_the_unit_tolerance(self):
+        # ||T||_F = 0: the solver keeps EIG_TOL as its tolerance, seeded or cold
+        seeded = spectral.eigenvalues_tridiagonal([0.0, 0.0], [0.0]).values
+        assert _bits(seeded) == _bits([-0.0, 0.0])
+        assert _bits(_cold([0.0, 0.0], [0.0])) == _bits([-7.5e-13, 7.5e-13])
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValidationFailure, match="matrix dimension must be at least 1"):
             spectral.eigenvalues_tridiagonal([], [])
@@ -103,11 +109,12 @@ def _cold(d, e):
 
 
 def _eig_tol(d, e):
-    """The tolerance eigenvalues_tridiagonal solves to, in the input's units."""
+    """The tolerance eigenvalues_tridiagonal solves to, in the input's units:
+    EIG_TOL * ||T||_F, and EIG_TOL for the zero matrix."""
     d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
     unit = float(np.abs(np.concatenate([d, e])).max(initial=0.0)) or 1.0
     scale = math.sqrt(float(np.sum((d / unit) ** 2) + 2.0 * np.sum((e / unit) ** 2)))
-    return unit * spectral.default_eig_tol(scale)
+    return unit * spectral.EIG_TOL * max(scale, 1.0)
 
 
 _DIAGONAL_CASE = np.random.default_rng(19).uniform(-10, 10, 23)
@@ -203,7 +210,7 @@ class TestSpectrumZeroDiag:
         np.testing.assert_allclose(mags, [0.21, 2.71, 10.48, 12.34, 14.36], atol=0.005)
 
     def test_3x3_closed_form(self):
-        # default bisection tolerance is 1e-12 * (1 + ||T||_F)
+        # the solver's tolerance is 1e-12 * ||T||_F
         spec = spectral.spectrum_zero_diag([1.0, 1.0])
         np.testing.assert_allclose(spec.values, [-math.sqrt(2), 0.0, math.sqrt(2)],
                                    atol=1e-11)
@@ -211,6 +218,15 @@ class TestSpectrumZeroDiag:
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrum):
             spectral.spectrum_zero_diag([1.0, 0.0, 1.0])
+
+    def test_all_zero_spectrum_is_degenerate(self):
+        # gap_tol is 1e-8 * ||T||_F = 0, and the gap 0 does not exceed it
+        message = ("^smallest eigenvalue gap 0.000e[+]00 does not exceed gap_tol "
+                   "0.000e[+]00; eigenvalues must be pairwise distinct$")
+        with pytest.raises(DegenerateSpectrum, match=message):
+            spectral.spectrum_zero_diag([0.0, 0.0])
+        with pytest.raises(DegenerateSpectrum, match=message):
+            spectral.predict_limit([1.0, 1.0, 1.0], spectral.make_spectrum(np.zeros(4)))
 
     @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=0, max_size=15))
     def test_pairing_is_structural(self, entries):
@@ -286,7 +302,7 @@ class TestPredictLimit:
             spectral.predict_limit([3.0], spec)
 
     def test_unpaired_spectrum_rejected(self):
-        spec = spectral.make_spectrum([1.0, 2.0, 3.0], pair_tol=1e-9)
+        spec = spectral.make_spectrum([1.0, 2.0, 3.0])
         with pytest.raises(ValidationFailure, match=r"spectrum is not \(\+/-\)-paired"):
             spectral.predict_limit([1.0, 1.0], spec)
 
@@ -297,7 +313,7 @@ class TestPredictLimit:
 
     def test_an_accepted_spectrum_admits_a_prediction(self):
         # one distinctness rule: for even n the gap across zero is 2 lambda_1,
-        # so lambda_1 in [gap_tol / 2, gap_tol) is distinct (4 of these draws)
+        # so lambda_1 in (gap_tol / 2, gap_tol] is distinct (3 of these draws)
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = 2 * int(rng.integers(2, 7))
@@ -370,6 +386,18 @@ class TestEnumerateEquilibria:
         want = {tuple(np.round(p, 9)) for p in brute_force_equilibria(spec)}
         assert got == want
 
+    @pytest.mark.parametrize("mags", [[1.0, 2.0], [1.0, 2.5, 4.0]])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 2.0 ** -40, 1e200])
+    def test_brute_force_is_scale_free(self, mags, scale):
+        # signed equilibria: 2! * 2^2 = 8 for n = 4, 4 * 3! * 2^3 = 192 for n = 7
+        mags = np.array(mags)
+        zero = [0.0] if mags.size == 3 else []
+        spec = self._spec(scale * np.concatenate([-mags[::-1], zero, mags]))
+        want = {tuple(p) for p in spectral.enumerate_equilibria(spec).points}
+        got = [tuple(p) for p in brute_force_equilibria(spec)]
+        assert len(got) == len(want) == {2: 8, 3: 192}[mags.size]
+        assert set(got) == want
+
     def test_size_cap_refuses_before_building(self):
         mags = np.arange(1.0, 7.0)
         spec = self._spec(np.concatenate([-mags[::-1], [0.0], mags]))  # n = 13
@@ -378,8 +406,9 @@ class TestEnumerateEquilibria:
             spectral.enumerate_equilibria(spec)  # 7 * 6! * 2^6 = 322560 points
 
     def test_degenerate_magnitudes_rejected(self):
-        # the gap tolerance is set on the spectrum's values: 2e-8 * max|lambda|
+        # the gap tolerance is set on the spectrum's values: 1e-8 * ||T||_F
         with pytest.raises(DegenerateSpectrum, match="^smallest eigenvalue gap 1.000e-12 "
-                           "is below gap_tol 2.000e-08; eigenvalues must be pairwise distinct$"):
+                           "does not exceed gap_tol 2.000e-08; eigenvalues must be "
+                           "pairwise distinct$"):
             spectral.enumerate_equilibria(self._spec([-1.0, -1.0 + 1e-12,
                                                       1.0 - 1e-12, 1.0]))
