@@ -38,6 +38,7 @@ from .jacobi import (
     as_offdiag,
     as_symmetric,
     lyapunov_f_offdiag,
+    lyapunov_f_traceform,
     residual_norms,
     scaled_norm,
     validate_initial_state,
@@ -173,16 +174,7 @@ class DenseTrajectory(FlowTrajectory):
         """Block sizes of the final state; couplings below 1e-6 max|H0| are 0."""
         return block_structure(self.states[-1], 1e-6 * float(np.abs(self.x0).max()))
 
-    @staticmethod
-    def _lyapunov(states):
-        """Lyapunov values for a batch of dense symmetric states (m, n, n)."""
-        coeff = np.arange(states.shape[1] - 1, dtype=np.float64) - 1.0
-        sd = np.diagonal(states, offset=1, axis1=1, axis2=2)
-        nsq = 2.0 * np.sum((coeff * sd) ** 2, axis=1)
-        hn_cross = 2.0 * np.sum(coeff * sd * sd, axis=1)  # tr(N(H) H)
-        hsq = np.sum(states * states, axis=(1, 2))
-        return -0.25 * (hsq - 2.0 * hn_cross + nsq) + 0.25 * nsq
-
+    _lyapunov = staticmethod(lambda rows: lyapunov_f_traceform(rows))
     # one norm per row: a batched norm sums in another order and changes bits
     _residuals = staticmethod(
         lambda rows: np.array([np.linalg.norm(_bracket_K(H)) for H in rows]))

@@ -217,21 +217,29 @@ def lyapunov_f(H) -> float:
     return -0.25 * float(np.sum((H - NH) ** 2)) + 0.25 * float(np.sum(NH**2))
 
 
-def lyapunov_f_traceform(H) -> float:
-    """Equivalent trace form -1/4 ||H||_F^2 + 1/2 tr(N(H) H)."""
+def lyapunov_f_traceform(H):
+    """Equivalent trace form -1/4 ||H||_F^2 + 1/2 tr(N(H) H), without N(H).
+
+    N(H) lives on the two off-diagonals, so 1/2 tr(N(H) H) = 1/2 sum_i (i-2)
+    H_{i,i+1} (H_{i,i+1} + H_{i+1,i}) (1-based): exact for any square H, and
+    sum_i (i-2) H_{i,i+1}^2 to the bit for a symmetric one. H is an (n, n)
+    matrix, giving a float, or an (m, n, n) stack, giving m values.
+    """
     H = np.asarray(H, dtype=np.float64)
-    NH = map_N(H)
-    return -0.25 * float(np.sum(H * H)) + 0.5 * float(np.sum(NH * H))
+    sd = np.diagonal(H, 1, axis1=-2, axis2=-1)
+    as_offdiag(sd)  # the entries N reads must be finite
+    coeff = np.arange(H.shape[-1] - 1, dtype=np.float64) - 1.0
+    cross = (sd * (sd + np.diagonal(H, -1, axis1=-2, axis2=-1))) @ coeff
+    f = -0.25 * np.sum(H * H, axis=(-2, -1)) + 0.5 * cross
+    return float(f) if H.ndim == 2 else f
 
 
 def lyapunov_f_offdiag(states: np.ndarray) -> np.ndarray:
-    """Lyapunov values for a batch of off-diagonal rows, shape (m, n-1)."""
+    """lyapunov_f_traceform for a batch of off-diagonal rows, shape (m, n-1):
+    with ||H||_F^2 = 2 sum_i a_i^2 it is sum_i (i - 5/2) a_i^2 (1-based), one
+    product of the squares with a weight vector."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    k = states.shape[1]
-    coeff = np.arange(k, dtype=np.float64) - 1.0
-    return -0.5 * np.sum(((1.0 - coeff) * states) ** 2, axis=1) + 0.5 * np.sum(
-        (coeff * states) ** 2, axis=1
-    )
+    return (states * states) @ (np.arange(states.shape[1], dtype=np.float64) - 1.5)
 
 
 def equilibrium_residual(a) -> float:

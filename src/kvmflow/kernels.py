@@ -477,7 +477,9 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
 
     Without a guess each eigenvalue is bisected (Barth, Martin & Wilkinson,
     Numer. Math. 9, 1967): one pass of Sturm counts halves every bracket of
-    the batch. The Gershgorin brackets are built for the bisected rows only.
+    the batch. The Gershgorin brackets are built for the bisected rows only,
+    padded by 1e-12 times their bound for rounding: no absolute term, so a
+    cold solve of 2^k T to 2^k tol is 2^k times that of T, to the bit.
 
     guess, an (n,) or (m, n) array of approximate eigenvalues (ascending),
     starts one Newton step x = g - det/det' on det(T - x I) from each one; a
@@ -521,7 +523,7 @@ def sturm_batch(diag, offdiags, tol, *, guess=None):
         lo0 = (diag[None, :] - rad).min(axis=1)
         hi0 = (diag[None, :] + rad).max(axis=1)
         bound = np.maximum(np.abs(lo0), np.abs(hi0))
-        pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
+        pad = 1.0e-12 * bound
         # on a zero diagonal the bisection's first midpoint would be exactly
         # 0, which puts every positive eigenvalue in [0, hi0]
         lo0 = np.zeros_like(lo0) if zero_diag else lo0 - pad

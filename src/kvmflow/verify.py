@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ValidationFailure
 from .flow import IntegratorConfig, integrate
 from .jacobi import (
-    as_offdiag,
     commutator,
     embed,
     lyapunov_f,
@@ -73,12 +72,12 @@ SORTED_MARGIN = 1e-8  # scale: ||a0||^2, on squared entries
 REFERENCE_SPECTRUM = 1e-9  # scale: ||a0||^2, on the sum of squared eigenvalues
 
 
-def trajectory_checks(traj, a0: np.ndarray) -> list:
+def trajectory_checks(traj) -> list:
     """Invariant checks shared by verify_run and the acceptance suite.
 
-    traj is integrate(a0), whose unit c is ||a0||. Squares are taken of the
-    trajectory's unit rows, the states in units of c, so no check under- or
-    overflows where the run itself did not.
+    traj is integrate(a0): it keeps a0 as x0, and its unit c is ||a0||.
+    Squares are taken of the trajectory's unit rows, the states in units of
+    c, so no check under- or overflows where the run itself did not.
     """
     scale = traj.c
     sq = scale * scale
@@ -102,7 +101,7 @@ def trajectory_checks(traj, a0: np.ndarray) -> list:
 
     # a decaying component may underflow to exactly 0.0 (its limit); only a
     # strictly opposite sign is a genuine orthant crossing
-    flips = int(np.sum(np.sign(traj.states) * np.sign(a0)[None, :] < 0.0))
+    flips = int(np.sum(np.sign(traj.states) * np.sign(traj.x0)[None, :] < 0.0))
     checks.append(Check("sign_preservation", flips == 0, float(flips), 0.0))
 
     # the drift and the predicted limit are measured against traj.spectrum,
@@ -125,7 +124,6 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     prediction checks skipped. The meta keys are summary fields (see
     io.build_summary).
     """
-    a0 = as_offdiag(a0)
     traj = integrate(a0, cfg, validate=strict)
     meta = {
         "status": traj.status,
@@ -144,7 +142,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
 
     scale = traj.c
     sq = scale * scale
-    checks = trajectory_checks(traj, a0)
+    checks = trajectory_checks(traj)
 
     # the last row alone; k_norms would build every row's residual
     final_resid = float(sq * residual_norms(traj.unit_states[-1:])[0])
@@ -157,14 +155,14 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     meta["spectrum"] = spec.values
     if strict:
         # integrate(validate=True) has made predict_limit's checks on a0
-        predicted = _limit_state(a0, spec)
+        predicted = _limit_state(traj.x0, spec)
         meta["predicted_limit"] = predicted
 
         dev = float(np.abs(final - predicted).max())
         checks.append(Check("limit_match", dev <= LIMIT_MATCH * scale,
                             dev, LIMIT_MATCH * scale))
 
-        live = limit_slots(a0.size + 1)
+        live = limit_slots(traj.n)
         zdev = float(np.abs(final[~live]).max(initial=0.0))
         checks.append(Check("limit_zero_slots", zdev <= ZERO_SLOTS * scale,
                             zdev, ZERO_SLOTS * scale))
@@ -185,50 +183,49 @@ def _sym(rng, n, lim=5.0):
     return 0.5 * (A + A.T)
 
 
+# verify_identities' checks and thresholds, in the order it measures them
+_IDENTITIES = (("commutator_matches_quadratic_map", 1e-10), ("rhs_dense_vs_componentwise", 1e-10),
+               ("nested_bracket_trace_identity", 1e-9), ("lyapunov_two_forms_agree", 1e-12),
+               ("trace_swap_under_n", 1e-10))
+
+
 def verify_identities(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Random-input checks of the algebraic identities behind the flow.
 
-    All deviations are normalized by (1 + scale) with the scale matching the
-    identity's degree in the inputs, and the worst trial is reported.
+    Each deviation is divided by input norms of the identity's degree:
+    ||H||^2, ||H||^3, (||A|| ||B||)^2, ||S||^2 + ||N(S)||^2 and n ||A|| ||B||,
+    so the measures are scale-free. A deviation of exactly 0 reads 0 (at
+    n = 1 every deviation is 0, and H is the zero matrix). The worst trial
+    is reported.
     """
     if n < 1 or trials < 1:
         raise ValidationFailure("need n >= 1 and trials >= 1")
     rng = np.random.default_rng(seed)
 
-    w_prop3 = w_rhs = w_tracechar = w_twoform = w_swap = 0.0
+    worst = [0.0] * len(_IDENTITIES)
     for _ in range(trials):
         a = rng.uniform(-20.0, 20.0, max(n - 1, 0))
         H = embed(a)
         h_norm = float(np.linalg.norm(H))
-
-        dev = float(np.linalg.norm(map_K(a) - commutator(H, map_N(H))))
-        w_prop3 = max(w_prop3, dev / (1 + h_norm**2))
-
-        dev = float(np.linalg.norm(rhs_matrix(H) - embed(rhs_componentwise(a))))
-        w_rhs = max(w_rhs, dev / (1 + h_norm**3))
-
         A = _sym(rng, n)
         B = _sym(rng, n)
+        ab_norm = float(np.linalg.norm(A)) * float(np.linalg.norm(B))
         C = commutator(A, B)
-        c_sq = float(np.sum(C * C))
-        dev = abs(c_sq - float(np.trace(B @ commutator(A, C))))
-        w_tracechar = max(w_tracechar, dev / (1 + c_sq))
-
         S = _sym(rng, n, lim=20.0)
-        NS = map_N(S)
-        dev = abs(lyapunov_f(S) - lyapunov_f_traceform(S))
-        w_twoform = max(w_twoform, dev / (1 + float(np.sum(S * S)) + float(np.sum(NS * NS))))
+        # (deviation, its scale), one pair per identity
+        devs = (
+            (np.linalg.norm(map_K(a) - commutator(H, map_N(H))), h_norm**2),
+            (np.linalg.norm(rhs_matrix(H) - embed(rhs_componentwise(a))), h_norm**3),
+            (abs(np.sum(C * C) - np.trace(B @ commutator(A, C))), ab_norm**2),
+            (abs(lyapunov_f(S) - lyapunov_f_traceform(S)),
+             np.sum(S * S) + np.sum(map_N(S) ** 2)),
+            (abs(np.trace(map_N(A) @ B) - np.trace(map_N(B) @ A)), n * ab_norm),
+        )
+        worst = [max(w, float(dev / scale) if dev else 0.0)
+                 for w, (dev, scale) in zip(worst, devs)]
 
-        dev = abs(float(np.trace(map_N(A) @ B)) - float(np.trace(map_N(B) @ A)))
-        w_swap = max(w_swap, dev / (1 + n * float(np.linalg.norm(A)) * float(np.linalg.norm(B))))
-
-    checks = [
-        Check("commutator_matches_quadratic_map", w_prop3 <= 1e-10, w_prop3, 1e-10),
-        Check("rhs_dense_vs_componentwise", w_rhs <= 1e-10, w_rhs, 1e-10),
-        Check("nested_bracket_trace_identity", w_tracechar <= 1e-9, w_tracechar, 1e-9),
-        Check("lyapunov_two_forms_agree", w_twoform <= 1e-12, w_twoform, 1e-12),
-        Check("trace_swap_under_n", w_swap <= 1e-10, w_swap, 1e-10),
-    ]
+    checks = [Check(name, w <= bound, w, bound)
+              for (name, bound), w in zip(_IDENTITIES, worst)]
     return VerificationReport(checks=checks, meta={"n": n, "trials": trials, "seed": seed})
 
 

@@ -20,7 +20,12 @@ Newton step on det(T - x I) from each guess, then the two Sturm counts at
 x -/+ tol, with the package's clamp and order of operations and no
 preallocated buffers; its results are the bits of every certified row of
 the package's warm solve.
+
+``lyapunov_exact`` is the Lyapunov function's definition form evaluated
+with no rounding at all, in integer multiples of the smallest subnormal.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -238,7 +243,7 @@ def bisect_sturm(diag, offdiags, tol, perturb=None):
     lo0 = (diag[None, :] - rad).min(axis=1)
     hi0 = (diag[None, :] + rad).max(axis=1)
     bound = np.maximum(np.abs(lo0), np.abs(hi0))
-    pad = 2.0 * tol + 1.0e-12 * (1.0 + bound)
+    pad = 1.0e-12 * bound
     zero_diag = not np.any(diag)
     k = n // 2 if zero_diag else n
     need = np.arange(n - k + 1, n + 1)
@@ -336,3 +341,38 @@ def newton_certify(diag, offdiags, tol, guess):
             hi = _scalar_count(diag, e2, pivmin, x[r, j] + tol)
             certified[r] &= lo < need[j] <= hi
     return x, certified
+
+
+# every finite float is an integer multiple of 2^-1074, the smallest subnormal
+_UNIT_EXP = 1074
+
+
+def _in_units(x: float) -> int:
+    """x / 2^-1074, an exact integer."""
+    p, q = x.as_integer_ratio()  # q is a power of two, at most 2^1074
+    return p << (_UNIT_EXP + 1 - q.bit_length())
+
+
+def lyapunov_exact(H) -> Fraction:
+    """-1/4 ||H - N(H)||_F^2 + 1/4 ||N(H)||_F^2 of float entries, exactly.
+
+    H is an (n, n) matrix, or an off-diagonal vector a standing for the
+    zero-diagonal Jacobi matrix with a on both off-diagonals. N(H) has
+    (i-2) H_{i,i+1} (1-based) at (i, i+1) and (i+1, i) and zeros elsewhere.
+    Every entry is read as an integer in units of 2^-1074, so the squares
+    and sums are integer arithmetic, and the one division is the Fraction's.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim == 1:
+        n = H.size + 1
+        entries = {}
+        for i, x in enumerate(H.tolist()):
+            entries[i, i + 1] = entries[i + 1, i] = x
+    else:
+        n = H.shape[0]
+        entries = {(i, j): x for i, row in enumerate(H.tolist()) for j, x in enumerate(row)}
+    N = {}
+    for i in range(n - 1):  # 0-based i: the weight (i + 1) - 2
+        N[i, i + 1] = N[i + 1, i] = (i - 1) * _in_units(entries[i, i + 1])
+    dev = sum((_in_units(x) - N.get(ij, 0)) ** 2 for ij, x in entries.items())
+    return Fraction(sum(v * v for v in N.values()) - dev, 4 << (2 * _UNIT_EXP))

@@ -87,7 +87,7 @@ def oracle_runs():
                     "status": traj.status,
                     "limit_dev": dev,
                     "limit_bound": bound,
-                    "checks": trajectory_checks(traj, a0),
+                    "checks": trajectory_checks(traj),
                     "steps": steps[-1],
                     "rows": len(traj.times),
                     "bits": traj.times.tobytes() + traj.states.tobytes(),
@@ -158,7 +158,7 @@ def test_criterion_5_invariant_suite(example_runs, oracle_runs):
     with criterion("invariant suite on every run above"):
         failures = []
         for name, (a0, traj, _) in example_runs.items():
-            for check in trajectory_checks(traj, a0):
+            for check in trajectory_checks(traj):
                 if not check.passed:
                     failures.append((name, check))
         for r in oracle_runs:

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kvmflow.errors import NonConvergence, ValidationFailure
 from kvmflow.verify import trajectory_checks, verify_run
 
 from conftest import EX1, EX2, EX3, count_steps
+from oracles import lyapunov_exact
 
 
 def _random_valid_state(rng, n):
@@ -223,6 +225,39 @@ class TestKeptChart:
         assert all(np.all(np.isfinite(x)) for x in derived)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+_SEEDED_60 = _random_valid_state(np.random.default_rng(60), 60)
+
+
+class TestLyapunovValues:
+    """Each trajectory's Lyapunov values lie within 2 eps max|f| of the exact
+    definition form of the floats they are computed from: c and the unit
+    rows. Measured: 0.9-1.3 eps on the off-diagonal runs and 1.2-1.3 eps on
+    the dense ones. A form that subtracts two large, nearly equal sums is
+    4.0 eps off on ex2, 18 on ex3 and 41 at n = 60. The dense 20 x 20 run's
+    states are symmetric only to 5e-10, where a form reading the
+    superdiagonal alone is 8.7e5 eps off."""
+
+    @staticmethod
+    def _assert_near_exact(traj, stride=1):
+        f = traj.f_values
+        c2 = Fraction(traj.c) ** 2
+        bound = Fraction(2.0 * _EPS * float(np.abs(f).max()))
+        for j in range(0, len(f), stride):
+            exact = c2 * lyapunov_exact(traj.unit_states[j])
+            assert abs(Fraction(float(f[j])) - exact) <= bound, j
+
+    @pytest.mark.parametrize("a0", [EX1, EX2, EX3, _SEEDED_60],
+                             ids=["ex1", "ex2", "ex3", "seeded60"])
+    def test_offdiag_runs_match_the_exact_values(self, a0):
+        self._assert_near_exact(flow.integrate(a0))
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_dense_runs_match_the_exact_values(self, n):
+        traj = flow.integrate_dense(_rng3_symmetric(n), flow.IntegratorConfig(t_max=2.0))
+        self._assert_near_exact(traj, stride=max(1, len(traj.times) // 60))
+
+
 class TestInvariants:
     def test_random_runs_keep_every_invariant(self):
         rng = np.random.default_rng(77)
@@ -232,7 +267,7 @@ class TestInvariants:
                 traj = flow.integrate(a0, flow.IntegratorConfig(
                     t_max=150.0, eq_eps=1e-9 * (1 + np.sum(a0 * a0)), max_rows=200))
                 assert traj.status == "converged"
-                for check in trajectory_checks(traj, a0):
+                for check in trajectory_checks(traj):
                     assert check.passed, (n, check)
 
     def test_odd_n_last_component_magnitude_nondecreasing(self):
@@ -489,7 +524,7 @@ class TestStepCounts:
             "-0x1.b69384253620ep-3", "0x1.f60473482f966p-35", "0x1.5b496f63afb88p+1",
             "-0x1.0196197fa898fp-485", "-0x1.4f8403899e1a1p+3", "-0x1.8c00e02433d8cp-209",
             "0x1.8aed287de532ep+3", "0x1.950755e313fbbp-260", "0x1.cbace1a7f0b99p+3"],
-            ("0x1.20239ba03b2e6p+11", "0x1.e30f42877d629p-33", "0x1.3006ef0ae37cap-35")),
+            ("0x1.20239ba03b2e3p+11", "0x1.e30f42877d629p-33", "0x1.3006ef0ae37cap-35")),
         "ex3": (257, "0x1.4000000000000p+3", [
             "-0x1.850201f82826bp-115", "0x1.6740f7e989d7fp+1", "-0x1.96a9d6316e706p-21",
             "0x1.7d3eaee003a19p+1", "-0x1.d22ca8a4a8493p-108", "0x1.0ad958fdc99d8p+2",
@@ -501,7 +536,7 @@ class TestStepCounts:
             "0x1.8f3b867fdd68dp+3", "0x0.0p+0", "0x1.11baca9eec9afp+4",
             "-0x1.69bc1076eb59dp-455", "0x1.1fb18409eb7f8p+4", "-0x1.7dc9296ec0460p-459",
             "-0x1.2d8a92c1e1895p+4"],
-            ("0x1.082304bcc9eefp+15", "0x1.26975ae644e44p-18", "0x1.eac93549ec7e2p-32")),
+            ("0x1.082304bcc9ee4p+15", "0x1.26975ae644e44p-18", "0x1.eac93549ec7e2p-32")),
     }
 
     # the dense kernel's (accepted, rejected) steps, recorded rows, final
@@ -604,10 +639,12 @@ class TestCallTimeLookup:
     def test_integrate_dense_calls_patched_kernel(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_dense_kernel")
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        lyap = _counting(monkeypatch, flow, "lyapunov_f_traceform")
         traj = flow.integrate_dense(jacobi.embed(ex1), flow.IntegratorConfig(t_max=0.1))
         assert len(kernel) == len(eigvalsh) == 1  # eigvalsh: the reference
+        assert len(lyap) == 0
         traj.f_values, traj.k_norms
-        assert len(eigvalsh) == 1
+        assert len(eigvalsh) == len(lyap) == 1
         for _ in range(2):  # the second read adds no call
             traj.spec_drift
             assert len(eigvalsh) == 2

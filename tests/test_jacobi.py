@@ -180,6 +180,25 @@ class TestLyapunov:
         scale = 1 + np.sum(H * H) + np.sum(jacobi.map_N(H) ** 2)
         assert abs(jacobi.lyapunov_f(H) - jacobi.lyapunov_f_traceform(H)) <= 1e-12 * scale
 
+    def test_trace_form_takes_a_stack(self):
+        # a stack gives each matrix's value to the bit; on a matrix that is
+        # not symmetric it still equals the definition form
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(4, 6, 6))
+        stack[:2] += np.swapaxes(stack[:2], 1, 2)
+        got = jacobi.lyapunov_f_traceform(stack)
+        assert got.shape == (4,)
+        for H, f in zip(stack, got):
+            assert f == jacobi.lyapunov_f_traceform(H)
+            assert f == pytest.approx(jacobi.lyapunov_f(H), rel=1e-14)
+        assert jacobi.lyapunov_f_traceform(np.zeros((3, 1, 1))).tolist() == [0.0] * 3
+
+    def test_trace_form_rejects_a_non_finite_superdiagonal(self):
+        H = np.zeros((2, 3, 3))
+        H[1, 1, 2] = np.nan
+        with pytest.raises(ValidationFailure, match="not finite"):
+            jacobi.lyapunov_f_traceform(H)
+
     @given(offdiags)
     def test_offdiag_form_matches_dense(self, a):
         f_dense = jacobi.lyapunov_f(jacobi.embed(a))

@@ -1,4 +1,4 @@
-"""Two metamorphic relations of the flow, pinned bit for bit.
+"""Metamorphic relations of the flow and its eigensolver, pinned bit for bit.
 
 The field is homogeneous of degree 3, so the flow from 2^k a0 is 2^k times
 the flow from a0 run for 4^k times as long. Multiplying by a power of two is
@@ -10,16 +10,19 @@ normal float loses bits in either run, so states are compared where both
 sides are normal; the kernel's rows, which carry every entry, are compared
 whole. The flow also commutes with flipping the sign of any entry: the
 flipped entries flip in every state and in the limit, and nothing else
-changes.
+changes. The cold Sturm solve of 2^k a to the tolerance 2^k tol is 2^k
+times that of a, since its bracket pad is relative to its Gershgorin bound.
 
 Both sides of each pair take the same numpy code paths, so these relations
 hold whichever ``exp`` the CPU dispatches to.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from kvmflow import flow, spectral
+from kvmflow import flow, kernels, spectral
 from kvmflow.flow import IntegratorConfig
 
 from conftest import EX1, EX2, EX3
@@ -78,3 +81,22 @@ def test_flipping_signs_flips_only_those_entries(name):
     for key in _DEGREE:
         want = flips * base[key] if key in ("states", "limit") else base[key]
         np.testing.assert_array_equal(got[key], want, err_msg=key)
+
+
+_STURM_SEEDED = {f"seeded_n{n}": rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.5, 10.0, n - 1)
+                 for rng in [np.random.default_rng(2031)] for n in (2, 3, 7, 12, 30)}
+STURM_INPUTS = {"ex1": EX1, "ex2": EX2, "ex3": EX3, **_STURM_SEEDED}
+
+
+@pytest.mark.parametrize("name", list(STURM_INPUTS))
+def test_cold_sturm_solve_scales_by_a_power_of_two(name):
+    # k = +-330 puts the entries near 1e+-99, where a pad with an absolute
+    # term widens the bracket beyond what 128 halvings close
+    a = STURM_INPUTS[name]
+    diag = np.zeros(a.size + 1)
+    tol = spectral.EIG_TOL * math.sqrt(2.0) * float(np.linalg.norm(a))  # EIG_TOL ||T||_F
+    unit = kernels.sturm_batch(diag, a[None], tol)
+    for k in (-330, -40, 40, 330):
+        s = 2.0 ** k
+        got = kernels.sturm_batch(diag, s * a[None], s * tol)
+        np.testing.assert_array_equal(got, s * unit, err_msg=f"k={k}")

@@ -45,11 +45,12 @@ class TestEigenvaluesTridiagonal:
                            match="offdiag length 2 does not match diag length 2"):
             spectral.eigenvalues_tridiagonal([1.0, 2.0], [1.0, 2.0])
 
-    def test_zero_matrix_keeps_the_unit_tolerance(self):
-        # ||T||_F = 0: the solver keeps EIG_TOL as its tolerance, seeded or cold
+    def test_zero_matrix_has_exact_zero_eigenvalues(self):
+        # ||T||_F = 0: seeded or cold, the values are exact zeros; the cold
+        # bracket's pad is relative to its Gershgorin bound, here 0
         seeded = spectral.eigenvalues_tridiagonal([0.0, 0.0], [0.0]).values
         assert _bits(seeded) == _bits([-0.0, 0.0])
-        assert _bits(_cold([0.0, 0.0], [0.0])) == _bits([-7.5e-13, 7.5e-13])
+        assert _bits(_cold([0.0, 0.0], [0.0])) == _bits([-0.0, 0.0])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValidationFailure, match="matrix dimension must be at least 1"):

@@ -204,6 +204,12 @@ class TestVerifyIdentities:
             "trace_swap_under_n",
         ]
 
+    def test_zero_deviations_read_zero(self):
+        # n = 1: H is the zero matrix, whose norms are 0, and every deviation
+        # is exactly 0, so every measure reads 0 rather than 0 / 0
+        report = verify.verify_identities(1, trials=20, seed=5)
+        assert [c.measured for c in report.checks] == [0.0] * 5
+
     def test_seed_recorded(self):
         report = verify.verify_identities(3, trials=2, seed=99)
         assert report.meta["seed"] == 99
