@@ -35,6 +35,7 @@ from . import kernels
 from .errors import NonConvergence, ValidationFailure
 from .jacobi import (
     _bracket_K,
+    _sum_in_order,
     as_offdiag,
     as_symmetric,
     lyapunov_f_offdiag,
@@ -101,11 +102,10 @@ class IntegratorConfig:
 class FlowTrajectory:
     """Sampled off-diagonal states. Stored: the kernel's rows and x0. Derived
     once, on first read: unit_states = sign(x0) exp(rows), states = c times
-    them with row 0 x0, and from the unit rows by the per-shape _lyapunov,
-    _residuals and _drift, mapped back by c^2, c^2 and c: f_values (Lyapunov
-    values), k_norms (residuals) and spec_drift (largest deviation from the
-    t=0 spectrum; 0 on row 0, which is not solved, and on a stationary
-    input)."""
+    them with row 0 x0, and by the per-shape _lyapunov, _residuals (the stop
+    test's; converged iff k_norms[-1] <= eq_eps) and _drift, times c^2, c^2
+    and c: f_values, k_norms and spec_drift (largest deviation from the t=0
+    spectrum; 0 on row 0, which is not solved, and on a stationary input)."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
@@ -140,7 +140,7 @@ class FlowTrajectory:
 
     @cached_property
     def k_norms(self) -> np.ndarray:
-        return self.c * self.c * self._residuals(self.unit_states)
+        return self.c * self.c * self._residuals(self.rows)
 
     @cached_property
     def spec_drift(self) -> np.ndarray:
@@ -175,9 +175,8 @@ class DenseTrajectory(FlowTrajectory):
         return block_structure(self.states[-1], 1e-6 * float(np.abs(self.x0).max()))
 
     _lyapunov = staticmethod(lambda rows: lyapunov_f_traceform(rows))
-    # one norm per row: a batched norm sums in another order and changes bits
-    _residuals = staticmethod(
-        lambda rows: np.array([np.linalg.norm(_bracket_K(H)) for H in rows]))
+    _residuals = staticmethod(lambda rows: np.array(
+        [math.sqrt(_sum_in_order(K * K)) for K in map(_bracket_K, rows)]))
     _drift = staticmethod(
         lambda rows, ref: np.abs(np.linalg.eigvalsh(rows) - ref).max(axis=1))
 
@@ -196,11 +195,11 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
     c is the input's unit and y0 the kernel state of x0 / c. The kernel,
     reference() (the t=0 Spectrum in x0's units, after any check that needs
     it) and cls (whose chart reads states off the kernel's rows) carry what
-    depends on the state's shape. Only here are t_max and eq_eps mapped into
-    tau and the unit residual, and times mapped back; the trajectory keeps
-    the kernel's rows and x0. An input whose c^2, n c^2 or c^2 t_max is not
-    a finite normal float is rejected; one whose unit residual is already
-    <= eq_eps / c^2 (every n = 1 input) is a one-row stationary_input
+    depends on the state's shape. Only here is t_max mapped into tau and
+    times mapped back. The stop and stationary tests compare c^2 times the
+    unit residual (k_norms' number) with eq_eps. An input whose c^2, n c^2 or
+    c^2 t_max is not a finite normal float is rejected; one whose residual is
+    already <= eq_eps (every n = 1 input) is a one-row stationary_input
     trajectory, not integrated. A run that diverges to a non-finite state
     raises NonConvergence here; the kernel raises its own step failures.
     """
@@ -214,21 +213,19 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
     tau_max = c2 * cfg.t_max
     if not _TINY <= tau_max < math.inf:
         raise ValidationFailure(f"t_max * ||a0||^2 = {tau_max:.3e} is out of range")
-    eq_unit = _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps / c2
-    # the threshold the run applies, in x0's units: a unit residual k <=
-    # eq_unit stores as c2 * k <= c2 * eq_unit, since rounding is monotone
-    fields = dict(x0=x0.copy(), c=c, config=cfg, eq_eps=c2 * eq_unit)
+    eq_eps = c2 * _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps
+    fields = dict(x0=x0.copy(), c=c, config=cfg, eq_eps=eq_eps)
 
-    still = cls(times=np.zeros(1), rows=y0[None], status="stationary_input", **fields)
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
-    if cls._residuals(still.unit_states)[0] <= eq_unit:
-        return still
+    if c2 * cls._residuals(y0[None])[0] <= eq_eps:
+        return cls(times=np.zeros(1), rows=y0[None], status="stationary_input",
+                   **fields)
 
     spectrum = reference()
     with np.errstate(over="ignore", invalid="ignore"):
         times, rows, _, status, _, _ = kernel(
-            y0, tau_max, cfg.tol, eq_unit, cfg.max_rows)
+            y0, tau_max, cfg.tol, eq_eps, cfg.max_rows, c2)
         traj = cls(times=times / c2, rows=rows, status=status, spectrum=spectrum,
                    **fields)
         if not np.all(np.isfinite(traj.unit_states)):

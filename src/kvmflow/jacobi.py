@@ -175,26 +175,28 @@ def log_chart_rhs(k: int):
 
 
 def rhs_matrix(H) -> np.ndarray:
-    """Dense double-bracket right-hand side [H, [H, N(H)]]."""
+    """Dense double-bracket right-hand side [H, [H, N(H)]] of a symmetric H."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationFailure(f"expected a square matrix, got shape {H.shape}")
     as_offdiag(np.diagonal(H, 1))  # the entries N reads must be finite
+    if not np.array_equal(H, H.T):  # the field's formula needs H = H^T
+        raise ValidationFailure("expected a symmetric matrix")
     return _dense_field(H.shape[0])[0](H)
 
 
 def _bracket_K(H: np.ndarray, N=None, coeff=None) -> np.ndarray:
-    """Unchecked [H, N(H)] for a float64 square matrix; N, coeff: see _map_N."""
-    N = _map_N(H, N, coeff)
-    return H @ N - N @ H
+    """Unchecked [H, N(H)] = M - M^T, M = H N(H), of a symmetric H; N, coeff: see _map_N."""
+    M = H @ _map_N(H, N, coeff)
+    return M - M.T
 
 
 def _dense_field(n: int):
     """Return (rhs, resid2), the dense double-bracket field for the stepper.
 
-    rhs(H, out) is the unchecked rhs_matrix of an n x n H, written to out if
-    given; it keeps the inner bracket K = [H, N(H)]. resid2() is the squared
-    Frobenius norm of the last K, summed left to right in C order.
+    rhs(H, out) is the unchecked rhs_matrix of a symmetric n x n H, written
+    to out if given: P + P^T, P = H K, with K = [H, N(H)] kept. resid2() is
+    the squared Frobenius norm of the last K, summed left to right in C order.
     """
     K = np.zeros(0)
     N, coeff = np.zeros((n, n)), np.arange(n - 1, dtype=np.float64) - 1.0
@@ -202,7 +204,8 @@ def _dense_field(n: int):
     def rhs(H: np.ndarray, out=None) -> np.ndarray:
         nonlocal K
         K = _bracket_K(H, N, coeff)
-        return np.subtract(H @ K, K @ H, out=out)
+        P = H @ K
+        return np.add(P, P.T, out=out)
 
     def resid2() -> float:
         return _sum_in_order(K * K)
@@ -243,17 +246,23 @@ def lyapunov_f_offdiag(states: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_residual(a) -> float:
-    """Frobenius norm of map_K(a); exactly zero iff a is a flow equilibrium."""
-    return float(residual_norms(as_offdiag(a))[0])
+    """||map_K(a)||_F as c (c residual_norms(log|a / c|)), c = ||a||: 0 on every
+    equilibrium, and where each neighbour product underflows next to c^2."""
+    a = as_offdiag(a)
+    c = scaled_norm(a) or 1.0  # any unit serves the zero vector
+    with np.errstate(divide="ignore"):
+        return float(c * (c * residual_norms(np.log(np.abs(a) / c))[0]))
 
 
-def residual_norms(states: np.ndarray) -> np.ndarray:
-    """equilibrium_residual for a batch of off-diagonal rows, shape (m, n-1)."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if states.shape[1] < 2:
-        return np.zeros(states.shape[0])
-    prods = states[:, :-1] * states[:, 1:]
-    return np.sqrt(2.0 * np.sum(prods * prods, axis=1))
+def residual_norms(rows: np.ndarray) -> np.ndarray:
+    """The stop test's ||K||_F of the kernel's rows v = log|a / c|, (m, n-1):
+    sqrt(2 sum u_i u_{i+1}), u = exp(2 v), to the bit log_chart_rhs's sqrt(resid2()) at 2 v."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if rows.shape[1] < 2:
+        return np.zeros(rows.shape[0])
+    u = np.exp(2.0 * rows)
+    prods = u[:, :-1] * u[:, 1:]
+    return np.sqrt(2.0 * np.add.accumulate(prods, axis=1)[:, -1])
 
 
 def scaled_norm(x) -> float:

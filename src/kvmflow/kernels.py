@@ -138,19 +138,19 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 
-def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
+def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c2=1.0):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
     rhs(y, out) writes the field at y to out; resid2() returns the squared
     equilibrium residual of the state of the last rhs call. Stops at t_max,
-    or once an accepted state has resid2() <= eq_eps^2; a step that ends
-    within 1e-14 * t_max of t_max ends exactly on it. The first trial step,
-    0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set by y0 and its slope
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On a unit state the
-    field is O(1), so t_max / unit = 1 is the run's time scale, and the step
-    floor is 1e-14 of it, or of t_max if shorter. A step below the floor
-    (or a NaN step) raises NonConvergence, and so does a run that has taken
-    MAX_STEPS steps, accepted or rejected.
+    or once an accepted state has c2 * sqrt(resid2()) <= eq_eps (the stored
+    residual); a step that ends within 1e-14 * t_max of t_max ends exactly on it.
+    The first trial step, 0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set
+    by y0 and its slope (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On
+    a unit state the field is O(1), so t_max / unit = 1 is the run's time
+    scale, and the step floor is 1e-14 of it, or of t_max if shorter. A
+    step below the floor (or a NaN step) raises NonConvergence, and so does
+    a run that has taken MAX_STEPS steps, accepted or rejected.
 
     The step is DOP853: twelve stages, the last field value k13 = f(y_new)
     reused as the next step's k1 (FSAL). k13 is a step's last rhs call, so
@@ -220,7 +220,6 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
     tol_unit = tol * unit
     dt_min = unit * (1e-14 * min(t_max / unit, 1.0))
 
-    eq2 = eq_eps * eq_eps
     t = 0.0
     status = STATUS_HORIZON
     naccept = 0
@@ -275,15 +274,15 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
             abs_y, abs_new = abs_new, abs_y
             naccept += 1
 
-            r2 = resid2()
-            done = r2 <= eq2 or t >= t_edge
+            stop = c2 * sqrt(resid2()) <= eq_eps
+            done = stop or t >= t_edge
             if len(times) == max_rows and (naccept % stride == 0 or done):
                 del times[1::2], states[1::2]
                 stride *= 2
             if (naccept % stride == 0 or done) and times[-1] < t:
                 times.append(t)
                 states.append(y.copy())
-            if r2 <= eq2:
+            if stop:
                 status = STATUS_CONVERGED
                 break
         else:
@@ -309,15 +308,15 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit):
     return np.array(times), np.array(states), len(times), status, naccept, nreject
 
 
-def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows):
+def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows, c2=1.0):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
     The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
-    in normalised time tau = ||a0||^2 t; t_max and eq_eps are in
-    those units, and eq_eps bounds the residual of exp(v). A zero entry is
-    v = -inf: it stays there and adds 0 to the field, the residual and the
-    error norm. tol bounds the error in v, which is the relative error of
-    each entry. See :func:`_integrate` for the return value.
+    in normalised time tau = ||a0||^2 t, the units of t_max; eq_eps bounds c2
+    (= ||a0||^2) times the residual of exp(v). A zero entry is v = -inf: it
+    stays there and adds 0 to the field, the residual and the error norm.
+    tol bounds the error in v, the relative error of each entry. See
+    :func:`_integrate` for the return value.
 
     Inside, the run steps w = 2 v = log b^2 in s = 2 tau with the field of
     :func:`jacobi.log_chart_rhs` and unit 2 (see :func:`_integrate`), and
@@ -326,23 +325,23 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows):
     evaluation is one exp and one subtraction.
     """
     out = _integrate(2.0 * v0, *log_chart_rhs(v0.size), 2.0 * t_max, tol,
-                     eq_eps, max_rows, unit=2.0)
+                     eq_eps, max_rows, 2.0, c2)
     times, states = out[:2]
     times *= 0.5
     states *= 0.5
     return out
 
 
-def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows):
+def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows, c2=1.0):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
     coordinates; the residual is the Frobenius norm of [H, N(H)]. The caller
-    passes H0 / c and times in tau = c^2 t, so both are unit-sized, and tol
-    bounds the error in H0 / c.
+    passes H0 / c, times in tau = c^2 t and c2 = c^2, so both are
+    unit-sized, eq_eps is in H0's units, and tol bounds the error in H0 / c.
     """
     return _integrate(H0, *_dense_field(H0.shape[0]), t_max, tol, eq_eps, max_rows,
-                      unit=1.0)
+                      1.0, c2)
 
 
 # bisection steps per bracket before _bisect raises NonConvergence

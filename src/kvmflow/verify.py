@@ -144,8 +144,8 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     sq = scale * scale
     checks = trajectory_checks(traj)
 
-    # the last row alone; k_norms would build every row's residual
-    final_resid = float(sq * residual_norms(traj.unit_states[-1:])[0])
+    # k_norms[-1] from the last row alone; k_norms would build every row's
+    final_resid = float(sq * residual_norms(traj.rows[-1:])[0])
     checks.append(Check("equilibrium_reached",
                         final_resid <= FINAL_RESIDUAL * sq,
                         final_resid, FINAL_RESIDUAL * sq))

@@ -57,6 +57,8 @@ def test_every_error_class_is_raised_by_name():
      "incompatible shapes (2, 2) and (3, 3)"),
     (lambda: kvmflow.rhs_matrix(np.ones((2, 3))), errors.ValidationFailure,
      "expected a square matrix, got shape (2, 3)"),
+    (lambda: kvmflow.rhs_matrix(np.triu(np.ones((3, 3)))), errors.ValidationFailure,
+     "expected a symmetric matrix"),
     (lambda: kvmflow.eigenvalues_tridiagonal([1.0, 2.0], [1.0, 2.0]),
      errors.ValidationFailure, "offdiag length 2 does not match diag length 2"),
     (lambda: kvmflow.eigenvalues_tridiagonal([], []), errors.ValidationFailure,
@@ -67,8 +69,8 @@ def test_every_error_class_is_raised_by_name():
      errors.ValidationFailure, "spectrum has 3 values, state implies 4"),
     (lambda: kvmflow.integrate(EX1, kvmflow.IntegratorConfig(tol=1e-300, t_max=1.0)),
      errors.NonConvergence, "adaptive step fell below 1e-14"),
-], ids=["commutator", "rhs_matrix", "diag_length", "empty_matrix", "unpaired",
-        "spectrum_size", "step_floor"])
+], ids=["commutator", "rhs_matrix", "rhs_matrix_asymmetric", "diag_length", "empty_matrix",
+        "unpaired", "spectrum_size", "step_floor"])
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_shape_pairing_and_step_failures_raise_their_kind(call, cls, message):
     # a bad input is a ValidationFailure and a failed run a NonConvergence,

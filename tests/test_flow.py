@@ -189,6 +189,22 @@ class TestIntegrate:
         assert traj.status == "converged"
         assert traj.k_norms[-1] <= traj.eq_eps
 
+    def test_status_agrees_with_the_reported_residual_at_the_boundary(self):
+        # eq_eps at a recorded residual and at its two neighbouring floats:
+        # the run ends converged (or stationary) iff its last k_norms value
+        # is <= the eq_eps it was given, to the last bit
+        rng = np.random.default_rng(5)
+        inputs = [EX1, EX2, EX3] + [_random_valid_state(rng, n)
+                                    for n in rng.integers(3, 13, 10)]
+        for a0 in inputs:
+            k = flow.integrate(a0).k_norms
+            for j in sorted({len(k) // 2, len(k) - 2, len(k) - 1}):
+                for eq_eps in (np.nextafter(k[j], 0.0), k[j], np.nextafter(k[j], 1.0)):
+                    traj = flow.integrate(a0, flow.IntegratorConfig(eq_eps=float(eq_eps)))
+                    assert traj.eq_eps == eq_eps
+                    assert ((traj.k_norms[-1] <= eq_eps)
+                            == (traj.status != "horizon_reached")), (j, eq_eps)
+
 
 def _rng3_symmetric(n):
     H = np.random.default_rng(3).normal(size=(n, n))
@@ -234,9 +250,10 @@ class TestLyapunovValues:
     definition form of the floats they are computed from: c and the unit
     rows. Measured: 0.9-1.3 eps on the off-diagonal runs and 1.2-1.3 eps on
     the dense ones. A form that subtracts two large, nearly equal sums is
-    4.0 eps off on ex2, 18 on ex3 and 41 at n = 60. The dense 20 x 20 run's
-    states are symmetric only to 5e-10, where a form reading the
-    superdiagonal alone is 8.7e5 eps off."""
+    4.0 eps off on ex2, 18 on ex3 and 41 at n = 60. While the dense field
+    was not symmetric by construction, the 20 x 20 run's states were
+    symmetric only to 5e-10, where a form reading the superdiagonal alone
+    was 8.7e5 eps off."""
 
     @staticmethod
     def _assert_near_exact(traj, stride=1):
@@ -450,6 +467,12 @@ class TestIntegrateDense:
         H = 1e-100 * np.array([[0.0, 1.0, 0.0], [3.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValidationFailure, match="not symmetric"):
             flow.integrate_dense(H)
+
+    def test_every_row_is_exactly_symmetric(self):
+        # the field is P + P^T and the stages are sums of field values
+        traj = flow.integrate_dense(_rng3_symmetric(20), flow.IntegratorConfig(t_max=2.0))
+        assert len(traj.rows) > 900
+        np.testing.assert_array_equal(traj.rows, traj.rows.transpose(0, 2, 1))
 
     def test_random_symmetric_invariants(self):
         rng = np.random.default_rng(9)

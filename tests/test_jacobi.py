@@ -144,7 +144,7 @@ class TestRhs:
     def test_matrix_rhs_is_symmetric(self, pair):
         H, _ = pair
         R = jacobi.rhs_matrix(H)
-        np.testing.assert_allclose(R, R.T, atol=1e-10 * (1 + np.abs(R).max()))
+        np.testing.assert_array_equal(R, R.T)
 
     @given(offdiags)
     def test_dense_componentwise_equivalence(self, a):

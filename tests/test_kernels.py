@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvmflow import jacobi, kernels
+from kvmflow import flow, jacobi, kernels
 from kvmflow.errors import NonConvergence
 
 from oracles import (
@@ -448,9 +448,13 @@ class TestSumsInLoopOrder:
         assert status == kernels.STATUS_HORIZON and count == naccept + 1 == len(seen) + 1
         if kind == "log":
             want = [_log_chart_resid2(2.0 * v) for v in states[1:count]]
+            reported = jacobi.residual_norms(states[1:count])
         else:
             want = [_dense_resid2(S) for S in states[1:count]]
+            reported = flow.DenseTrajectory._residuals(states[1:count])
         assert seen == want
+        # the trajectory reports the residual the stop test compares
+        assert reported.tolist() == [math.sqrt(r2) for r2 in seen]
 
 
 def _log_chart(a):

@@ -11,7 +11,9 @@ sides are normal; the kernel's rows, which carry every entry, are compared
 whole. The flow also commutes with flipping the sign of any entry: the
 flipped entries flip in every state and in the limit, and nothing else
 changes. The cold Sturm solve of 2^k a to the tolerance 2^k tol is 2^k
-times that of a, since its bracket pad is relative to its Gershgorin bound.
+times that of a, since its bracket pad is relative to its Gershgorin bound,
+and equilibrium_residual of 2^k a is 4^k times that of a, since it works on
+a / ||a||.
 
 Both sides of each pair take the same numpy code paths, so these relations
 hold whichever ``exp`` the CPU dispatches to.
@@ -22,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from kvmflow import flow, kernels, spectral
+from kvmflow import flow, jacobi, kernels, spectral
 from kvmflow.flow import IntegratorConfig
 
 from conftest import EX1, EX2, EX3
@@ -86,6 +88,17 @@ def test_flipping_signs_flips_only_those_entries(name):
 _STURM_SEEDED = {f"seeded_n{n}": rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.5, 10.0, n - 1)
                  for rng in [np.random.default_rng(2031)] for n in (2, 3, 7, 12, 30)}
 STURM_INPUTS = {"ex1": EX1, "ex2": EX2, "ex3": EX3, **_STURM_SEEDED}
+
+
+@pytest.mark.parametrize("name", list(STURM_INPUTS))
+def test_equilibrium_residual_scales_by_a_power_of_four(name):
+    # at k = +-330 the squared entries leave the float range; the residual,
+    # near 4^k, does not
+    a = STURM_INPUTS[name]
+    unit = jacobi.equilibrium_residual(a)
+    for k in (-330, -40, 40, 330):
+        got = jacobi.equilibrium_residual(2.0 ** k * a)
+        assert got == math.ldexp(unit, 2 * k), f"k={k}"
 
 
 @pytest.mark.parametrize("name", list(STURM_INPUTS))

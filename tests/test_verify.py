@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -131,17 +132,16 @@ class TestVerifyRun:
         assert report.overall
         assert all("limit" not in c.name for c in report.checks)
 
-    # inputs whose residual equals eq_eps up to the last bit: the unit
-    # residual is <= eq_eps / c^2 while the stored one, c^2 times it, read
-    # one bit above eq_eps
+    # inputs at the last bit of the stationary test: eq_eps is the stored
+    # residual c^2 k, k the unit residual, and one bit less is not stationary
     @pytest.mark.parametrize("a0, eq_eps", [
         ([1.0851725302734132, 1.0136840010143916e-07, 2.3374286886218107,
-          2.4879106112960613e-07], 9.015768873149086e-07),
+          2.4879106112960613e-07], 9.015768873149088e-07),
         ([0.023980052798988436, 4.2650022009584355e-09, 0.028291333031591873,
           8.984176769298791e-09, 0.041694292383862165, 6.867203840897151e-09],
-         7.898380132389117e-10),
+         7.898380132389118e-10),
         ([0.007976957364033758, 3.594633963601879e-10, 0.004993248066756129,
-          2.465028545198887e-10, 0.006876680085311295], 5.627109178717763e-12),
+          2.465028545198887e-10, 0.006876680085311295], 5.6271091787177634e-12),
     ])
     def test_stationary_input_passes_its_residual_check(self, a0, eq_eps):
         report = verify.verify_run(a0, IntegratorConfig(eq_eps=eq_eps))
@@ -149,6 +149,8 @@ class TestVerifyRun:
         assert [(c.name, c.passed) for c in report.checks] == [
             ("stationary_residual", True)]
         assert report.overall
+        below = IntegratorConfig(eq_eps=math.nextafter(eq_eps, 0.0), t_max=1e-3)
+        assert flow.integrate(a0, below).status != "stationary_input"
 
     def test_prediction_and_final_residual_are_the_checked_ones(self, ex1, ex2, ex3):
         # verify_run places the limit without predict_limit's checks, which
