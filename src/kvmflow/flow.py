@@ -102,10 +102,11 @@ class IntegratorConfig:
 class FlowTrajectory:
     """Sampled off-diagonal states. Stored: the kernel's rows and x0. Derived
     once, on first read: unit_states = sign(x0) exp(rows), states = c times
-    them with row 0 x0, and by the per-shape _lyapunov, _residuals (the stop
-    test's; converged iff k_norms[-1] <= eq_eps) and _drift, times c^2, c^2
-    and c: f_values, k_norms and spec_drift (largest deviation from the t=0
-    spectrum; 0 on row 0, which is not solved, and on a stationary input)."""
+    them with row 0 x0, and by the per-shape _lyapunov, _drift and _residuals
+    (the stop test's), times c^2, c and c (c .): f_values, spec_drift (the
+    largest deviation from the t=0 spectrum; 0 on row 0, which is not solved,
+    and on a stationary input) and k_norms, whose row 0 is equilibrium_residual(x0).
+    converged means k_norms[-1] <= eq_eps on the stable pattern (log_chart_stable)."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
@@ -140,7 +141,7 @@ class FlowTrajectory:
 
     @cached_property
     def k_norms(self) -> np.ndarray:
-        return self.c * self.c * self._residuals(self.rows)
+        return self.c * (self.c * self._residuals(self.rows))
 
     @cached_property
     def spec_drift(self) -> np.ndarray:
@@ -196,8 +197,8 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
     reference() (the t=0 Spectrum in x0's units, after any check that needs
     it) and cls (whose chart reads states off the kernel's rows) carry what
     depends on the state's shape. Only here is t_max mapped into tau and
-    times mapped back. The stop and stationary tests compare c^2 times the
-    unit residual (k_norms' number) with eq_eps. An input whose c^2, n c^2 or
+    times mapped back. The stop and stationary tests compare c (c r), r the
+    unit residual (k_norms' number), with eq_eps. An input whose c^2, n c^2 or
     c^2 t_max is not a finite normal float is rejected; one whose residual is
     already <= eq_eps (every n = 1 input) is a one-row stationary_input
     trajectory, not integrated. A run that diverges to a non-finite state
@@ -218,14 +219,14 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
 
     # equilibria short-circuit before reference(): they do not move, and they
     # typically carry the zero entries validation rejects
-    if c2 * cls._residuals(y0[None])[0] <= eq_eps:
+    if c * (c * cls._residuals(y0[None])[0]) <= eq_eps:
         return cls(times=np.zeros(1), rows=y0[None], status="stationary_input",
                    **fields)
 
     spectrum = reference()
     with np.errstate(over="ignore", invalid="ignore"):
         times, rows, _, status, _, _ = kernel(
-            y0, tau_max, cfg.tol, eq_eps, cfg.max_rows, c2)
+            y0, tau_max, cfg.tol, eq_eps, cfg.max_rows, c)
         traj = cls(times=times / c2, rows=rows, status=status, spectrum=spectrum,
                    **fields)
         if not np.all(np.isfinite(traj.unit_states)):
@@ -240,8 +241,8 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     """Integrate the flow from a0 until equilibrium or the horizon.
 
     With validate=True (the default) the initial condition must have nonzero
-    entries and pairwise-distinct eigenvalues. An initial condition that is
-    already an equilibrium (residual <= eq_eps) yields a single-row
+    entries and pairwise-distinct eigenvalues. An initial condition with
+    equilibrium_residual(a0) <= eq_eps yields a single-row
     stationary_input trajectory without integrating.
 
     With c = ||a0||, the kernel steps v = log|a0 / c| in tau = c^2 t, and the

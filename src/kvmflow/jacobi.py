@@ -21,6 +21,7 @@ __all__ = [
     "commutator",
     "rhs_componentwise",
     "log_chart_rhs",
+    "log_chart_stable",
     "rhs_matrix",
     "lyapunov_f",
     "lyapunov_f_traceform",
@@ -174,6 +175,18 @@ def log_chart_rhs(k: int):
     return rhs, resid2
 
 
+def log_chart_stable(w: np.ndarray) -> bool:
+    """Whether the log-chart state w has the paper's limit pattern, not a saddle's:
+    strictly increasing on the live slots (spectral.limit_slots), every other
+    entry below their smallest. A zero entry (-inf) flows per block: passes."""
+    if np.isneginf(w).any():
+        return True
+    live = np.arange(w.size) % 2 == (w.size + 1) % 2
+    on = w[live]
+    return bool(np.all(on[:-1] < on[1:])
+                and w[~live].max(initial=-np.inf) < on.min(initial=np.inf))
+
+
 def rhs_matrix(H) -> np.ndarray:
     """Dense double-bracket right-hand side [H, [H, N(H)]] of a symmetric H."""
     H = np.asarray(H, dtype=np.float64)
@@ -246,8 +259,8 @@ def lyapunov_f_offdiag(states: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_residual(a) -> float:
-    """||map_K(a)||_F as c (c residual_norms(log|a / c|)), c = ||a||: 0 on every
-    equilibrium, and where each neighbour product underflows next to c^2."""
+    """||map_K(a)||_F as c (c residual_norms(log|a / c|)), c = ||a||: k_norms[0]
+    of the run of a, 0 on every equilibrium and where each product underflows."""
     a = as_offdiag(a)
     c = scaled_norm(a) or 1.0  # any unit serves the zero vector
     with np.errstate(divide="ignore"):

@@ -2,8 +2,8 @@
 
 One adaptive stepper, DOP853 (the Dormand-Prince 8(5,3) pair: twelve stages,
 an eighth-order step and fifth- and third-order error estimates), integrates
-both forms of the flow. It takes the right-hand side and the squared
-equilibrium residual as arguments and works on a state of any shape:
+both forms of the flow. It takes the field, the squared equilibrium residual and
+the chart's stable-pattern test, if any, and works on a state of any shape:
 
 * ``integrate_offdiag_kernel`` steps the off-diagonal on the log-magnitude
   chart, where the field is smooth, scale-free and leaves every sign where
@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergence
-from .jacobi import _dense_field, log_chart_rhs
+from .jacobi import _dense_field, log_chart_rhs, log_chart_stable
 
 
 def lane() -> str:
@@ -138,13 +138,14 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 
-def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c2=1.0):
+def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stable=None):
     """Integrate dy/dt = rhs(y) from y0, recording sampled states.
 
     rhs(y, out) writes the field at y to out; resid2() returns the squared
     equilibrium residual of the state of the last rhs call. Stops at t_max,
-    or once an accepted state has c2 * sqrt(resid2()) <= eq_eps (the stored
-    residual); a step that ends within 1e-14 * t_max of t_max ends exactly on it.
+    or once an accepted state y has c * (c * sqrt(resid2())) <= eq_eps (the
+    stored residual) and, if given, stable(y), which is asked only then; a
+    step that ends within 1e-14 * t_max of t_max ends exactly on it.
     The first trial step, 0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set
     by y0 and its slope (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On
     a unit state the field is O(1), so t_max / unit = 1 is the run's time
@@ -274,7 +275,7 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c2=1.0):
             abs_y, abs_new = abs_new, abs_y
             naccept += 1
 
-            stop = c2 * sqrt(resid2()) <= eq_eps
+            stop = c * (c * sqrt(resid2())) <= eq_eps and (stable is None or stable(y))
             done = stop or t >= t_edge
             if len(times) == max_rows and (naccept % stride == 0 or done):
                 del times[1::2], states[1::2]
@@ -308,15 +309,15 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c2=1.0):
     return np.array(times), np.array(states), len(times), status, naccept, nreject
 
 
-def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows, c2=1.0):
+def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows, c=1.0):
     """Integrate the off-diagonal flow on the log-magnitude chart.
 
-    The state is v = log|b| for the unit-norm off-diagonal b = a0 / ||a0||,
-    in normalised time tau = ||a0||^2 t, the units of t_max; eq_eps bounds c2
-    (= ||a0||^2) times the residual of exp(v). A zero entry is v = -inf: it
-    stays there and adds 0 to the field, the residual and the error norm.
-    tol bounds the error in v, the relative error of each entry. See
-    :func:`_integrate` for the return value.
+    The state is v = log|a0 / c|, c = ||a0||, in normalised time tau = c^2 t,
+    the units of t_max; a run stops once c (c r), r the residual of exp(v), is
+    at most eq_eps on the stable pattern (:func:`jacobi.log_chart_stable`). A
+    zero entry is v = -inf: it stays there and adds 0 to the field, the
+    residual and the error norm. tol bounds the error in v, the relative
+    error of each entry. See :func:`_integrate` for the return value.
 
     Inside, the run steps w = 2 v = log b^2 in s = 2 tau with the field of
     :func:`jacobi.log_chart_rhs` and unit 2 (see :func:`_integrate`), and
@@ -325,23 +326,23 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows, c2=1.0):
     evaluation is one exp and one subtraction.
     """
     out = _integrate(2.0 * v0, *log_chart_rhs(v0.size), 2.0 * t_max, tol,
-                     eq_eps, max_rows, 2.0, c2)
+                     eq_eps, max_rows, 2.0, c, log_chart_stable)
     times, states = out[:2]
     times *= 0.5
     states *= 0.5
     return out
 
 
-def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows, c2=1.0):
+def integrate_dense_kernel(H0, t_max, tol, eq_eps, max_rows, c=1.0):
     """Integrate the dense double-bracket flow on an n-by-n symmetric matrix.
 
     Same stepping and recording as :func:`integrate_offdiag_kernel`, in matrix
     coordinates; the residual is the Frobenius norm of [H, N(H)]. The caller
-    passes H0 / c, times in tau = c^2 t and c2 = c^2, so both are
+    passes H0 / c, times in tau = c^2 t and the unit c, so both are
     unit-sized, eq_eps is in H0's units, and tol bounds the error in H0 / c.
     """
     return _integrate(H0, *_dense_field(H0.shape[0]), t_max, tol, eq_eps, max_rows,
-                      1.0, c2)
+                      1.0, c)
 
 
 # bisection steps per bracket before _bisect raises NonConvergence

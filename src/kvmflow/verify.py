@@ -145,7 +145,7 @@ def verify_run(a0, cfg: IntegratorConfig | None = None, *,
     checks = trajectory_checks(traj)
 
     # k_norms[-1] from the last row alone; k_norms would build every row's
-    final_resid = float(sq * residual_norms(traj.rows[-1:])[0])
+    final_resid = float(scale * (scale * residual_norms(traj.rows[-1:])[0]))
     checks.append(Check("equilibrium_reached",
                         final_resid <= FINAL_RESIDUAL * sq,
                         final_resid, FINAL_RESIDUAL * sq))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kvmflow import flow, jacobi, kernels, spectral
 from kvmflow.errors import NonConvergence, ValidationFailure
-from kvmflow.verify import trajectory_checks, verify_run
+from kvmflow.verify import LIMIT_MATCH, trajectory_checks, verify_run
 
 from conftest import EX1, EX2, EX3, count_steps
 from oracles import lyapunov_exact
@@ -204,6 +204,39 @@ class TestIntegrate:
                     assert traj.eq_eps == eq_eps
                     assert ((traj.k_norms[-1] <= eq_eps)
                             == (traj.status != "horizon_reached")), (j, eq_eps)
+
+    def test_equilibrium_residual_is_the_stationary_test(self):
+        # equilibrium_residual(a0) is the number the stationary test compares:
+        # a0 is stationary at eq_eps = equilibrium_residual(a0), one float
+        # below it is not; inputs of graded scale, 1e-5 to 1e4
+        rng = np.random.default_rng(1)
+        inputs = [EX1, EX2, EX3] + [
+            rng.uniform(0.5, 1.5, n - 1) * 10.0 ** rng.uniform(-5.0, 4.0)
+            * rng.choice([-1.0, 1.0], n - 1) for n in 3 + np.arange(500) % 10]
+        for a0 in inputs:
+            e = jacobi.equilibrium_residual(a0)
+            at = flow.integrate(a0, flow.IntegratorConfig(eq_eps=e, t_max=1e-3))
+            below = flow.IntegratorConfig(eq_eps=np.nextafter(e, 0.0), t_max=1e-3)
+            assert at.status == "stationary_input", a0
+            assert flow.integrate(a0, below).status != "stationary_input", a0
+
+    def test_equilibrium_residual_is_the_first_reported_residual(self):
+        rng = np.random.default_rng(1)
+        inputs = [EX1, EX2, EX3] + [_random_valid_state(rng, n) for n in range(3, 13)]
+        for a0 in inputs:
+            got = jacobi.equilibrium_residual(a0)
+            assert got.hex() == float(flow.integrate(a0).k_norms[0]).hex(), a0
+
+    # an unsorted equilibrium is a saddle: the run passes near it (a_2 grows
+    # from 1e-40 and a_4 decays), with a residual below eq_eps on the way
+    @pytest.mark.parametrize("a0", [[3.0, 1e-40, 1.0, 0.1, 2.0],
+                                    [3.0, 1e-60, 1.0, 0.3, 2.0]])
+    def test_run_does_not_stop_at_a_saddle(self, a0):
+        assert flow.integrate(a0).status == "horizon_reached"
+        traj = flow.integrate(a0, flow.IntegratorConfig(t_max=100.0))
+        assert traj.status == "converged" and traj.k_norms[-1] <= traj.eq_eps
+        limit = spectral.predict_limit(a0, traj.spectrum)
+        assert np.abs(traj.final_state - limit).max() <= LIMIT_MATCH * traj.c
 
 
 def _rng3_symmetric(n):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kvmflow import jacobi
+from kvmflow import jacobi, spectral
 from kvmflow.errors import ValidationFailure
 
 entries = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -232,3 +232,28 @@ class TestEquilibriumResidual:
         direct = jacobi.equilibrium_residual(a)
         dense = np.linalg.norm(jacobi.map_K(a))
         assert direct == pytest.approx(dense, abs=1e-10 * (1 + dense))
+
+
+class TestLogChartStable:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_one_stable_equilibrium_is_the_predicted_limit(self, n):
+        # the stable pattern's live slots are spectral.limit_slots': of all
+        # equilibria with a spectrum, only predict_limit's placement passes
+        m = n // 2
+        mags = np.arange(1.0, m + 1.0)
+        values = np.concatenate([-mags[::-1], np.zeros(n % 2), mags])
+        points = spectral.enumerate_equilibria(spectral.make_spectrum(values),
+                                               include_signs=False).points
+        limit = np.zeros(n - 1)
+        limit[spectral.limit_slots(n)] = mags
+        # a zero entry is a finite w far below the others, not -inf
+        stable = [jacobi.log_chart_stable(np.log(np.maximum(p, 1e-300)))
+                  for p in points]
+        assert [np.array_equal(p, limit) for p in points] == stable
+        assert sum(stable) == 1
+
+    def test_zero_entry_passes(self):
+        # w = -inf is a zero entry, whose limit is per block
+        assert jacobi.log_chart_stable(np.array([5.0, -np.inf, 1.0, -3.0]))
+        assert not jacobi.log_chart_stable(np.array([5.0, -50.0, 1.0, -3.0]))
+        assert jacobi.log_chart_stable(np.zeros(0))

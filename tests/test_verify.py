@@ -133,17 +133,19 @@ class TestVerifyRun:
         assert all("limit" not in c.name for c in report.checks)
 
     # inputs at the last bit of the stationary test: eq_eps is the stored
-    # residual c^2 k, k the unit residual, and one bit less is not stationary
+    # residual c (c k), k the unit residual, which equilibrium_residual
+    # reports, and one bit less is not stationary
     @pytest.mark.parametrize("a0, eq_eps", [
         ([1.0851725302734132, 1.0136840010143916e-07, 2.3374286886218107,
-          2.4879106112960613e-07], 9.015768873149088e-07),
+          2.4879106112960613e-07], 9.015768873149089e-07),
         ([0.023980052798988436, 4.2650022009584355e-09, 0.028291333031591873,
           8.984176769298791e-09, 0.041694292383862165, 6.867203840897151e-09],
-         7.898380132389118e-10),
+         7.898380132389117e-10),
         ([0.007976957364033758, 3.594633963601879e-10, 0.004993248066756129,
-          2.465028545198887e-10, 0.006876680085311295], 5.6271091787177634e-12),
+          2.465028545198887e-10, 0.006876680085311295], 5.627109178717763e-12),
     ])
     def test_stationary_input_passes_its_residual_check(self, a0, eq_eps):
+        assert jacobi.equilibrium_residual(a0) == eq_eps
         report = verify.verify_run(a0, IntegratorConfig(eq_eps=eq_eps))
         assert report.meta["status"] == "stationary_input"
         assert [(c.name, c.passed) for c in report.checks] == [
