@@ -38,6 +38,7 @@ from .jacobi import (
     _sum_in_order,
     as_offdiag,
     as_symmetric,
+    log_chart_stable,
     lyapunov_f_offdiag,
     lyapunov_f_traceform,
     residual_norms,
@@ -106,7 +107,10 @@ class FlowTrajectory:
     (the stop test's), times c^2, c and c (c .): f_values, spec_drift (the
     largest deviation from the t=0 spectrum; 0 on row 0, which is not solved,
     and on a stationary input) and k_norms, whose row 0 is equilibrium_residual(x0).
-    converged means k_norms[-1] <= eq_eps on the stable pattern (log_chart_stable)."""
+    One stop rule decides the status: a row stops the run when its k_norms
+    value is <= eq_eps and _stable(row) holds (log_chart_stable: the paper's
+    limit pattern, per block between zero entries). stationary_input means
+    row 0 meets it, converged that the last row does."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
@@ -154,6 +158,7 @@ class FlowTrajectory:
     # a lambda looks its function up per call, so module wrappers see each call
     _lyapunov = staticmethod(lambda rows: lyapunov_f_offdiag(rows))
     _residuals = staticmethod(lambda rows: residual_norms(rows))
+    _stable = staticmethod(lambda row: log_chart_stable(row))
 
     @staticmethod
     def _drift(rows, ref):
@@ -178,6 +183,9 @@ class DenseTrajectory(FlowTrajectory):
     _lyapunov = staticmethod(lambda rows: lyapunov_f_traceform(rows))
     _residuals = staticmethod(lambda rows: np.array(
         [math.sqrt(_sum_in_order(K * K)) for K in map(_bracket_K, rows)]))
+    # no theorem gives a general symmetric matrix a limit pattern: like its
+    # stepper, the dense run stops on the residual alone
+    _stable = staticmethod(lambda row: True)
     _drift = staticmethod(
         lambda rows, ref: np.abs(np.linalg.eigvalsh(rows) - ref).max(axis=1))
 
@@ -197,10 +205,11 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
     reference() (the t=0 Spectrum in x0's units, after any check that needs
     it) and cls (whose chart reads states off the kernel's rows) carry what
     depends on the state's shape. Only here is t_max mapped into tau and
-    times mapped back. The stop and stationary tests compare c (c r), r the
-    unit residual (k_norms' number), with eq_eps. An input whose c^2, n c^2 or
-    c^2 t_max is not a finite normal float is rejected; one whose residual is
-    already <= eq_eps (every n = 1 input) is a one-row stationary_input
+    times mapped back. One stop rule, the kernel's, decides every status:
+    c (c r) <= eq_eps, r the unit residual (k_norms' number), and
+    cls._stable, the kernel's pattern test. An input whose c^2, n c^2 or
+    c^2 t_max is not a finite normal float is rejected; one that already
+    meets the stop rule (every n = 1 input) is a one-row stationary_input
     trajectory, not integrated. A run that diverges to a non-finite state
     raises NonConvergence here; the kernel raises its own step failures.
     """
@@ -217,9 +226,10 @@ def _run(cls, x0, cfg, c, y0, kernel, reference):
     eq_eps = c2 * _EQ_EPS if cfg.eq_eps is None else cfg.eq_eps
     fields = dict(x0=x0.copy(), c=c, config=cfg, eq_eps=eq_eps)
 
-    # equilibria short-circuit before reference(): they do not move, and they
-    # typically carry the zero entries validation rejects
-    if c * (c * cls._residuals(y0[None])[0]) <= eq_eps:
+    # a state that meets the stop rule short-circuits before reference(): it
+    # does not move, and it typically carries the zero entries validation
+    # rejects
+    if c * (c * cls._residuals(y0[None])[0]) <= eq_eps and cls._stable(y0):
         return cls(times=np.zeros(1), rows=y0[None], status="stationary_input",
                    **fields)
 
@@ -241,9 +251,13 @@ def integrate(a0, cfg: IntegratorConfig | None = None, *,
     """Integrate the flow from a0 until equilibrium or the horizon.
 
     With validate=True (the default) the initial condition must have nonzero
-    entries and pairwise-distinct eigenvalues. An initial condition with
-    equilibrium_residual(a0) <= eq_eps yields a single-row
-    stationary_input trajectory without integrating.
+    entries and pairwise-distinct eigenvalues. The run stops at the first
+    state whose residual is <= eq_eps and that has the paper's limit pattern
+    (jacobi.log_chart_stable, per block between zero entries); an a0 that
+    meets this rule, equilibrium_residual(a0) <= eq_eps on the stable
+    pattern, yields a single-row stationary_input trajectory without
+    integrating. An unstable equilibrium (a saddle), or a state near one,
+    is integrated like any other.
 
     With c = ||a0||, the kernel steps v = log|a0 / c| in tau = c^2 t, and the
     trajectory keeps v as its rows; ``_run`` maps the units.

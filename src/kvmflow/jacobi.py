@@ -175,13 +175,26 @@ def log_chart_rhs(k: int):
     return rhs, resid2
 
 
+def limit_slots(n: int) -> np.ndarray:
+    """Mask of the off-diagonal slots that carry a magnitude in the limit.
+
+    For even n these are the 0-based slots 0, 2, ...; for odd n the leading
+    1x1 zero block shifts them to 1, 3, .... The other slots tend to zero.
+    """
+    return np.arange(n - 1) % 2 == n % 2
+
+
 def log_chart_stable(w: np.ndarray) -> bool:
     """Whether the log-chart state w has the paper's limit pattern, not a saddle's:
-    strictly increasing on the live slots (spectral.limit_slots), every other
-    entry below their smallest. A zero entry (-inf) flows per block: passes."""
-    if np.isneginf(w).any():
-        return True
-    live = np.arange(w.size) % 2 == (w.size + 1) % 2
+    strictly increasing on the live slots (limit_slots), every other entry
+    below their smallest. A zero entry (w = -inf) splits the matrix into
+    blocks that flow on their own, so each block of k entries between zero
+    entries must have the pattern of limit_slots(k + 1)."""
+    dead = np.isneginf(w)
+    if dead.any():
+        cuts = [-1, *np.flatnonzero(dead).tolist(), w.size]
+        return all(log_chart_stable(w[i + 1:j]) for i, j in zip(cuts, cuts[1:]))
+    live = limit_slots(w.size + 1)
     on = w[live]
     return bool(np.all(on[:-1] < on[1:])
                 and w[~live].max(initial=-np.inf) < on.min(initial=np.inf))

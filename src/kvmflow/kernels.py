@@ -143,9 +143,11 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stabl
 
     rhs(y, out) writes the field at y to out; resid2() returns the squared
     equilibrium residual of the state of the last rhs call. Stops at t_max,
-    or once an accepted state y has c * (c * sqrt(resid2())) <= eq_eps (the
-    stored residual) and, if given, stable(y), which is asked only then; a
-    step that ends within 1e-14 * t_max of t_max ends exactly on it.
+    or at the first accepted state y that meets the stop rule: c * (c *
+    sqrt(resid2())) <= eq_eps (the stored residual) and, if given, stable(y),
+    which is asked only then. The caller asks the same rule of y0 before it
+    calls here. A step that ends within 1e-14 * t_max of t_max ends exactly
+    on it.
     The first trial step, 0.1 (unit + |y0|_inf) / (1 + |f(y0)|_inf), is set
     by y0 and its slope (Hairer, Norsett & Wanner, Solving ODEs I, II.4). On
     a unit state the field is O(1), so t_max / unit = 1 is the run's time
@@ -314,10 +316,12 @@ def integrate_offdiag_kernel(v0, t_max, tol, eq_eps, max_rows, c=1.0):
 
     The state is v = log|a0 / c|, c = ||a0||, in normalised time tau = c^2 t,
     the units of t_max; a run stops once c (c r), r the residual of exp(v), is
-    at most eq_eps on the stable pattern (:func:`jacobi.log_chart_stable`). A
-    zero entry is v = -inf: it stays there and adds 0 to the field, the
-    residual and the error norm. tol bounds the error in v, the relative
-    error of each entry. See :func:`_integrate` for the return value.
+    at most eq_eps on the stable pattern (:func:`jacobi.log_chart_stable`),
+    the rule flow._run asks of v0. A zero entry is v = -inf: it stays there,
+    adds 0 to the field, the residual and the error norm, and splits the
+    pattern test into blocks that must each have their own limit pattern.
+    tol bounds the error in v, the relative error of each entry. See
+    :func:`_integrate` for the return value.
 
     Inside, the run steps w = 2 v = log b^2 in s = 2 tau with the field of
     :func:`jacobi.log_chart_rhs` and unit 2 (see :func:`_integrate`), and

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateSpectrum, EquilibriumInput, ValidationFailure
-from .jacobi import as_diagonal, as_offdiag, scaled_norm, validate_initial_state
+from .jacobi import (
+    as_diagonal,
+    as_offdiag,
+    limit_slots,
+    scaled_norm,
+    validate_initial_state,
+)
 
 __all__ = [
     "Spectrum",
@@ -221,15 +227,6 @@ def _require_distinct(spec: Spectrum) -> Spectrum:
             f"gap_tol {spec.gap_tol:.3e}; eigenvalues must be pairwise distinct"
         )
     return spec
-
-
-def limit_slots(n: int) -> np.ndarray:
-    """Mask of the off-diagonal slots that carry a magnitude in the limit.
-
-    For even n these are the 0-based slots 0, 2, ...; for odd n the leading
-    1x1 zero block shifts them to 1, 3, .... The other slots tend to zero.
-    """
-    return np.arange(n - 1) % 2 == n % 2
 
 
 def predict_limit(a0, spec: Spectrum) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from kvmflow.cli import main
 from kvmflow.errors import DegenerateSpectrum, ValidationFailure
+from kvmflow.verify import LIMIT_MATCH
 
 EX1_JSON = '{"label": "example-4x4", "n": 4, "offdiag": [5, -6, -2]}'
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -69,17 +70,21 @@ class TestEvolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    # both inputs have the stable pattern (1,0,2,3 per block): eq_eps decides
     @pytest.mark.parametrize("rule, offdiag, eq_eps", [("zero-entry", "1,0,2,3", "100"),
-                                                       ("degenerate", "1,1e-9,1", "1")])
+                                                       ("degenerate", "1,1e-9,1.000000001", "1")])
     def test_stationary_input_notes_why_there_is_no_prediction(self, rule, offdiag, eq_eps,
                                                                capsys):
-        # a run within eq_eps of equilibrium stops before validation, so the
-        # prediction is where the broken hypothesis shows
+        # a run that meets the stop rule at t = 0 stops before validation, so
+        # the prediction is where the broken hypothesis shows
         assert main(_args("evolve", "--offdiag=" + offdiag, "--eq-eps", eq_eps)) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"] == "stationary_input"
         assert summary["predicted_limit"] is None
-        assert summary["notes"] == "unavailable: " + _INPUT_RULES[rule][1]
+        why = {"zero-entry": _INPUT_RULES["zero-entry"][1],
+               "degenerate": "smallest eigenvalue gap 1.414e-09 does not exceed gap_tol "
+                             "2.000e-08; eigenvalues must be pairwise distinct"}[rule]
+        assert summary["notes"] == "unavailable: " + why
 
     def test_run_ends_exactly_on_the_horizon(self, tmp_path, capsys):
         # a step that ends within 1e-14 of the horizon ends on it, and the
@@ -151,6 +156,36 @@ class TestVerify:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"] == "horizon_reached"
         assert summary["overall"] is False
+
+    def test_input_near_a_saddle_flows_to_the_limit(self, capsys):
+        # [3, 0, 1, 0, 2] is an unsorted equilibrium, a saddle: 1e-40 from it
+        # the residual is far below eq_eps, but the input is not at rest
+        a0 = "--offdiag=3,1e-40,1,1e-40,2"
+        assert main(_args("verify", a0)) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "horizon_reached"
+        assert main(_args("verify", a0, "--t-max", "100")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "converged"
+        dev = np.abs(np.array(summary["final_offdiag"]) - [1.0, 0.0, 2.0, 0.0, 3.0]).max()
+        assert dev <= LIMIT_MATCH * np.linalg.norm([3.0, 1e-40, 1.0, 1e-40, 2.0])
+
+    def test_zero_entry_flows_per_block(self, capsys):
+        # the zero a_4 splits 3,1e-40,1,0,2 into the blocks 3,1e-40,1 (a
+        # saddle of its own) and 2, each of which flows to its own limit
+        a0 = "--offdiag=3,1e-40,1,0,2"
+        assert main(_args("verify", a0)) == 1
+        assert "a_4 is zero" in capsys.readouterr().err
+        assert main(_args("verify", a0, "--strict", "false", "--t-max", "100")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "converged"
+        dev = np.abs(np.array(summary["final_offdiag"]) - [1.0, 0.0, 3.0, 0.0, 2.0]).max()
+        assert dev <= LIMIT_MATCH * np.linalg.norm([3.0, 1e-40, 1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("offdiag", ["1,1e-40,2,1e-40,3", "1.26,0,-7.96", "1,0,1",
+                                         "0.7", ""])
+    def test_stable_equilibria_are_stationary(self, offdiag, capsys):
+        assert main(_args("verify", "--offdiag=" + offdiag)) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "stationary_input"
 
     @pytest.mark.parametrize("name", ["ex1.json", "ex2.json", "ex3.json"])
     def test_shipped_fixtures_verify_clean(self, name):

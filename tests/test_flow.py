@@ -206,19 +206,33 @@ class TestIntegrate:
                             == (traj.status != "horizon_reached")), (j, eq_eps)
 
     def test_equilibrium_residual_is_the_stationary_test(self):
-        # equilibrium_residual(a0) is the number the stationary test compares:
-        # a0 is stationary at eq_eps = equilibrium_residual(a0), one float
-        # below it is not; inputs of graded scale, 1e-5 to 1e4
+        # the stationary test is the stop rule: equilibrium_residual(a0) <=
+        # eq_eps and the stable pattern of v0 = log|a0 / c|. At eq_eps =
+        # equilibrium_residual(a0) a0 is stationary iff its pattern is stable,
+        # one float below it is not; inputs of graded scale, 1e-5 to 1e4, and
+        # 100 stable ones: sorted magnitudes on the live slots, the other
+        # slots 1e-8 to 1e-3 of the smallest
         rng = np.random.default_rng(1)
         inputs = [EX1, EX2, EX3] + [
             rng.uniform(0.5, 1.5, n - 1) * 10.0 ** rng.uniform(-5.0, 4.0)
             * rng.choice([-1.0, 1.0], n - 1) for n in 3 + np.arange(500) % 10]
+        for n in 3 + np.arange(100) % 10:
+            live = spectral.limit_slots(n)
+            a0 = np.empty(n - 1)
+            a0[live] = np.sort(rng.uniform(0.5, 1.5, live.sum()))
+            a0[~live] = a0[live][0] * 10.0 ** rng.uniform(-8.0, -3.0, (~live).sum())
+            inputs.append(a0 * 10.0 ** rng.uniform(-5.0, 4.0)
+                          * rng.choice([-1.0, 1.0], n - 1))
+        stationary = 0
         for a0 in inputs:
             e = jacobi.equilibrium_residual(a0)
+            stable = jacobi.log_chart_stable(np.log(np.abs(a0) / jacobi.scaled_norm(a0)))
             at = flow.integrate(a0, flow.IntegratorConfig(eq_eps=e, t_max=1e-3))
             below = flow.IntegratorConfig(eq_eps=np.nextafter(e, 0.0), t_max=1e-3)
-            assert at.status == "stationary_input", a0
+            assert (at.status == "stationary_input") == stable, a0
             assert flow.integrate(a0, below).status != "stationary_input", a0
+            stationary += stable
+        assert stationary >= 100
 
     def test_equilibrium_residual_is_the_first_reported_residual(self):
         rng = np.random.default_rng(1)
@@ -237,6 +251,31 @@ class TestIntegrate:
         assert traj.status == "converged" and traj.k_norms[-1] <= traj.eq_eps
         limit = spectral.predict_limit(a0, traj.spectrum)
         assert np.abs(traj.final_state - limit).max() <= LIMIT_MATCH * traj.c
+
+    def test_input_near_a_saddle_is_not_stationary(self):
+        # every unsorted equilibrium of +-1 ... +-m (and 0 for odd n), n = 3..7,
+        # with each zero slot at 10^U(-60, -30): a saddle, residual far below
+        # eq_eps, that the flow leaves for the predicted limit
+        rng = np.random.default_rng(0)
+        inputs = []
+        for n in range(3, 8):
+            mags = np.arange(1.0, n // 2 + 1.0)
+            spec = spectral.make_spectrum(
+                np.concatenate([-mags[::-1], np.zeros(n % 2), mags]))
+            limit = np.zeros(n - 1)
+            limit[spectral.limit_slots(n)] = mags
+            for p in spectral.enumerate_equilibria(spec, include_signs=False).points:
+                if not np.array_equal(p, limit):
+                    zeros = p == 0.0
+                    p[zeros] = 10.0 ** rng.uniform(-60.0, -30.0, zeros.sum())
+                    inputs.append(p)
+        assert len(inputs) == 35
+        for a0 in inputs:
+            assert flow.integrate(a0).status != "stationary_input", a0
+            traj = flow.integrate(a0, flow.IntegratorConfig(t_max=1000.0))
+            assert traj.status == "converged", a0
+            limit = spectral.predict_limit(a0, traj.spectrum)
+            assert np.abs(traj.final_state - limit).max() <= LIMIT_MATCH * traj.c, a0
 
 
 def _rng3_symmetric(n):

@@ -237,8 +237,8 @@ class TestEquilibriumResidual:
 class TestLogChartStable:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_the_one_stable_equilibrium_is_the_predicted_limit(self, n):
-        # the stable pattern's live slots are spectral.limit_slots': of all
-        # equilibria with a spectrum, only predict_limit's placement passes
+        # of all equilibria with a spectrum, only predict_limit's placement
+        # has the stable pattern
         m = n // 2
         mags = np.arange(1.0, m + 1.0)
         values = np.concatenate([-mags[::-1], np.zeros(n % 2), mags])
@@ -252,8 +252,22 @@ class TestLogChartStable:
         assert [np.array_equal(p, limit) for p in points] == stable
         assert sum(stable) == 1
 
-    def test_zero_entry_passes(self):
-        # w = -inf is a zero entry, whose limit is per block
-        assert jacobi.log_chart_stable(np.array([5.0, -np.inf, 1.0, -3.0]))
-        assert not jacobi.log_chart_stable(np.array([5.0, -50.0, 1.0, -3.0]))
-        assert jacobi.log_chart_stable(np.zeros(0))
+    # w = -inf is a zero entry: it splits the state into blocks that flow on
+    # their own, each to the pattern of its own size
+    @pytest.mark.parametrize("w, stable", [
+        ([5.0, -np.inf, 1.0, -3.0], False),  # block [1, -3] is unsorted
+        ([5.0, -np.inf, -3.0, 1.0], True),
+        ([5.0, -50.0, 1.0, -3.0], False),  # a finite w is no zero entry
+        ([-np.inf, 1.0, -3.0], False),
+        ([-np.inf, -3.0, 1.0], True),
+        ([1.0, -3.0, -np.inf], False),
+        ([-3.0, 1.0, -np.inf], True),
+        ([5.0, -np.inf, -np.inf, 1.0, -3.0], False),
+        ([5.0, -np.inf, -np.inf, -3.0, 1.0], True),
+        ([-np.inf, -np.inf, -np.inf], True),
+        ([], True),
+    ], ids=["inner-unsorted", "inner-sorted", "finite", "leading-unsorted",
+            "leading-sorted", "trailing-unsorted", "trailing-sorted", "double-unsorted",
+            "double-sorted", "all-zero", "empty"])
+    def test_zero_entries_split_the_pattern_into_blocks(self, w, stable):
+        assert jacobi.log_chart_stable(np.array(w)) is stable
