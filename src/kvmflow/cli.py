@@ -2,7 +2,7 @@
 
 Subcommands: evolve, predict, verify, spectrum, equilibria, evolve-sym.
 Exit codes: 0 success, 1 parse/validation error (message on stderr),
-2 failed verification.
+2 a failed check (verify: verify_run's; evolve-sym: trajectory_checks').
 """
 
 import argparse
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import verify
 from .errors import EquilibriumInput, KvmflowError, ValidationFailure
 from .flow import IntegratorConfig, integrate, integrate_dense
 from .io import (
@@ -32,7 +33,6 @@ from .spectral import (
     predict_limit,
     spectrum_zero_diag,
 )
-from .verify import verify_run
 
 _EXPERIMENTAL_NOTE = (
     "experimental symmetric-matrix mode: only spectral drift and Lyapunov "
@@ -213,7 +213,7 @@ def _cmd_predict(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _load_document(args)
     a = _require_offdiag(doc)
-    report = verify_run(a, _cfg_from_args(args), strict=args.strict)
+    report = verify.verify_run(a, _cfg_from_args(args), strict=args.strict)
     _emit(args, doc, checks=report.checks, overall=report.overall, **report.meta)
     return 0 if report.overall else 2
 
@@ -252,14 +252,15 @@ def _cmd_evolve_sym(args) -> int:
     traj = integrate_dense(doc.symmetric, _cfg_from_args(args))
     if args.out_csv is not None:
         write_dense_diagnostics_csv(traj, args.out_csv)
+    report = verify.VerificationReport(verify.trajectory_checks(traj))
     _emit(args, doc, mode="experimental-symmetric", notes=_EXPERIMENTAL_NOTE,
-          status=traj.status, config=traj.config, extras={
+          status=traj.status, checks=report.checks, overall=report.overall,
+          config=traj.config, extras={
               "final_matrix": traj.final_state,
               "final_blocks": traj.final_blocks,
-              "spec_drift_max": traj.spec_drift.max(),
               "lyapunov_final": traj.f_values[-1],
           })
-    return 0
+    return 0 if report.overall else 2
 
 
 if __name__ == "__main__":

@@ -110,7 +110,8 @@ class FlowTrajectory:
     One stop rule decides the status: a row stops the run when its k_norms
     value is <= eq_eps and _stable(row) holds (log_chart_stable: the paper's
     limit pattern, per block between zero entries). stationary_input means
-    row 0 meets it, converged that the last row does."""
+    row 0 meets it, converged that the last row does. _sq_norms gives each
+    unit row's ||T / c||_F^2 / 2, the measure of frobenius_conservation."""
 
     times: np.ndarray  # strictly increasing, starts at 0
     rows: np.ndarray  # the kernel's, (m, n-1): v = log|a / c|, -inf at a 0
@@ -159,6 +160,7 @@ class FlowTrajectory:
     _lyapunov = staticmethod(lambda rows: lyapunov_f_offdiag(rows))
     _residuals = staticmethod(lambda rows: residual_norms(rows))
     _stable = staticmethod(lambda row: log_chart_stable(row))
+    _sq_norms = staticmethod(lambda rows: np.sum(rows * rows, axis=1))
 
     @staticmethod
     def _drift(rows, ref):
@@ -167,7 +169,8 @@ class FlowTrajectory:
 
 
 class DenseTrajectory(FlowTrajectory):
-    """Sampled dense symmetric states (experimental mode); rows is H / c, (m, n, n)."""
+    """Sampled dense states (experimental mode); rows is H / c, (m, n, n), and
+    _sq_norms ||H / c||_F^2 / 2."""
 
     @property
     def n(self) -> int:
@@ -186,6 +189,7 @@ class DenseTrajectory(FlowTrajectory):
     # no theorem gives a general symmetric matrix a limit pattern: like its
     # stepper, the dense run stops on the residual alone
     _stable = staticmethod(lambda row: True)
+    _sq_norms = staticmethod(lambda rows: np.sum(rows * rows, axis=(1, 2)) / 2)
     _drift = staticmethod(
         lambda rows, ref: np.abs(np.linalg.eigvalsh(rows) - ref).max(axis=1))
 

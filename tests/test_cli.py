@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvmflow import kernels
 from kvmflow.cli import main
 from kvmflow.errors import DegenerateSpectrum, ValidationFailure
 from kvmflow.verify import LIMIT_MATCH
@@ -266,7 +267,44 @@ class TestEvolveSym:
         assert summary["mode"] == "experimental-symmetric"
         assert "experimental" in summary["notes"]
         assert "final_blocks" in summary
+        assert [c["name"] for c in summary["checks"]] == [
+            "spectral_drift", "frobenius_conservation", "lyapunov_monotone",
+            "reference_spectrum"]
+        assert summary["overall"] is True
         assert csv_path.read_text().splitlines()[0] == "t,f,k_norm,spec_drift"
+
+    def test_a_field_that_is_not_isospectral_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the dense field plus 1e-6 H moves the spectrum and ||H||_F; the
+        # seeded 8x8 at t_max 2 drifts about 200x the bound
+        H = np.random.default_rng(1).normal(size=(8, 8))
+        path = tmp_path / "sym8.json"
+        path.write_text(json.dumps({"symmetric": (0.5 * (H + H.T)).tolist()}))
+        argv = _args("evolve-sym", "--input", path, "--t-max", "2")
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] is True
+
+        field = kernels._dense_field
+
+        def not_isospectral(n):
+            rhs, resid2 = field(n)
+            return (lambda H, out=None: np.add(rhs(H), 1e-6 * H, out=out)), resid2
+
+        monkeypatch.setattr(kernels, "_dense_field", not_isospectral)
+        assert main(argv) == 2
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["overall"] is False
+        assert {c["name"] for c in summary["checks"] if not c["passed"]} == {
+            "spectral_drift", "frobenius_conservation"}
+
+    def test_diagonal_matrix_is_stationary(self, tmp_path, capsys):
+        path = tmp_path / "diag.json"
+        path.write_text('{"symmetric": [[3, 0, 0], [0, -1, 0], [0, 0, 2]]}')
+        assert main(_args("evolve-sym", "--input", path)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "stationary_input"
+        assert [(c["name"], c["passed"]) for c in summary["checks"]] == [
+            ("stationary_residual", True)]
+        assert summary["overall"] is True
 
     def test_tiny_matrix_is_not_stationary(self, sym_file, tmp_path, capsys):
         # the run is normalised: sym.json * 1e-100 at t_max * 1e200 repeats

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kvmflow import flow, jacobi, kernels, spectral
+from kvmflow import cli, flow, jacobi, kernels, spectral, verify
 from kvmflow.errors import NonConvergence, ValidationFailure
 from kvmflow.verify import LIMIT_MATCH, trajectory_checks, verify_run
 
@@ -553,8 +554,8 @@ class TestIntegrateDense:
             H = 0.5 * (H + H.T)
             traj = flow.integrate_dense(H, flow.IntegratorConfig(t_max=2.0))
             assert traj.spec_drift.max() <= 1e-7
-            f_scale = 1 + np.abs(traj.f_values).max()
-            assert np.all(np.diff(traj.f_values) >= -1e-9 * f_scale)
+            for check in trajectory_checks(traj):
+                assert check.passed, check
 
     def test_block_structure_of_converged_tridiagonal(self, ex1):
         traj = flow.integrate_dense(jacobi.embed(ex1),
@@ -712,10 +713,11 @@ def _counting(monkeypatch, module, name):
 
 
 class TestCallTimeLookup:
-    """The drivers look kernels and diagnostics up by name on every call, so a
-    wrapper installed on the module attribute (as a tracer does) sees them.
-    The diagnostics are computed once, when first read: a run pays only for
-    the stationary test's residual on row 0."""
+    """The drivers look kernels and diagnostics up by name on every call, and
+    evolve-sym looks up verify.trajectory_checks, so a wrapper installed on
+    the module attribute (as a tracer does) sees them. The diagnostics are
+    computed once, when first read: a run pays only for the stationary
+    test's residual on row 0."""
 
     def test_integrate_calls_patched_attributes(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_offdiag_kernel")
@@ -730,6 +732,14 @@ class TestCallTimeLookup:
             traj.spec_drift, traj.f_values, traj.k_norms
             assert (len(drift), len(lyap), len(resid)) == (1, 1, 2)
         assert len(kernel) == len(reference) == 1
+
+    def test_evolve_sym_calls_the_patched_check_suite(self, monkeypatch, tmp_path, ex1):
+        checks = _counting(monkeypatch, verify, "trajectory_checks")
+        path = tmp_path / "ex1.json"
+        path.write_text(json.dumps({"symmetric": jacobi.embed(ex1).tolist()}))
+        assert cli.main(["evolve-sym", "--input", str(path), "--t-max", "0.1",
+                         "--out-summary", str(tmp_path / "out.json")]) == 0
+        assert len(checks) == 1 and isinstance(checks[0][0], flow.DenseTrajectory)
 
     def test_integrate_dense_calls_patched_kernel(self, monkeypatch, ex1):
         kernel = _counting(monkeypatch, kernels, "integrate_dense_kernel")

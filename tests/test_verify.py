@@ -17,8 +17,8 @@ class TestVerifyRun:
         assert report.meta["status"] == "converged"
         names = {c.name for c in report.checks}
         assert {"spectral_drift", "frobenius_conservation", "lyapunov_monotone",
-                "sign_preservation", "reference_spectrum", "equilibrium_reached",
-                "limit_match", "limit_zero_slots", "sorted_magnitudes_min_gap"} <= names
+                "reference_spectrum", "equilibrium_reached", "limit_match",
+                "limit_zero_slots", "sorted_magnitudes_min_gap"} <= names
         limit = next(c for c in report.checks if c.name == "limit_match")
         assert limit.measured < 0.01
 
@@ -192,6 +192,55 @@ class TestVerifyRun:
         for c in d["checks"]:
             assert isinstance(c["measured"], float)
             assert isinstance(c["passed"], bool)
+
+
+class TestEveryCheckCanFail:
+    """Each check of trajectory_checks fails on a trajectory that breaks its
+    claim, on either class, so none is a tautology. A sign check would be
+    one: states are c sign(x0) exp(rows), so no entry can cross zero; the
+    paper's sign claim on the limit is limit_match's, whose prediction
+    carries sign(a0)."""
+
+    SHARED = ["spectral_drift", "frobenius_conservation", "lyapunov_monotone",
+              "reference_spectrum"]
+
+    @pytest.fixture(params=["offdiag", "dense"])
+    def clean(self, request, ex1):
+        if request.param == "offdiag":
+            return flow.integrate(ex1)
+        return flow.integrate_dense(jacobi.embed(ex1))
+
+    @staticmethod
+    def _failing(traj):
+        return {c.name for c in verify.trajectory_checks(traj) if not c.passed}
+
+    def test_each_broken_claim_fails_its_check(self, clean):
+        assert [c.name for c in verify.trajectory_checks(clean)] == self.SHARED
+        assert self._failing(clean) == set()
+        shifted = dataclasses.replace(clean.spectrum,
+                                      values=clean.spectrum.values + 1e-4 * clean.c)
+        broken = {
+            "rows x (1 + 1e-6)": dataclasses.replace(clean, rows=clean.rows * (1 + 1e-6)),
+            "rows reversed": dataclasses.replace(clean, rows=clean.rows[::-1]),
+            "shifted spectrum": dataclasses.replace(clean, spectrum=shifted),
+        }
+        failing = {name: self._failing(traj) for name, traj in broken.items()}
+        assert failing == {
+            "rows x (1 + 1e-6)": {"spectral_drift", "frobenius_conservation"},
+            "rows reversed": {"lyapunov_monotone"},
+            "shifted spectrum": {"spectral_drift", "reference_spectrum"},
+        }
+
+    def test_a_flipped_limit_sign_fails_limit_match(self, monkeypatch, ex1):
+        def flipped(*args, **kwargs):
+            traj = flow.integrate(*args, **kwargs)
+            live = np.flatnonzero(spectral.limit_slots(traj.n))[0]
+            traj.states[-1, live] *= -1.0  # the cached states final_state reads
+            return traj
+
+        monkeypatch.setattr(verify, "integrate", flipped)
+        report = verify.verify_run(ex1)
+        assert {c.name for c in report.checks if not c.passed} == {"limit_match"}
 
 
 class TestVerifyIdentities:
