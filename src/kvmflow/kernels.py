@@ -15,18 +15,20 @@ the chart's stable-pattern test, if any, and works on a state of any shape:
 * ``integrate_dense_kernel`` steps a full symmetric matrix, normalised by
   the caller, with the nested-commutator field [H, [H, N(H)]].
 
-Everything is plain numpy. A step keeps y and its stages k1, ..., k13 as
+Everything is plain numpy. A step keeps y and its stages k1, ..., k12 as
 the rows of one buffer; each stage argument and the new state is one
 product of a row of the stage matrix with those rows, and the two error
 estimates are one product of its last two rows; BLAS adds its terms in its
-own order. Each product is the bound ``ndarray.dot`` of its coefficient
-view: the C routine of ``np.dot`` on the same operands, without the Python
-dispatcher that ``np.dot`` runs on every call. The sums that decide step
-acceptance and stopping, the error norm and the residual, run left to
-right, so they do not depend on numpy's pairwise summation. Each field hands the stepper the residual of its last
-evaluation, the FSAL stage at the new state, so the stop test computes no
-field twice. The stepper owns its stop rules: a step below its floor or a
-spent step budget raises NonConvergence where it happens.
+own order. An accepted step writes k13 = f(y_new) into the k1 row (FSAL).
+Each product is the bound ``ndarray.dot`` of its coefficient view: the C
+routine of ``np.dot`` on the same operands, without the Python dispatcher
+that ``np.dot`` runs on every call. The sums that decide step acceptance
+and stopping, the error norm and the residual, run left to right, so they
+do not depend on numpy's pairwise summation. Each field hands the stepper
+the residual of its last evaluation, the FSAL stage at the new state, so
+the stop test computes no field twice. The stepper owns its stop rules: a
+step below its floor or a spent step budget raises NonConvergence where it
+happens.
 
 ``sturm_batch`` solves a batch of symmetric tridiagonals with Sturm counts,
 each one pass over the LDL^T pivots for every entry at once; a pivot runs
@@ -62,7 +64,8 @@ MAX_STEPS = 10**6
 # DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
 # ODEs I, II.5; the coefficients of their dop853). Stage i + 2 has the
 # argument y + h sum_j a_ij k_j; entry i holds its nonzero a_ij by j. Its
-# last entry is y_new, the argument of k13, whose weights b_j are eighth order.
+# last entry is y_new, whose weights b_j are eighth order; no entry reads
+# k13 = f(y_new), which is the next step's k1 (FSAL).
 _DOP853_A = (
     {1: 5.26001519587677318785587544488e-2},
     {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2},
@@ -115,7 +118,7 @@ _DOP853_E3[12] -= 0.220588235294117647058823529412e-1
 def _tableau():
     """The stage matrix below: a 1 on y for each stage row, then its a_ij."""
     rows = _DOP853_A + (_DOP853_E5, _DOP853_E3)
-    T = np.zeros((len(rows), len(_DOP853_A) + 2))
+    T = np.zeros((len(rows), len(_DOP853_A) + 1))
     T[:len(_DOP853_A), 0] = 1.0
     for i, row in enumerate(rows):
         for j, a in row.items():
@@ -123,10 +126,9 @@ def _tableau():
     return T
 
 
-# one row per argument of k2 ... k12, then y_new (the argument of k13), then
-# the 5th- and 3rd-order error estimates, over the stage buffer's rows
-# (y, k1, ..., k13); a row times h, but for its 1 on y, is a sum over its
-# prefix of rows
+# one row per argument of k2 ... k12, then y_new, then the 5th- and 3rd-order
+# error estimates, over the stage buffer's rows (y, k1, ..., k12); a row
+# times h, but for its 1 on y, is a sum over its prefix of rows
 _DOP853 = _tableau()
 
 _SAFETY = 0.9
@@ -155,27 +157,27 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stabl
     step below the floor (or a NaN step) raises NonConvergence, and so does
     a run that has taken MAX_STEPS steps, accepted or rejected.
 
-    The step is DOP853: twelve stages, the last field value k13 = f(y_new)
-    reused as the next step's k1 (FSAL). k13 is a step's last rhs call, so
-    resid2() after it is the residual at y_new. The state y and the stages
-    k1 ... k13 are the rows of one buffer Y, flattened. Each step scales the
-    stage matrix _DOP853 by h and puts back its column on y, and each stage
-    argument and y_new is one product of a row with the prefix of Y it reads.
-    The product is the bound dot of the row's view of C, made once per run:
-    np.dot is a Python dispatcher in front of the same C routine, and on
-    these short rows it costs about half as much again per call (0.57-0.60
-    against 0.40 us for a 14-term stage), 13 calls a step. The view sees
-    every step's rescaling of C, which is in place. The 5th- and 3rd-order
-    error estimates are one such product over k1 ... k12 alone: on the log
-    chart a zero entry is y = -inf and 0 * (-inf) is NaN, so no row may have
-    a zero on y, and the error rows leave y out. Zeros on the k rows are
-    harmless: the k rows of an accepted step are finite, and a non-finite
-    one gives a NaN error and a rejection. The estimates are
-    scaled by tol * (unit + max(|y|, |y_new|)) (Hairer's atol = unit * tol,
-    rtol = tol), the error norm is Hairer's combined one,
-    err = n5 / sqrt((n5 + 0.01 n3) size) of the sums of squares n5 and n3 of
-    the scaled estimates, each summed left to right, and the PI controller
-    takes the exponents 0.7/8 and 0.4/8.
+    The step is DOP853: stages k2 ... k12 from k1, then y_new. An accepted
+    step evaluates k13 = f(y_new), the next step's k1 (FSAL), straight into
+    the k1 row, so resid2() after it is the residual at the new y: 12 field
+    calls for an accepted step, 11 for a rejected one. y and k1 ... k12 are
+    the rows of one buffer Y, flattened. Each step scales the stage matrix
+    _DOP853 by h and puts back its column on y; each stage argument and
+    y_new is one product of a row with the prefix of Y it reads. A stage
+    argument is read once, by the field call after its product, so one row
+    holds each in turn; y_new has its own. The product is the bound dot of
+    the row's view of C, made once per run and seeing each in-place
+    rescaling of C; np.dot would cost about half as much again on these
+    short rows, 13 calls a step. The 5th- and 3rd-order error estimates are
+    one such product over k1 ... k12 alone: on the log chart a zero entry is
+    y = -inf and 0 * (-inf) is NaN, so no row may have a zero on y, and the
+    error rows leave y out. Zeros on the k rows are harmless: the k rows of
+    an accepted step are finite, and a non-finite one gives a NaN error and
+    a rejection. The estimates are scaled by tol * (unit + max(|y|,
+    |y_new|)) (Hairer's atol = unit * tol, rtol = tol), the error norm is
+    Hairer's combined one, err = n5 / sqrt((n5 + 0.01 n3) size) of the sums
+    of squares n5 and n3 of the scaled estimates, each summed left to right,
+    and the PI controller takes the exponents 0.7/8 and 0.4/8.
 
     unit is the size of a unit entry in the state's coordinates: 1, or 2 on
     the log chart, which steps w = 2 v. Doubling is exact in binary floating
@@ -204,19 +206,17 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stabl
     safety, fac_min, fac_max, alpha, beta = _SAFETY, _FAC_MIN, _FAC_MAX, _PI_ALPHA, _PI_BETA
     C = _DOP853.copy()  # _DOP853 with every column but y's times h
     C_y, ones_y = C[:, 0], _DOP853[:, 0].copy()  # C's column on y, its value
-    last = C.shape[1] - 1
-    Y = np.empty((last + 1, y0.size))  # rows y, k1, ..., k_last
-    args = np.empty((last - 1, y0.size))  # stage arguments; y_new is the last
+    Y = np.empty((C.shape[1], y0.size))  # rows y, k1, ..., k12
+    arg_row, y_new = np.empty((2, y0.size))  # a stage argument, y_new
     Y[0] = y0.reshape(-1)
-    y_row, k1_row, k_last = Y[0], Y[1], Y[last]
-    y, k1, y_new = y_row.reshape(shape), k1_row.reshape(shape), args[-1]
-    # each stage's product is the bound dot of its view of C, which sees the
-    # rescaling of C in place on every step
-    stages = [(C[s, :s + 2].dot, Y[:s + 2], args[s], args[s].reshape(shape),
-               Y[s + 2].reshape(shape)) for s in range(last - 1)]
+    y_row = Y[0]
+    y, k1, arg = y_row.reshape(shape), Y[1].reshape(shape), arg_row.reshape(shape)
+    stages = [(C[s, :s + 2].dot, Y[:s + 2], Y[s + 2].reshape(shape))
+              for s in range(len(Y) - 2)]
+    new_dot = C[len(Y) - 2].dot
     err_est = np.empty((2, y0.size))  # the 5th- and 3rd-order estimates
     # the error rows leave out y: 0 * (-inf) would be NaN; sums holds n5 and n3
-    err_dot, err_rows, sums = C[-2:, 1:last].dot, Y[1:last], err_est[:, -1]
+    err_dot, err_rows, sums = C[-2:, 1:].dot, Y[1:], err_est[:, -1]
     scale = np.empty(y0.size)  # the error scale of each entry
     abs_y = np.abs(y_row)
     abs_new = np.empty(y0.size)  # |y_new|, |y| of the next step if accepted
@@ -252,9 +252,10 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stabl
 
         multiply(_DOP853, h, C)
         C_y[...] = ones_y
-        for coef_dot, rows, arg, arg_in, k_out in stages:
-            coef_dot(rows, arg)
-            rhs(arg_in, k_out)
+        for coef_dot, rows, k_out in stages:
+            coef_dot(rows, arg_row)
+            rhs(arg, k_out)
+        new_dot(Y, y_new)
         err_dot(err_rows, err_est)
         abs_(y_new, abs_new)
         maximum(abs_y, abs_new, out=scale)  # a positional out is deprecated
@@ -273,7 +274,7 @@ def _integrate(y0, rhs, resid2, t_max, tol, eq_eps, max_rows, unit, c=1.0, stabl
         if accept:
             t = t_new
             y_row[...] = y_new
-            k1_row[...] = k_last
+            rhs(y, k1)  # k13, the FSAL stage at the new y
             abs_y, abs_new = abs_new, abs_y
             naccept += 1
 

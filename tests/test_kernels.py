@@ -519,9 +519,9 @@ class TestTableau:
         return math.fsum(weights * c ** (q - 1))
 
     def test_nodes_are_the_row_sums(self):
-        # rows 0..11 are the arguments of k2 ... k13 (y_new) over y, k1, ..., k13
+        # rows 0..11 are the arguments of k2 ... k12 and y_new over y, k1, ..., k12
         T = kernels._DOP853
-        assert T.shape == (14, 14)
+        assert T.shape == (14, 13)
         for i in range(12):
             assert T[i, 0] == 1.0 and not T[i, i + 2:].any()
             assert abs(math.fsum(T[i, 1:]) - self.C[i + 1]) <= 1e-14
@@ -534,7 +534,7 @@ class TestTableau:
     def test_error_weights_sum_to_zero(self):
         # the embedded solutions are exact up to their own orders, 5 and 3
         T = kernels._DOP853
-        assert not T[12:, 0].any() and not T[12:, 13].any()
+        assert not T[12:, 0].any()
         for row, order in ((T[12, 1:13], 5), (T[13, 1:13], 3)):
             for q in range(1, order + 1):
                 assert abs(self._quadrature(row, self.C[:12], q)) <= 1e-14
@@ -651,7 +651,9 @@ class TestRecording:
     @pytest.mark.parametrize("shape", ["offdiag", "dense"])
     def test_budget_is_spent_after_max_steps(self, shape, monkeypatch):
         # MAX_STEPS is read at call time: the run raises after the first
-        # slope and the twelve stages of each of its 20 steps
+        # slope and its 20 steps. A step makes 11 field calls, k2 ... k12,
+        # and an accepted one a 12th, k13 = f(y_new), the next k1; the stop
+        # test asks resid2 once per accepted step
         if shape == "offdiag":
             name, kernel = "log_chart_rhs", kernels.integrate_offdiag_kernel
             y0 = _log_chart([5.0, -6.0, -2.0])
@@ -659,7 +661,7 @@ class TestRecording:
             name, kernel = "_dense_field", kernels.integrate_dense_kernel
             H = np.random.default_rng(3).normal(size=(5, 5))
             y0 = 0.5 * (H + H.T)
-        field, calls = getattr(kernels, name), []
+        field, calls, accepted = getattr(kernels, name), [], []
 
         def counting(*args):
             rhs, resid2 = field(*args)
@@ -667,13 +669,19 @@ class TestRecording:
             def counted(y, out):
                 calls.append(None)
                 return rhs(y, out=out)
-            return counted, resid2
+
+            def asked():
+                accepted.append(None)
+                return resid2()
+            return counted, asked
 
         monkeypatch.setattr(kernels, name, counting)
         monkeypatch.setattr(kernels, "MAX_STEPS", 20)
         with pytest.raises(NonConvergence, match="adaptive run took 20 steps before t_max"):
             kernel(y0, 100.0, 1e-10, 0.0, 10_000)
-        assert len(calls) == 1 + 12 * 20
+        naccept = len(accepted)
+        assert 0 < naccept < 20
+        assert len(calls) == 1 + 12 * naccept + 11 * (20 - naccept)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_stage_rejects_and_shrinks_the_step(self):
